@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro import obs
 from repro.coords.hexagonal import HexCoord, HexDirection
@@ -48,7 +49,18 @@ from repro.sat.encodings import at_most_one, exactly_one
 
 
 class PhysicalDesignError(RuntimeError):
-    """Raised when no layout could be found within the search limits."""
+    """Raised when no layout could be found within the search limits.
+
+    Raised by :meth:`ExactPhysicalDesign.run` after candidates were
+    tried, it carries their records in ``attempts``, and its message
+    names what they proved and the area lower bound that follows.
+    """
+
+    def __init__(
+        self, message: str, attempts: Sequence[CandidateAttempt] = ()
+    ) -> None:
+        super().__init__(message)
+        self.attempts = list(attempts)
 
 
 class PhysicalDesignTimeoutError(PhysicalDesignError):
@@ -75,6 +87,42 @@ class CandidateAttempt:
     sat_conflicts: int = 0
     outcome: str = ""  # "sat" | "unsat" | "timeout" | "infeasible"
     seconds: float = 0.0
+
+
+def _search_summary(
+    candidates: Sequence[tuple[int, int]],
+    attempts: Sequence[CandidateAttempt],
+) -> str:
+    """What the attempts proved, and the area lower bound it gives.
+
+    Candidates come in order of increasing area, so the first one not
+    proven impossible bounds the area of any layout within the searched
+    floor plans from below.
+    """
+    proven = {
+        (a.width, a.height)
+        for a in attempts
+        if a.outcome in ("unsat", "infeasible")
+    }
+    parts = []
+    for label, outcome in (("proven UNSAT", "unsat"), ("timed out", "timeout")):
+        named = [
+            f"{a.width}x{a.height} ({a.sat_conflicts} conflicts)"
+            for a in attempts
+            if a.outcome == outcome
+        ]
+        if named:
+            parts.append(f"{label}: " + ", ".join(named))
+    open_candidates = [wh for wh in candidates if wh not in proven]
+    if open_candidates:
+        width, height = open_candidates[0]
+        parts.append(
+            f"area lower bound: {width * height} tiles ({width}x{height} "
+            "is the smallest candidate not proven UNSAT)"
+        )
+    else:
+        parts.append("every candidate proven UNSAT")
+    return "; ".join(parts)
 
 
 @dataclass
@@ -213,11 +261,23 @@ class ExactPhysicalDesign:
             if self.time_limit_seconds is not None
             else None
         )
+        first_attempt = len(statistics.attempts)
+
+        def failure(
+            error: type[PhysicalDesignError], message: str
+        ) -> PhysicalDesignError:
+            attempts = statistics.attempts[first_attempt:]
+            return error(
+                f"{message}; {_search_summary(candidates, attempts)}",
+                attempts,
+            )
+
         timeouts = 0
         for attempt_index, (width, height) in enumerate(candidates):
             if deadline is not None and time.monotonic() > deadline:
-                raise PhysicalDesignTimeoutError(
-                    f"time limit of {self.time_limit_seconds} s exhausted"
+                raise failure(
+                    PhysicalDesignTimeoutError,
+                    f"time limit of {self.time_limit_seconds} s exhausted",
                 )
             obs.progress(
                 "exact.candidates",
@@ -248,9 +308,10 @@ class ExactPhysicalDesign:
                 # easier, so keep going instead of giving up.  A blown
                 # wall-clock deadline, however, ends the whole search.
                 if deadline is not None and time.monotonic() > deadline:
-                    raise PhysicalDesignTimeoutError(
+                    raise failure(
+                        PhysicalDesignTimeoutError,
                         f"time limit of {self.time_limit_seconds} s "
-                        "exhausted"
+                        "exhausted",
                     )
                 timeouts += 1
                 continue
@@ -262,16 +323,18 @@ class ExactPhysicalDesign:
                     obs.add("defects.tiles_blacklisted", len(blocked))
                 return layout
         if timeouts:
-            raise PhysicalDesignBudgetError(
+            raise failure(
+                PhysicalDesignBudgetError,
                 f"conflict budget of {self.conflict_limit} exhausted on "
                 f"{timeouts} of {len(candidates)} candidates; no layout "
                 f"found within width {self.max_width} and "
                 f"{self.extra_rows} extra rows (a larger conflict_limit "
-                "may still succeed)"
+                "may still succeed)",
             )
-        raise PhysicalDesignError(
+        raise failure(
+            PhysicalDesignError,
             f"no layout within width {self.max_width} and "
-            f"{self.extra_rows} extra rows"
+            f"{self.extra_rows} extra rows",
         )
 
     # --- one (W, H) attempt ------------------------------------------------

@@ -3,13 +3,14 @@
 Implements the standard modern architecture: two-watched-literal
 propagation, first-UIP conflict analysis with clause minimization,
 exponential VSIDS branching, phase saving, Luby-sequence restarts and
-activity-based learnt-clause deletion.  Pure Python, tuned for the
+length-based learnt-clause deletion.  Pure Python, tuned for the
 problem sizes produced by the physical design and verification encodings
 of this framework (thousands of variables, tens of thousands of clauses).
 
 Internal literal encoding: variable ``v`` (1-based) maps to ``2*v`` for
 the positive and ``2*v + 1`` for the negative literal, so negation is
-``lit ^ 1``.
+``lit ^ 1``.  The value array and the watch lists are indexed by that
+literal directly, and the hot loops bind the solver's arrays to locals.
 """
 
 from __future__ import annotations
@@ -53,13 +54,17 @@ class Solver:
 
     def __init__(self, cnf: Cnf | None = None) -> None:
         self._num_vars = 0
-        # assignment[v] in {0 (false), 1 (true), _UNASSIGNED}
-        self._assign: list[int] = [0]
+        # value[lit] in {1 (true), 0 (false), _UNASSIGNED}; both literals
+        # of a variable change together.  Variable 0 is a false dummy.
+        self._value: list[int] = [0, 1]
         self._level: list[int] = [0]
         self._reason: list[list[int] | None] = [None]
         self._activity: list[float] = [0.0]
         self._phase: list[int] = [0]
-        self._watches: dict[int, list[list[int]]] = {}
+        # Scratch marks of _analyze, all False between calls.
+        self._seen: list[bool] = [False]
+        # watches[lit]: the clauses watching lit (lit is clause[0] or [1]).
+        self._watches: list[list[list[int]]] = [[], []]
         self._clauses: list[list[int]] = []
         self._learnts: list[list[int]] = []
         self._trail: list[int] = []
@@ -69,7 +74,7 @@ class Solver:
         self._var_decay = 1.0 / 0.95
         # Lazy VSIDS max-heap: entries are (-activity, var); stale
         # entries (outdated activity or already-assigned vars) are
-        # skipped on pop and re-pushed on unassignment.
+        # skipped on pop and dropped by a rebuild once they pile up.
         self._order: list[tuple[float, int]] = []
         self._ok = True
         self.conflicts = 0
@@ -87,79 +92,84 @@ class Solver:
 
     # --- problem construction -------------------------------------------
     def _ensure_var(self, var: int) -> None:
-        while self._num_vars < var:
-            self._num_vars += 1
-            self._assign.append(_UNASSIGNED)
-            self._level.append(0)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            self._phase.append(0)
-            v = self._num_vars
-            self._watches[2 * v] = []
-            self._watches[2 * v + 1] = []
-            self._heap_push(v)
+        first = self._num_vars + 1
+        if var < first:
+            return
+        count = var - self._num_vars
+        self._num_vars = var
+        # Extended in place: the hot loops hold these lists in locals.
+        self._value += [_UNASSIGNED] * (2 * count)
+        self._level += [0] * count
+        self._reason += [None] * count
+        self._activity += [0.0] * count
+        self._phase += [0] * count
+        self._seen += [False] * count
+        self._watches += [[] for _ in range(2 * count)]
+        # New variables have the lowest activity and the highest index,
+        # so pushing them one by one never sifts: appending is the push.
+        self._order += [(-0.0, v) for v in range(first, var + 1)]
 
     def add_cnf(self, cnf: Cnf) -> None:
         self._ensure_var(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        self._add_clauses(cnf.clauses)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a problem clause (DIMACS literals)."""
-        if not self._ok:
-            return
-        seen: set[int] = set()
-        clause: list[int] = []
-        for dimacs in literals:
-            var = abs(dimacs)
-            self._ensure_var(var)
-            lit = 2 * var + (1 if dimacs < 0 else 0)
-            if lit ^ 1 in seen:
-                return  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            # Skip literals already falsified at level 0; satisfied
-            # clauses at level 0 are dropped.
-            value = self._lit_value(lit)
-            if value == 1 and self._level[var] == 0:
+        self._add_clauses((literals,))
+
+    def _add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
+        value = self._value
+        level = self._level
+        watches = self._watches
+        problem = self._clauses
+        for literals in clauses:
+            if not self._ok:
                 return
-            if value == 0 and self._level[var] == 0:
-                continue
-            clause.append(lit)
-        if not clause:
-            self._ok = False
-            return
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], None):
-                self._ok = False
-            elif self._propagate() is not None:
-                self._ok = False
-            return
-        self._attach(clause)
-        self._clauses.append(clause)
+            clause: list[int] = []
+            for dimacs in literals:
+                if dimacs < 0:
+                    var = -dimacs
+                    lit = var + var + 1
+                else:
+                    var = dimacs
+                    lit = var + var
+                if var > self._num_vars:
+                    self._ensure_var(var)
+                # Satisfied clauses at level 0 are dropped, literals
+                # falsified at level 0 skipped.
+                current = value[lit]
+                if current != _UNASSIGNED and level[var] == 0:
+                    if current == 1:
+                        break
+                    continue
+                if lit in clause:
+                    continue
+                if lit ^ 1 in clause:
+                    break  # tautology
+                clause.append(lit)
+            else:
+                if len(clause) > 1:
+                    watches[clause[0]].append(clause)
+                    watches[clause[1]].append(clause)
+                    problem.append(clause)
+                elif not clause:
+                    self._ok = False
+                elif (
+                    not self._enqueue(clause[0], None)
+                    or self._propagate() is not None
+                ):
+                    self._ok = False
 
     # --- internal helpers -------------------------------------------------
-    def _lit_value(self, lit: int) -> int:
-        """1 true, 0 false, _UNASSIGNED."""
-        value = self._assign[lit >> 1]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value ^ (lit & 1)
-
-    def _attach(self, clause: list[int]) -> None:
-        # Clauses watching literal L are stored in _watches[L].
-        self._watches[clause[0]].append(clause)
-        self._watches[clause[1]].append(clause)
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        value = self._lit_value(lit)
-        if value == 0:
-            return False
-        if value == 1:
-            return True
+        """Make ``lit`` true at the current level; False if it is false."""
+        value = self._value
+        current = value[lit]
+        if current != _UNASSIGNED:
+            return current == 1
+        value[lit] = 1
+        value[lit ^ 1] = 0
         var = lit >> 1
-        self._assign[var] = 1 - (lit & 1)
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
@@ -167,186 +177,243 @@ class Solver:
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._queue_head < len(self._trail):
-            lit = self._trail[self._queue_head]
-            self._queue_head += 1
-            self.propagations += 1
-            falsified = lit ^ 1
-            watch_list = self._watches[falsified]
-            new_list: list[list[int]] = []
-            i = 0
+        trail = self._trail
+        head = self._queue_head
+        if head >= len(trail):
+            return None
+        start = head
+        value = self._value
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        assign_level = len(self._trail_lim)
+        enqueue = trail.append
+        while head < len(trail):
+            falsified = trail[head] ^ 1
+            head += 1
+            watch_list = watches[falsified]
             n = len(watch_list)
+            i = kept = 0
+            # Watches that stay are compacted to the front of the list.
             while i < n:
                 clause = watch_list[i]
                 i += 1
                 # Ensure the falsified literal is at position 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) == 1:
-                    new_list.append(clause)
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                if value[first] == 1:
+                    watch_list[kept] = clause
+                    kept += 1
                     continue
                 # Look for a new literal to watch.
-                found = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        found = True
+                    other = clause[k]
+                    if value[other] != 0:
+                        clause[1] = other
+                        clause[k] = falsified
+                        watches[other].append(clause)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                new_list.append(clause)
-                if not self._enqueue(first, clause):
-                    # Conflict: restore remaining watches and report.
-                    new_list.extend(watch_list[i:n])
-                    self._watches[falsified] = new_list
-                    return clause
-            self._watches[falsified] = new_list
+                else:
+                    # Clause is unit or conflicting.
+                    watch_list[kept] = clause
+                    kept += 1
+                    if value[first] == 0:
+                        # Conflict: keep the unvisited watches and report.
+                        del watch_list[kept:i]
+                        self._queue_head = head
+                        self.propagations += head - start
+                        return clause
+                    value[first] = 1
+                    value[first ^ 1] = 0
+                    var = first >> 1
+                    level[var] = assign_level
+                    reason[var] = clause
+                    enqueue(first)
+            del watch_list[kept:]
+        self._queue_head = head
+        self.propagations += head - start
         return None
 
     # --- VSIDS ------------------------------------------------------------
-    def _heap_push(self, var: int) -> None:
-        heapq.heappush(self._order, (-self._activity[var], var))
+    def _rescale_activity(self) -> None:
+        """Scale all activities and the increment by 1e-100; rebuild the heap."""
+        activity = self._activity
+        for v in range(1, self._num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        self._rebuild_order()
 
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            self._rebuild_heap()
-        heapq.heappush(self._order, (-self._activity[var], var))
-
-    def _rebuild_heap(self) -> None:
-        self._order = [
-            (-self._activity[v], v)
+    def _rebuild_order(self) -> None:
+        """Replace the heap by one current entry per unassigned variable."""
+        activity = self._activity
+        value = self._value
+        order = self._order
+        order[:] = [
+            (-activity[v], v)
             for v in range(1, self._num_vars + 1)
-            if self._assign[v] == _UNASSIGNED
+            if value[2 * v] == _UNASSIGNED
         ]
-        heapq.heapify(self._order)
-
-    def _decay(self) -> None:
-        self._var_inc *= self._var_decay
+        heapq.heapify(order)
 
     def _pick_branch_var(self) -> int:
-        while self._order:
-            neg_activity, var = self._order[0]
+        order = self._order
+        value = self._value
+        activity = self._activity
+        if len(order) > 4 * self._num_vars:
+            # Every bump and unassignment pushes an entry, so stale ones
+            # pile up (over a million on newtag's hardest P&R proof).
+            # The pick depends only on the valid entries -- the unassigned
+            # variable of highest activity, lowest index on ties -- so
+            # dropping the stale ones never changes it.  The O(vars)
+            # rebuild is paid for by the 3 * vars pushes since the last.
+            self._rebuild_order()
+        while order:
+            neg_activity, var = order[0]
             if (
-                self._assign[var] == _UNASSIGNED
-                and -neg_activity == self._activity[var]
+                value[2 * var] == _UNASSIGNED
+                and -neg_activity == activity[var]
             ):
                 return var
-            heapq.heappop(self._order)
-        # Heap exhausted: fall back to a linear sweep (also re-fills it).
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
-                self._heap_push(var)
-        while self._order:
-            neg_activity, var = self._order[0]
-            if self._assign[var] == _UNASSIGNED:
-                return var
-            heapq.heappop(self._order)
+            heapq.heappop(order)
+        # Every unassigned variable has a current entry (pushed when it
+        # is unassigned and on every bump), so all variables are set.
         return 0
 
     # --- conflict analysis ------------------------------------------------
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
-        """First-UIP learning; returns (learnt clause, backtrack level)."""
+        """First-UIP learning; returns (learnt clause, backtrack level).
+
+        Every variable resolved on or added to the clause gets a VSIDS
+        bump, in the order the resolution first meets it.
+        """
+        level = self._level
+        reason_of = self._reason
+        trail = self._trail
+        seen = self._seen
+        activity = self._activity
+        order = self._order
+        var_inc = self._var_inc
+        heappush = heapq.heappush
         learnt: list[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self._num_vars + 1)
         counter = 0
         lit = -1
         reason: Sequence[int] = conflict
-        index = len(self._trail)
+        index = len(trail)
         current_level = len(self._trail_lim)
 
         while True:
             for q in reason:
-                if lit != -1 and q == lit:
+                if q == lit:
                     continue
                 var = q >> 1
-                if seen[var] or self._level[var] == 0:
+                if seen[var]:
+                    continue
+                var_level = level[var]
+                if var_level == 0:
                     continue
                 seen[var] = True
-                self._bump(var)
-                if self._level[var] == current_level:
+                bumped = activity[var] + var_inc
+                activity[var] = bumped
+                if bumped > 1e100:
+                    self._rescale_activity()
+                    var_inc = self._var_inc
+                    bumped = activity[var]
+                heappush(order, (-bumped, var))
+                if var_level == current_level:
                     counter += 1
                 else:
                     learnt.append(q)
             # Find the next trail literal to resolve on.
             while True:
                 index -= 1
-                lit = self._trail[index]
+                lit = trail[index]
                 if seen[lit >> 1]:
                     break
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[lit >> 1] or []
+            reason = reason_of[lit >> 1] or ()
             seen[lit >> 1] = False  # resolved away
 
         learnt[0] = lit ^ 1
 
-        # Clause minimization: drop literals implied by the rest.
-        marked = set(q >> 1 for q in learnt)
+        # Clause minimization: drop literals whose reason holds only
+        # literals of the clause (still marked in seen) or of level 0.
         minimized = [learnt[0]]
         for q in learnt[1:]:
-            reason_q = self._reason[q >> 1]
+            reason_q = reason_of[q >> 1]
             if reason_q is None:
                 minimized.append(q)
                 continue
-            if all(
-                (r >> 1) in marked or self._level[r >> 1] == 0
-                for r in reason_q
-                if r != (q ^ 1)
-            ):
-                continue
-            minimized.append(q)
+            negated = q ^ 1
+            for r in reason_q:
+                if r != negated and not seen[r >> 1] and level[r >> 1] != 0:
+                    minimized.append(q)
+                    break
+        for q in learnt:
+            seen[q >> 1] = False
         learnt = minimized
 
         if len(learnt) == 1:
             return learnt, 0
         # Backtrack level: second highest decision level in the clause.
         max_i = 1
+        max_level = level[learnt[1] >> 1]
         for i in range(2, len(learnt)):
-            if self._level[learnt[i] >> 1] > self._level[learnt[max_i] >> 1]:
+            lit_level = level[learnt[i] >> 1]
+            if lit_level > max_level:
                 max_i = i
+                max_level = lit_level
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[learnt[1] >> 1]
+        return learnt, max_level
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
+        trail = self._trail
+        limit = trail_lim[level]
+        value = self._value
+        phase = self._phase
+        reason = self._reason
+        activity = self._activity
+        order = self._order
+        heappush = heapq.heappush
+        for lit in reversed(trail[limit:]):
             var = lit >> 1
-            self._phase[var] = self._assign[var]
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            heapq.heappush(self._order, (-self._activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
+            phase[var] = 1 - (lit & 1)  # the value it had
+            value[lit] = _UNASSIGNED
+            value[lit ^ 1] = _UNASSIGNED
+            reason[var] = None
+            heappush(order, (-activity[var], var))
+        del trail[limit:]
+        del trail_lim[level:]
+        self._queue_head = len(trail)
 
     def _reduce_learnts(self) -> None:
-        """Drop half of the learnt clauses, preferring long, inactive ones."""
+        """Drop the longer half of the learnt clauses.
+
+        The learnt clauses are stable-sorted by length; the longer half
+        goes, except clauses that are the reason of a current
+        assignment.  Activity plays no part.
+        """
         if len(self._learnts) < 2:
             return
         self._learnts.sort(key=len)
-        keep = self._learnts[: len(self._learnts) // 2]
-        drop = set(map(id, self._learnts[len(self._learnts) // 2:]))
-        locked = set()
-        for var in range(1, self._num_vars + 1):
-            reason = self._reason[var]
-            if reason is not None:
-                locked.add(id(reason))
-        for lit, watch_list in self._watches.items():
-            self._watches[lit] = [
+        half = len(self._learnts) // 2
+        keep = self._learnts[:half]
+        drop = set(map(id, self._learnts[half:]))
+        locked = {id(reason) for reason in self._reason if reason is not None}
+        watches = self._watches
+        for lit, watch_list in enumerate(watches):
+            watches[lit] = [
                 c for c in watch_list if id(c) not in drop or id(c) in locked
             ]
         self._learnts = keep + [
-            c for c in self._learnts[len(self._learnts) // 2:] if id(c) in locked
+            c for c in self._learnts[half:] if id(c) in locked
         ]
 
     # --- main search --------------------------------------------------
@@ -393,29 +460,34 @@ class Solver:
         conflict_budget = 100 * _luby_simple(restart_count + 1)
         conflicts_here = 0
         learnt_cap = 4000
+        value = self._value
+        watches = self._watches
+        trail = self._trail
+        trail_lim = self._trail_lim
 
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if len(self._trail_lim) == 0:
-                    self._backtrack_to_root()
+                if not trail_lim:
+                    self._backtrack(0)
                     return SolverResult.UNSAT
                 learnt, back_level = self._analyze(conflict)
                 self.learned += 1
-                self._backtrack(max(back_level, 0))
+                self._backtrack(back_level)
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
-                        self._backtrack_to_root()
+                        self._backtrack(0)
                         return SolverResult.UNSAT
                 else:
-                    self._attach(learnt)
+                    watches[learnt[0]].append(learnt)
+                    watches[learnt[1]].append(learnt)
                     self._learnts.append(learnt)
                     self._enqueue(learnt[0], learnt)
-                self._decay()
+                self._var_inc *= self._var_decay
                 if self.max_conflicts is not None and self.conflicts >= self.max_conflicts:
-                    self._backtrack_to_root()
+                    self._backtrack(0)
                     return SolverResult.UNKNOWN
                 if conflicts_here >= conflict_budget:
                     # Restart; the cheap place to honor the wall-clock
@@ -442,7 +514,7 @@ class Solver:
                         self.deadline is not None
                         and time.monotonic() > self.deadline
                     ):
-                        self._backtrack_to_root()
+                        self._backtrack(0)
                         return SolverResult.UNKNOWN
                 if len(self._learnts) > learnt_cap:
                     self._reduce_learnts()
@@ -450,34 +522,29 @@ class Solver:
                 continue
 
             # Re-establish assumptions after any backtracking.
-            if len(self._trail_lim) < len(assumption_lits):
-                lit = assumption_lits[len(self._trail_lim)]
-                value = self._lit_value(lit)
-                if value == 0:
-                    self._backtrack_to_root()
+            if len(trail_lim) < len(assumption_lits):
+                lit = assumption_lits[len(trail_lim)]
+                current = value[lit]
+                if current == 0:
+                    self._backtrack(0)
                     return SolverResult.UNSAT
-                self._trail_lim.append(len(self._trail))
-                if value == _UNASSIGNED:
+                trail_lim.append(len(trail))
+                if current == _UNASSIGNED:
                     self._enqueue(lit, None)
                 continue
 
             # Decision.
             var = self._pick_branch_var()
             if var == 0:
-                result = SolverResult.SAT
                 self._model = [
-                    self._assign[v] == 1 for v in range(self._num_vars + 1)
+                    value[2 * v] == 1 for v in range(self._num_vars + 1)
                 ]
-                self._backtrack_to_root()
-                return result
+                self._backtrack(0)
+                return SolverResult.SAT
             self.decisions += 1
-            self._trail_lim.append(len(self._trail))
-            phase = self._phase[var]
-            lit = 2 * var + (1 if phase == 0 else 0)
-            self._enqueue(lit, None)
-
-    def _backtrack_to_root(self) -> None:
-        self._backtrack(0)
+            trail_lim.append(len(trail))
+            # Phase saving: the literal of the variable's last value.
+            self._enqueue(2 * var + (1 if self._phase[var] == 0 else 0), None)
 
     # --- model access -----------------------------------------------------
     _model: list[bool] | None = None

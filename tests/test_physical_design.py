@@ -158,6 +158,46 @@ class TestExactBugfixes:
         assert "conflict" in str(excinfo.value)
         assert isinstance(excinfo.value, PhysicalDesignError)
 
+    def test_budget_error_reports_what_was_proved(self):
+        # t_5: 5x8 is UNSAT after 45 conflicts; 6x8 needs more than 50.
+        engine = ExactPhysicalDesign(
+            max_width=6, extra_rows=0, conflict_limit=50
+        )
+        with pytest.raises(PhysicalDesignBudgetError) as excinfo:
+            engine.run(mapped("t_5"))
+        error = excinfo.value
+        assert [
+            (a.width, a.height, a.outcome, a.sat_conflicts)
+            for a in error.attempts
+        ] == [(5, 8, "unsat", 45), (6, 8, "timeout", 50)]
+        message = str(error)
+        assert "proven UNSAT: 5x8 (45 conflicts)" in message
+        assert "timed out: 6x8 (50 conflicts)" in message
+        assert "area lower bound: 48 tiles (6x8 " in message
+
+    def test_unsat_error_reports_every_candidate_proven(self):
+        engine = ExactPhysicalDesign(
+            max_width=5, extra_rows=0, conflict_limit=None
+        )
+        with pytest.raises(PhysicalDesignError) as excinfo:
+            engine.run(mapped("t_5"))
+        error = excinfo.value
+        assert not isinstance(error, PhysicalDesignBudgetError)
+        assert [a.outcome for a in error.attempts] == ["unsat"]
+        assert "5x8 (45 conflicts)" in str(error)
+        assert "every candidate proven UNSAT" in str(error)
+
+    def test_error_attempts_exclude_earlier_runs(self):
+        statistics = ExactStatistics()
+        ExactPhysicalDesign().run(mapped("xor2"), statistics)
+        earlier = len(statistics.attempts)
+        with pytest.raises(PhysicalDesignBudgetError) as excinfo:
+            ExactPhysicalDesign(
+                max_width=5, extra_rows=0, conflict_limit=10
+            ).run(mapped("t_5"), statistics)
+        assert excinfo.value.attempts == statistics.attempts[earlier:]
+        assert "area lower bound: 40 tiles" in str(excinfo.value)
+
     def test_statistics_totals_sum_over_attempts(self):
         stats = ExactStatistics()
         ExactPhysicalDesign().run(mapped("par_gen"), stats)

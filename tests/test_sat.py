@@ -1,11 +1,27 @@
-"""Tests for the CDCL SAT solver and CNF encodings."""
+"""Tests for the CDCL SAT solver and CNF encodings.
 
+The solver's search trajectory on a fixed corpus is pinned by a golden
+file (``tests/golden/sat_trajectories.json``); regenerate it only after
+an intentional change to the search with::
+
+    PYTHONPATH=src python tests/test_sat.py --regenerate
+"""
+
+import hashlib
 import itertools
+import json
+import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.physical_design.exact as exact_pnr
+import repro.synthesis.exact as exact_synthesis
+from repro.networks import benchmark_verilog
+from repro.networks.truth_table import TruthTable
+from repro.networks.verilog import parse_verilog
 from repro.sat import Cnf, Solver, SolverResult
 from repro.sat.dimacs import parse_dimacs, write_dimacs
 from repro.sat.encodings import (
@@ -17,6 +33,7 @@ from repro.sat.encodings import (
     tseitin_or,
     tseitin_xor,
 )
+from repro.synthesis import NpnDatabase, cut_rewrite, map_to_bestagon
 
 
 def brute_force_sat(cnf: Cnf) -> bool:
@@ -297,3 +314,163 @@ class TestDimacs:
     def test_malformed_problem_line(self):
         with pytest.raises(ValueError):
             parse_dimacs("p dnf 2 1\n1 0\n")
+
+
+# --- pinned search trajectories ----------------------------------------------
+GOLDEN_TRAJECTORIES = Path(__file__).parent / "golden" / "sat_trajectories.json"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+def random_3sat(num_vars: int, seed: int, ratio: float = 4.26) -> Cnf:
+    """Uniform random 3-SAT near the satisfiability threshold."""
+    rng = random.Random(seed)
+    cnf = Cnf()
+    cnf.num_vars = num_vars
+    for _ in range(round(ratio * num_vars)):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        cnf.add_clause([v if rng.random() < 0.5 else -v for v in variables])
+    return cnf
+
+
+def _trajectory(instance: str, cnf: Cnf, solver: Solver, result) -> dict:
+    """Everything one ``solve`` decided, counted or learnt."""
+    return {
+        "instance": instance,
+        "cnf": [cnf.num_vars, cnf.num_clauses, _digest(cnf.clauses)],
+        "result": result.value,
+        "conflicts": solver.conflicts,
+        "decisions": solver.decisions,
+        "propagations": solver.propagations,
+        "learned": solver.learned,
+        "restarts": solver.restarts,
+        # Literal order inside the retained learnt clauses records how
+        # their watches moved.
+        "learnts": _digest(solver._learnts),
+        "model": (
+            _digest(list(solver.model().values()))
+            if result is SolverResult.SAT
+            else None
+        ),
+    }
+
+
+def _solve(instance: str, cnf: Cnf, max_conflicts: int | None = None) -> dict:
+    solver = Solver(cnf)
+    solver.max_conflicts = max_conflicts
+    return _trajectory(instance, cnf, solver, solver.solve())
+
+
+def _flow_solves(module, run) -> list[dict]:
+    """Trajectories of every solve ``run()`` makes through ``module.Solver``."""
+    records: list[dict] = []
+
+    class Recording(Solver):
+        def __init__(self, cnf):
+            super().__init__(cnf)
+            self.cnf = cnf
+
+        def solve(self, assumptions=()):
+            result = super().solve(assumptions)
+            records.append(_trajectory("", self.cnf, self, result))
+            return result
+
+    saved = module.Solver
+    module.Solver = Recording
+    try:
+        run()
+    finally:
+        module.Solver = saved
+    return records
+
+
+def sat_trajectories() -> list[dict]:
+    """The corpus, solver-only instances first.
+
+    Random 3-SAT at the threshold ratio; a 5000-conflict random instance
+    that passes learnt-clause reduction and the 1e100 activity rescale
+    (~4490 conflicts); a conflict-limited pigeonhole; exact synthesis of
+    MAJ3 and of one 4-input class; every exact-P&R candidate the flow
+    solves for t_5 and majority.
+    """
+    records = [
+        _solve("random3sat/n150/seed1", random_3sat(150, 1)),
+        _solve("random3sat/n170/seed2", random_3sat(170, 2)),
+        _solve("pigeonhole/8x7/limit1000", pigeonhole(8, 7), 1000),
+    ]
+    for label, num_vars, bits in (("maj3", 3, 0xE8), ("0x6ac0", 4, 0x6AC0)):
+        spec = exact_synthesis.SynthesisSpec(TruthTable(num_vars, bits))
+        solves = _flow_solves(
+            exact_synthesis,
+            lambda: exact_synthesis.exact_xag_synthesis(spec),
+        )
+        for gates, record in enumerate(solves, start=1):
+            record["instance"] = f"synthesis/{label}/gates{gates}"
+        records += solves
+    for name in ("t_5", "majority"):
+        mapped = map_to_bestagon(
+            cut_rewrite(
+                parse_verilog(benchmark_verilog(name), name), NpnDatabase()
+            )
+        )
+        statistics = exact_pnr.ExactStatistics()
+        solves = _flow_solves(
+            exact_pnr,
+            lambda: exact_pnr.ExactPhysicalDesign().run(mapped, statistics),
+        )
+        solved = [a for a in statistics.attempts if a.outcome != "infeasible"]
+        for attempt, record in zip(solved, solves, strict=True):
+            record["instance"] = f"pnr/{name}/{attempt.width}x{attempt.height}"
+        records += solves
+    return records
+
+
+class TestTrajectoryGolden:
+    """The exact search path is pinned, not just the verdicts.
+
+    A faster kernel must visit clauses, move watches, bump activities
+    and restart exactly as before; any drift shows up here as a changed
+    count or digest.
+    """
+
+    def test_matches_golden(self):
+        expected = json.loads(GOLDEN_TRAJECTORIES.read_text())
+        actual = sat_trajectories()
+        assert [r["instance"] for r in actual] == [
+            r["instance"] for r in expected
+        ]
+        for got, want in zip(actual, expected):
+            assert got["cnf"] == want["cnf"], (
+                f"{got['instance']}: the instance itself changed"
+            )
+            assert got == want, f"{got['instance']}: the search changed"
+
+    def test_corpus_reaches_reduction_rescale_and_limit(self):
+        by_name = {
+            r["instance"]: r
+            for r in json.loads(GOLDEN_TRAJECTORIES.read_text())
+        }
+        # learnt_cap is 4000; var_inc passes 1e100 after ~4490 conflicts.
+        assert by_name["random3sat/n170/seed2"]["conflicts"] > 4500
+        assert by_name["pigeonhole/8x7/limit1000"]["result"] == "unknown"
+        results = {r["result"] for r in by_name.values()}
+        assert results == {"sat", "unsat", "unknown"}
+
+
+def _regenerate() -> None:
+    GOLDEN_TRAJECTORIES.parent.mkdir(exist_ok=True)
+    GOLDEN_TRAJECTORIES.write_text(
+        json.dumps(sat_trajectories(), indent=1) + "\n"
+    )
+    print(f"regenerated {GOLDEN_TRAJECTORIES}")
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regenerate" in sys.argv:
+        _regenerate()
+    else:
+        print(__doc__)
