@@ -20,16 +20,26 @@ PYTHONPATH=src python scripts/check_learn_schema.py
 echo "== design service smoke =="
 PYTHONPATH=src python scripts/service_smoke.py
 
-echo "== benchmark solver hooks (traced table1 run) =="
-# The traced pass subclasses repro.sat.Solver and reads its counters.
-# run.py fails on an unfaithful pass; a non-deterministic one is caught
-# from its trace.determinism_mismatches metric.
-trace_run=$(python3 perfbench/run.py --workload table1 --seed 1 \
-    --seconds 1 --trace 1) || { printf '%s\n' "$trace_run"; exit 1; }
-printf '%s\n' "$trace_run" | tail -n 1 | python3 -c '
+# A traced benchmark pass patches engine entry points and reads their
+# counters.  run.py fails on an unfaithful pass; a non-deterministic one
+# is caught from its trace.determinism_mismatches metric.
+traced_run() {
+    trace_run=$(python3 perfbench/run.py --workload "$1" --seed 1 \
+        --seconds 1 --trace 1) || { printf '%s\n' "$trace_run"; exit 1; }
+    printf '%s\n' "$trace_run" | tail -n 1 | python3 -c '
 import json, sys
 value = json.load(sys.stdin)["metrics"]["trace.determinism_mismatches"]["value"]
 sys.exit("trace.determinism_mismatches = %s" % value if value else 0)'
+}
+
+echo "== benchmark solver hooks (traced table1 run) =="
+# Subclasses repro.sat.Solver and reads its counters.
+traced_run table1
+
+echo "== benchmark physics hooks (traced tile_library run) =="
+# Patches repro.sidb.operational.quickexact_ground_state and SimAnneal
+# and reads QuickExactStatistics fields.
+traced_run tile_library
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple
 
 from repro.gatelib.designs import GateDesign, builtin_designs
 from repro.gatelib.tile import Port
@@ -42,7 +42,7 @@ class BestagonLibrary:
 
     def __init__(self, designs: dict[str, GateDesign] | None = None) -> None:
         self.designs = designs if designs is not None else builtin_designs()
-        self._validation: dict[str, OperationalReport] = {}
+        self._validation: dict[tuple, OperationalReport] = {}
 
     def names(self) -> list[str]:
         return sorted(self.designs)
@@ -88,9 +88,21 @@ class BestagonLibrary:
         engine: str = "auto",
         schedule: SimAnnealParameters | None = None,
     ) -> OperationalReport:
-        """Operational check of a tile design (Figure 5 procedure)."""
-        if name in self._validation:
-            return self._validation[name]
+        """Operational check of a tile design (Figure 5 procedure).
+
+        Reports are memoised per library on the tile name, the
+        parameters, the engine and the schedule's field values, so a
+        call with other arguments simulates afresh.
+        """
+        parameters = parameters or SiDBSimulationParameters.bestagon()
+        key = (
+            name,
+            parameters,
+            engine,
+            None if schedule is None else astuple(schedule),
+        )
+        if key in self._validation:
+            return self._validation[key]
         design = self.design(name)
         report = check_operational(
             body_sites=list(design.sites) + list(design.output_perturbers),
@@ -100,15 +112,9 @@ class BestagonLibrary:
             ],
             output_pairs=list(design.output_pairs),
             spec=GateFunctionSpec(design.functions),
-            parameters=parameters or SiDBSimulationParameters.bestagon(),
+            parameters=parameters,
             engine=engine,
             schedule=schedule,
         )
-        self._validation[name] = report
+        self._validation[key] = report
         return report
-
-    def validation_summary(self) -> dict[str, bool]:
-        return {
-            name: report.operational
-            for name, report in self._validation.items()
-        }

@@ -20,21 +20,26 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   completion of the subtree is population stable -- the subtree is cut
   without losing a single stable configuration.
 
-* **Branch-and-bound energy pruning.**  A cheap SimAnneal run seeds an
-  incumbent energy (every finalist is metastable, hence a valid upper
-  bound on the ground-state energy).  Each partial assignment carries
-  an energy lower bound -- the decided part's exact energy plus
-  ``min(0, mu + ext_j + base_j)`` per undecided site, valid because
-  cross-terms among undecided negatives are repulsive -- and subtrees
-  provably above the incumbent (plus the degeneracy tolerance) are
-  skipped.  Disable with ``energy_pruning=False`` to enumerate *every*
-  stable configuration (then ``valid_count`` matches ExGS exactly).
+* **Branch-and-bound energy pruning.**  The incumbent is the best
+  exact leaf energy found so far (or a caller-supplied upper bound).
+  The search branches the likelier ground-state value first, so its
+  first leaves already reach a low-energy state.  Each partial
+  assignment carries an energy lower bound -- the decided part's exact
+  energy plus ``min(0, mu + ext_j + base_j)`` per undecided site, valid
+  because cross-terms among undecided negatives are repulsive -- and
+  subtrees provably above the incumbent (plus the degeneracy
+  tolerance) are skipped.  Disable with ``energy_pruning=False`` to
+  enumerate *every* stable configuration (then ``valid_count`` matches
+  ExGS exactly).
 
 * **Vectorized leaf enumeration.**  Once only ``leaf_bits`` sites
   remain undecided, the whole 2^leaf_bits subtree is evaluated as one
   numpy batch -- the same chunked formulation as the exhaustive engine
   -- so the Python-level recursion only ever runs over the pruned
-  prefix tree.
+  prefix tree.  Every leaf sits at the same depth, so the suffix
+  patterns' potentials, occupancy masks and pair energies are computed
+  once per search; a leaf screens its rows on the suffix columns
+  first and tests the decided prefix only on the rows that survive.
 
 Candidate energies are *recomputed* through the shared
 :meth:`~repro.sidb.energy.EnergyModel.batched_energies` before they are
@@ -75,19 +80,6 @@ DEFAULT_LEAF_BITS = 10
 #: maintained) energies are compared against exactly recomputed ones;
 #: covers last-ulp differences between the two summation orders.
 _DECOMPOSITION_SLACK = 1e-12
-
-#: SimAnneal budget of the incumbent seeding run -- deliberately tiny;
-#: any metastable finalist tightens the branch-and-bound, and a missed
-#: incumbent only costs pruning power, never correctness.
-_INCUMBENT_INSTANCES = 8
-_INCUMBENT_SWEEPS = 120
-
-#: Site count below which the incumbent is left to the search itself
-#: (the first evaluated leaf already seeds it).  Small systems finish in
-#: milliseconds; a SimAnneal warm start would cost more than the whole
-#: search.  Above the legacy exhaustive ceiling the prefix tree is deep
-#: enough that an up-front metastable incumbent pays for itself.
-_INCUMBENT_MIN_SITES = 24
 
 #: Cached (2^m, m) suffix occupation patterns, keyed on m.
 _SUFFIX_PATTERNS: dict[int, np.ndarray] = {}
@@ -157,29 +149,6 @@ def _site_order(layout: SidbLayout) -> np.ndarray:
     return np.lexsort((positions[:, 1], positions[:, 0]))
 
 
-def _seed_incumbent(
-    layout: SidbLayout, model: EnergyModel
-) -> float:
-    """Upper bound on the metastable ground energy from a cheap anneal.
-
-    Every SimAnneal finalist is greedy-descended and metastable, so its
-    energy bounds the minimum over metastable states from above -- and
-    the metastable minimum is what both stability modes of the search
-    report (the configuration-stability filter only ever *raises* the
-    reported minimum; pruning against a metastable energy therefore
-    never cuts an eventual ground state).
-    """
-    from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
-
-    schedule = SimAnnealParameters(
-        instances=_INCUMBENT_INSTANCES, sweeps=_INCUMBENT_SWEEPS, seed=0
-    )
-    seeded = SimAnneal(layout, schedule=schedule, model=model).run()
-    if seeded.ground_states:
-        return float(seeded.ground_energy)
-    return float("inf")
-
-
 def quickexact_ground_state(
     layout: SidbLayout,
     parameters: SiDBSimulationParameters | None = None,
@@ -203,8 +172,9 @@ def quickexact_ground_state(
     otherwise.
 
     ``incumbent`` optionally injects a known upper bound on the ground
-    energy (e.g. from a previous simulation of a related layout);
-    ``None`` seeds one with a small SimAnneal run.  The result's
+    energy (e.g. from a previous simulation of a related layout); with
+    ``None`` the search starts unbounded and its incumbent is the best
+    exact leaf energy found so far.  The result's
     ``stats`` field carries a :class:`QuickExactStatistics` record with
     node/cut attribution.
     """
@@ -227,13 +197,6 @@ def quickexact_ground_state(
 
     with obs.span("quickexact.run") as span:
         span.set("sites", n)
-        if incumbent is None and energy_pruning and n >= _INCUMBENT_MIN_SITES:
-            incumbent = _seed_incumbent(layout, model)
-        incumbent_energy = (
-            float("inf") if incumbent is None else float(incumbent)
-        )
-        stats.incumbent_energy = incumbent_energy
-
         search = _QuickExactSearch(
             model=model,
             order=_site_order(layout),
@@ -241,7 +204,9 @@ def quickexact_ground_state(
             energy_tolerance=energy_tolerance,
             leaf_bits=min(leaf_bits, n),
             energy_pruning=energy_pruning,
-            incumbent_energy=incumbent_energy,
+            incumbent_energy=(
+                float("inf") if incumbent is None else float(incumbent)
+            ),
             stats=stats,
         )
         search.run()
@@ -277,10 +242,9 @@ class _QuickExactSearch:
         self.order = order
         self.require_configuration_stability = require_configuration_stability
         self.tolerance = energy_tolerance
-        self.leaf_bits = leaf_bits
         self.energy_pruning = energy_pruning
-        self.incumbent_energy = incumbent_energy
         self.stats = stats
+        self._set_incumbent(incumbent_energy)
 
         n = model.num_sites
         self.n = n
@@ -292,6 +256,7 @@ class _QuickExactSearch:
         if model.external_potential is not None:
             onsite = onsite + model.external_potential[order]
         self.onsite = onsite
+        self.onsite_values = onsite.tolist()
         self.external = (
             model.external_potential[order]
             if model.external_potential is not None
@@ -299,14 +264,45 @@ class _QuickExactSearch:
         )
 
         # Mutable DFS state (permuted space).
-        self.occupation = np.zeros(n, dtype=np.int8)
+        self.occupied = np.zeros(n, dtype=bool)
         self.base = np.zeros(n)
         self.rem = self.matrix.sum(axis=1)
+
+        # Every leaf sits at the same depth, so everything that depends
+        # on the suffix patterns alone is computed once per search.
+        depth = n - leaf_bits
+        self.leaf_depth = depth
+        suffixes = _suffix_patterns(leaf_bits)
+        suffix_float = suffixes.astype(float)
+        self.suffix_float = suffix_float
+        self.suffix_occupied = suffixes > 0
+        self.leaf_configurations = 1 << leaf_bits
+        # Local-potential contribution of every suffix pattern to all n
+        # sites, plus its suffix columns transposed so that the first
+        # per-leaf screen reduces over contiguous rows.
+        self.suffix_potentials = suffix_float @ self.matrix[depth:, :]
+        self.suffix_potentials_t = np.ascontiguousarray(
+            self.suffix_potentials[:, depth:].T
+        )
+        # +1 on occupied, -1 on empty suffix sites: sign * w <= tol is
+        # exactly the population-stability test of either charge state.
+        self.suffix_sign_t = np.where(self.suffix_occupied.T, 1.0, -1.0)
+        self.suffix_pair_energies = 0.5 * np.einsum(
+            "ki,ij,kj->k",
+            suffix_float,
+            self.matrix[depth:, depth:],
+            suffix_float,
+        )
 
         self.valid_count = 0
         self.best_energy = float("inf")
         #: (original-order int8 config, exact energy) candidates.
         self.candidates: list[tuple[np.ndarray, float]] = []
+
+    def _set_incumbent(self, energy: float) -> None:
+        self.incumbent_energy = energy
+        self.stats.incumbent_energy = energy
+        self.cut_energy = energy + self.tolerance + _DECOMPOSITION_SLACK
 
     # --- result assembly --------------------------------------------------
     def ground_states(self) -> list[np.ndarray]:
@@ -324,131 +320,120 @@ class _QuickExactSearch:
     def run(self) -> None:
         self._descend(0, 0.0)
 
-    def _descend(self, depth: int, energy_decided: float) -> None:
-        if self.n - depth <= self.leaf_bits:
-            self._evaluate_leaf(depth, energy_decided)
+    def _descend(self, site: int, energy_decided: float) -> None:
+        if site == self.leaf_depth:
+            self._evaluate_leaf(energy_decided)
             return
-        site = depth
         base = self.base
         rem = self.rem
-        occupation = self.occupation
+        occupied = self.occupied
         column = self.matrix[site]
         stats = self.stats
         # Branch the likelier ground-state value first so the incumbent
         # tightens as early as possible.
-        first = 1 if self.onsite[site] + base[site] <= 0.0 else 0
+        onsite = self.onsite_values[site]
+        first = 1 if onsite + base.item(site) <= 0.0 else 0
         for value in (first, 1 - first):
             stats.nodes_visited += 1
-            occupation[site] = value
             if value:
-                child_energy = (
-                    energy_decided + self.onsite[site] + base[site]
-                )
+                child_energy = energy_decided + onsite + base.item(site)
+                occupied[site] = True
                 base += column
             else:
                 child_energy = energy_decided
             rem -= column
-            try:
-                if self._cut(site, value, child_energy):
-                    continue
-                self._descend(depth + 1, child_energy)
-            finally:
-                rem += column
-                if value:
-                    base -= column
-        occupation[site] = 0
+            if not self._cut(site + 1, value, child_energy):
+                self._descend(site + 1, child_energy)
+            rem += column
+            if value:
+                base -= column
+                occupied[site] = False
 
-    def _cut(self, site: int, value: int, energy_decided: float) -> bool:
+    def _cut(self, decided: int, value: int, energy_decided: float) -> bool:
         """True when the just-extended partial assignment is hopeless."""
-        decided = site + 1
-        base = self.base[:decided]
-        occupied = self.occupation[:decided] > 0
+        base = self.base
+        onsite = self.onsite
         stats = self.stats
         # Witness bounds.  Assigning a negative only *raises* decided
         # potentials (base), so only the occupied-side criterion can
         # newly fail; assigning a neutral only *lowers* the attainable
         # maximum (base + rem), so only the empty-side criterion can.
         if value:
-            minimum_w = base + self.onsite[:decided]
-            if np.any(occupied & (minimum_w > POPULATION_TOLERANCE)):
+            minimum_w = base[:decided] + onsite[:decided]
+            if (
+                minimum_w[self.occupied[:decided]] > POPULATION_TOLERANCE
+            ).any():
                 stats.cut_witness_occupied += 1
                 return True
         else:
-            maximum_w = (
-                base + self.rem[:decided] + self.onsite[:decided]
-            )
-            if np.any(~occupied & (maximum_w < -POPULATION_TOLERANCE)):
+            maximum_w = base[:decided] + self.rem[:decided] + onsite[:decided]
+            if (
+                maximum_w[~self.occupied[:decided]] < -POPULATION_TOLERANCE
+            ).any():
                 stats.cut_witness_empty += 1
                 return True
         # Branch-and-bound: undecided negatives each contribute at
         # least min(0, mu + ext + base); cross-terms among them are
         # repulsive and only add energy.
         if self.energy_pruning and self.incumbent_energy < float("inf"):
-            undecided_floor = np.minimum(
-                0.0, self.onsite[decided:] + self.base[decided:]
-            ).sum()
-            bound = energy_decided + undecided_floor
-            if bound > (
-                self.incumbent_energy
-                + self.tolerance
-                + _DECOMPOSITION_SLACK
-            ):
+            undecided_floor = np.add.reduce(
+                np.minimum(0.0, onsite[decided:] + base[decided:])
+            )
+            if energy_decided + undecided_floor > self.cut_energy:
                 stats.cut_energy_bound += 1
                 return True
         return False
 
-    def _evaluate_leaf(self, depth: int, energy_decided: float) -> None:
-        n = self.n
-        remaining = n - depth
+    def _evaluate_leaf(self, energy_decided: float) -> None:
+        depth = self.leaf_depth
+        base = self.base
         stats = self.stats
         stats.leaves_evaluated += 1
-        stats.configurations_enumerated += 1 << remaining
-        suffixes = _suffix_patterns(remaining)
-        suffix_float = suffixes.astype(float)
-        # Local potentials of every completion, all n sites at once.
-        potentials = self.base[None, :] + suffix_float @ self.matrix[depth:, :]
-        w = potentials + self.onsite[None, :]
-        occupied = np.empty((len(suffixes), n), dtype=bool)
-        occupied[:, :depth] = self.occupation[:depth] > 0
-        occupied[:, depth:] = suffixes > 0
-        stable = np.all(
-            np.where(
-                occupied,
-                w <= POPULATION_TOLERANCE,
-                w >= -POPULATION_TOLERANCE,
-            ),
-            axis=1,
+        stats.configurations_enumerated += self.leaf_configurations
+        # Population stability in two screens: the suffix columns of
+        # every completion first, then the decided prefix of the rows
+        # that survive.  w = (base + suffix potential) + onsite, exactly
+        # as it would be computed for the whole row at once.
+        w = (self.suffix_potentials_t + base[depth:, None]) + (
+            self.onsite[depth:, None]
         )
-        if not stable.any():
+        w *= self.suffix_sign_t
+        rows = np.flatnonzero(
+            np.maximum.reduce(w, axis=0) <= POPULATION_TOLERANCE
+        )
+        if depth and rows.size:
+            w = (base[:depth] + self.suffix_potentials[rows, :depth]) + (
+                self.onsite[:depth]
+            )
+            w *= np.where(self.occupied[:depth], 1.0, -1.0)
+            rows = rows[np.maximum.reduce(w, axis=1) <= POPULATION_TOLERANCE]
+        if not rows.size:
             return
-        stable_rows = np.flatnonzero(stable)
+        occupied = np.empty((rows.size, self.n), dtype=bool)
+        occupied[:, :depth] = self.occupied[:depth]
+        occupied[:, depth:] = self.suffix_occupied[rows]
         if self.require_configuration_stability:
             externals = (
                 self.external[None, :] if self.external is not None else 0.0
             )
             configuration_stable = batched_configuration_stable(
-                potentials[stable_rows] + externals,
-                occupied[stable_rows],
+                base + self.suffix_potentials[rows] + externals,
+                occupied,
                 self.matrix,
             )
-            stable_rows = stable_rows[configuration_stable]
-            self.valid_count += int(configuration_stable.sum())
-            if not stable_rows.size:
-                return
-        else:
-            self.valid_count += int(stable_rows.size)
+            rows = rows[configuration_stable]
+            occupied = occupied[configuration_stable]
+        self.valid_count += int(rows.size)
+        if not rows.size:
+            return
 
         # Decomposed energies of the surviving configurations: decided
         # part + on-site/decided coupling of the suffix + suffix pairs.
-        chosen = suffix_float[stable_rows]
-        suffix_onsite = self.onsite[depth:] + self.base[depth:]
+        suffix_onsite = self.onsite[depth:] + base[depth:]
         energies = (
             energy_decided
-            + chosen @ suffix_onsite
-            + 0.5
-            * np.einsum(
-                "ki,ij,kj->k", chosen, self.matrix[depth:, depth:], chosen
-            )
+            + self.suffix_float[rows] @ suffix_onsite
+            + self.suffix_pair_energies[rows]
         )
         window = (
             self.best_energy + self.tolerance + _DECOMPOSITION_SLACK
@@ -458,9 +443,8 @@ class _QuickExactSearch:
             return
         # Exact recomputation (identical arithmetic to the exhaustive
         # engine) for everything that could join the degenerate set.
-        near_rows = stable_rows[near]
-        originals = np.empty((len(near_rows), n), dtype=np.int8)
-        originals[:, self.order] = occupied[near_rows].astype(np.int8)
+        originals = np.empty((int(near.sum()), self.n), dtype=np.int8)
+        originals[:, self.order] = occupied[near]
         exact = self.model.batched_energies(originals)
         for position in np.argsort(exact, kind="stable"):
             energy = float(exact[position])
@@ -475,5 +459,4 @@ class _QuickExactSearch:
                     (originals[position].copy(), energy)
                 )
         if self.best_energy < self.incumbent_energy:
-            self.incumbent_energy = self.best_energy
-            self.stats.incumbent_energy = self.best_energy
+            self._set_incumbent(self.best_energy)

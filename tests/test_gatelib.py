@@ -17,6 +17,7 @@ from repro.layout.gate_layout import (
 from repro.networks.logic_network import GateType
 from repro.networks.truth_table import TruthTable
 from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
 NW, NE = HexDirection.NORTH_WEST, HexDirection.NORTH_EAST
@@ -161,9 +162,34 @@ class TestPhysicsValidation:
         ]
 
     def test_validation_cached(self):
+        """Memoised per arguments: same arguments, same report object;
+        other parameters, engine or schedule values, a fresh report."""
         library = BestagonLibrary()
-        first = library.validate("pi_SW", engine="simanneal")
-        assert library.validate("pi_SW") is first
+        schedule = SimAnnealParameters(instances=4, sweeps=50)
+        annealed = library.validate("pi_SW", engine="simanneal", schedule=schedule)
+        assert (
+            library.validate(
+                "pi_SW",
+                engine="simanneal",
+                schedule=SimAnnealParameters(instances=4, sweeps=50),
+            )
+            is annealed
+        )
+        exact = library.validate("pi_SW")
+        assert exact is not annealed
+        assert library.validate("pi_SW", SiDBSimulationParameters.bestagon()) is exact
+        shifted = library.validate(
+            "pi_SW", SiDBSimulationParameters(mu_minus=-0.28)
+        )
+        assert shifted is not exact
+        assert [p.ground_energy for p in shifted.patterns] != [
+            p.ground_energy for p in exact.patterns
+        ]
+        schedule.seed = 1
+        assert (
+            library.validate("pi_SW", engine="simanneal", schedule=schedule)
+            is not annealed
+        )
 
     def test_core_or_gate_operational_isolated(self):
         """The scanned OR core passes the exhaustive operational check."""

@@ -4,7 +4,17 @@ QuickExact must be *bit-exact*: identical ground energy and identical
 degenerate-state sets on every layout both engines can solve, with and
 without charged-defect external potentials -- plus the engine-selector
 plumbing that makes it the default exact simulator.
+
+The search itself (node, leaf and cut counts, ``valid_count`` and the
+ordered ground states) is pinned on a fixed corpus by a golden file
+(``tests/golden/quickexact_searches.json``); regenerate it only after an
+intentional change to the search with::
+
+    PYTHONPATH=src python tests/test_quickexact.py --regenerate
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +33,6 @@ from repro.sidb.operational import (
     check_operational,
     resolve_exact_engine,
 )
-from repro.sidb.parallel import PatternTask
 from repro.sidb.perfbench import scaling_layout
 from repro.sidb.quickexact import (
     MAX_QUICKEXACT_SITES,
@@ -35,6 +44,11 @@ from repro.tech.parameters import EXACT_ENGINES, SiDBSimulationParameters
 
 S = LatticeSite.from_row
 P32 = SiDBSimulationParameters(mu_minus=-0.32)
+#: Charged defects near the random layouts of ``random_layout``.
+CHARGED_DEFECTS = (
+    SidbDefect(LatticeSite(18, 4, 0), DefectType.DB),
+    SidbDefect(LatticeSite(18, 20, 0), DefectType.ARSENIC),
+)
 
 
 def ground_set(result):
@@ -57,6 +71,17 @@ def random_layout(rng, num_sites):
     while len(coords) < num_sites:
         coords.add((int(rng.integers(0, 16)), int(rng.integers(0, 30))))
     return SidbLayout(S(column, row) for column, row in coords)
+
+
+def pattern_layouts(design):
+    """(pattern, simulated layout) of every input pattern of a tile."""
+    for pattern in range(1 << len(design.input_stimuli)):
+        layout = SidbLayout(
+            list(design.sites) + list(design.output_perturbers)
+        )
+        for bit, (far, close) in enumerate(design.input_stimuli):
+            layout.extend(close if (pattern >> bit) & 1 else far)
+        yield pattern, layout
 
 
 class TestCrossValidation:
@@ -82,15 +107,43 @@ class TestCrossValidation:
         layout = random_layout(rng, num_sites)
         assert_bit_exact(layout)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 24)),
+            min_size=5,
+            max_size=14,
+            unique=True,
+        ),
+        st.integers(1, 16),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_property_leaf_bits(
+        self, pairs, leaf_bits, require_stability, energy_pruning
+    ):
+        """Any leaf depth, including a single leaf at the root."""
+        layout = SidbLayout(S(n, r) for n, r in pairs)
+        exgs = exhaustive_ground_state(
+            layout, P32, require_configuration_stability=require_stability
+        )
+        quick = quickexact_ground_state(
+            layout,
+            P32,
+            require_configuration_stability=require_stability,
+            leaf_bits=leaf_bits,
+            energy_pruning=energy_pruning,
+        )
+        assert quick.ground_energy == exgs.ground_energy
+        assert ground_set(quick) == ground_set(exgs)
+        if not energy_pruning:
+            assert quick.valid_count == exgs.valid_count
+
     @pytest.mark.parametrize("num_sites", [6, 10, 14, 18])
     def test_with_charged_defects(self, num_sites):
         rng = np.random.default_rng(100 + num_sites)
         layout = random_layout(rng, num_sites)
-        defects = [
-            SidbDefect(LatticeSite(18, 4, 0), DefectType.DB),
-            SidbDefect(LatticeSite(18, 20, 0), DefectType.ARSENIC),
-        ]
-        model = EnergyModel(layout, P32, defects=defects)
+        model = EnergyModel(layout, P32, defects=CHARGED_DEFECTS)
         assert model.external_potential is not None
         assert_bit_exact(layout, model=model)
 
@@ -125,24 +178,7 @@ class TestGateLibrary:
         library = BestagonLibrary()
         checked = 0
         for name in library.names():
-            design = library.design(name)
-            body = tuple(design.sites) + tuple(design.output_perturbers)
-            stimuli = tuple(
-                (tuple(far), tuple(close))
-                for far, close in design.input_stimuli
-            )
-            for pattern in range(1 << len(design.input_stimuli)):
-                task = PatternTask(
-                    pattern=pattern,
-                    body_sites=body,
-                    input_stimuli=stimuli,
-                    output_pairs=tuple(design.output_pairs),
-                    expected=(),
-                    parameters=P32,
-                    engine="auto",
-                    schedule=None,
-                )
-                layout = task.build_layout()
+            for _, layout in pattern_layouts(library.design(name)):
                 if len(layout) > 20:
                     continue
                 assert_bit_exact(layout)
@@ -270,3 +306,109 @@ class TestEngineSelection:
         ]
         with pytest.raises(ValueError, match="exact engine"):
             check_operational(**kwargs, exact_engine="bogus")
+
+
+# --- pinned searches ---------------------------------------------------------
+GOLDEN_SEARCHES = Path(__file__).parent / "golden" / "quickexact_searches.json"
+
+
+def _search(instance, layout, **kwargs) -> dict:
+    """Everything one search counted and returned (not its incumbent)."""
+    result = quickexact_ground_state(layout, P32, **kwargs)
+    stats = result.stats
+    return {
+        "instance": instance,
+        "sites": len(layout),
+        "nodes_visited": stats.nodes_visited,
+        "leaves_evaluated": stats.leaves_evaluated,
+        "configurations_enumerated": stats.configurations_enumerated,
+        **{f"cut_{name}": count for name, count in stats.cut_histogram().items()},
+        "valid_count": result.valid_count,
+        "ground_energy": float(result.ground_energy).hex(),
+        "ground_states": [
+            "".join(str(int(x)) for x in state)
+            for state in result.ground_states
+        ],
+    }
+
+
+def quickexact_searches() -> list[dict]:
+    """The corpus: tile patterns, BDL wires, defects, non-default options.
+
+    Every Bestagon pattern layout of at most 23 sites plus all patterns
+    of ``and_SE`` (29 sites) and ``cross`` (28), at the Fig. 5
+    parameters (``P32``); two BDL wires; two random layouts next to
+    charged defects; one search each without configuration stability,
+    without energy pruning and at leaf depths 1, 4 and 16.
+    """
+    library = BestagonLibrary()
+    tiles = {
+        f"{name}/p{pattern}": layout
+        for name in library.names()
+        for pattern, layout in pattern_layouts(library.design(name))
+    }
+    records = [
+        _search(instance, layout)
+        for instance, layout in tiles.items()
+        if len(layout) <= 23
+        or instance.split("/")[0] in ("and_SE", "cross")
+    ]
+    for num_sites in (24, 28):
+        records.append(
+            _search(f"wire/{num_sites}", scaling_layout(num_sites))
+        )
+    for num_sites in (14, 18):
+        layout = random_layout(np.random.default_rng(100 + num_sites), num_sites)
+        model = EnergyModel(layout, P32, defects=CHARGED_DEFECTS)
+        records.append(_search(f"defects/{num_sites}", layout, model=model))
+    records += [
+        _search(
+            "cross/p0/no_configuration_stability",
+            tiles["cross/p0"],
+            require_configuration_stability=False,
+        ),
+        _search(
+            "and_SE/p0/no_energy_pruning",
+            tiles["and_SE/p0"],
+            energy_pruning=False,
+        ),
+        _search("fanout_NE/p1/leaf_bits1", tiles["fanout_NE/p1"], leaf_bits=1),
+        _search("wire/24/leaf_bits4", scaling_layout(24), leaf_bits=4),
+        _search("wire/18/leaf_bits16", scaling_layout(18), leaf_bits=16),
+    ]
+    return records
+
+
+class TestSearchGolden:
+    """The pruned search is pinned, not just its ground states.
+
+    A faster kernel must visit, cut and enumerate exactly as before and
+    return the same ground states in the same order; any drift shows up
+    here as a changed count or state list.
+    """
+
+    def test_matches_golden(self):
+        expected = json.loads(GOLDEN_SEARCHES.read_text())
+        actual = quickexact_searches()
+        assert [r["instance"] for r in actual] == [
+            r["instance"] for r in expected
+        ]
+        for got, want in zip(actual, expected):
+            assert got == want, f"{got['instance']}: the search changed"
+
+
+def _regenerate() -> None:
+    GOLDEN_SEARCHES.parent.mkdir(exist_ok=True)
+    GOLDEN_SEARCHES.write_text(
+        json.dumps(quickexact_searches(), indent=1) + "\n"
+    )
+    print(f"regenerated {GOLDEN_SEARCHES}")
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regenerate" in sys.argv:
+        _regenerate()
+    else:
+        print(__doc__)

@@ -136,24 +136,21 @@ def test_store_read_artifact_requires_manifest(tmp_path):
 # --- api.design(cache=...) --------------------------------------------
 
 
-def test_design_cache_cold_then_warm(tmp_path):
+def test_design_cache_cold_then_warm(tmp_path, monkeypatch):
     store = ArtifactStore(tmp_path)
-    start = time.perf_counter()
     cold = api.design("mux21", cache=store)
-    cold_seconds = time.perf_counter() - start
     assert not cold.from_cache
 
-    warm_seconds = float("inf")
+    # A warm hit must not run the flow at all.
+    def flow_must_not_run(*args, **kwargs):
+        raise AssertionError("warm cache hit ran the design flow")
+
+    monkeypatch.setattr(api, "design_sidb_circuit", flow_must_not_run)
     for _ in range(5):
-        start = time.perf_counter()
         warm = api.design("mux21", cache=store)
-        warm_seconds = min(warm_seconds, time.perf_counter() - start)
-    assert warm.from_cache
-    assert warm.to_sqd() == cold.to_sqd()
-    assert warm.summary() == cold.summary()
-    assert cold_seconds / warm_seconds >= 100, (
-        f"warm hit only {cold_seconds / warm_seconds:.0f}x faster"
-    )
+        assert warm.from_cache
+        assert warm.to_sqd() == cold.to_sqd()
+        assert warm.summary() == cold.summary()
 
 
 def test_design_cache_rehydrates_from_disk(tmp_path):
