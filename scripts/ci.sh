@@ -8,9 +8,6 @@ cd "$(dirname "$0")/.."
 echo "== repro.api surface =="
 python scripts/check_api_surface.py --strict
 
-echo "== benchmark trend =="
-PYTHONPATH=src python scripts/bench_trend.py --check
-
 echo "== structured log schema =="
 PYTHONPATH=src python scripts/check_log_schema.py
 
@@ -40,6 +37,10 @@ echo "== benchmark physics hooks (traced tile_library run) =="
 # Patches repro.sidb.operational.quickexact_ground_state and SimAnneal
 # and reads QuickExactStatistics fields.
 traced_run tile_library
+
+echo "== benchmark imports =="
+# Collects (imports) every benchmark without running it.
+PYTHONPATH=src python -m pytest benchmarks --collect-only -q
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q

@@ -7,26 +7,17 @@ The stable public API lives in :mod:`repro.api`::
 
     result = api.design("mux21")
     print(result.summary())
-
-Top-level re-exports of the flow types (``repro.design_sidb_circuit``,
-``repro.FlowConfiguration``, ``repro.DesignResult``) are deprecated in
-favor of their :mod:`repro.api` spellings; they keep working but emit a
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import importlib
-import warnings
 
 __version__ = "2.0.0"
 
 __all__ = [
     "api",
     "design",
-    "DesignResult",
-    "FlowConfiguration",
-    "design_sidb_circuit",
     "package_version",
     "__version__",
 ]
@@ -46,26 +37,10 @@ def package_version() -> str:
     except Exception:
         return __version__
 
-#: Old top-level spelling -> repro.api attribute it moved to.
-_DEPRECATED = {
-    "design_sidb_circuit": "design_sidb_circuit",
-    "FlowConfiguration": "FlowConfiguration",
-    "DesignResult": "DesignResult",
-}
-
 
 def __getattr__(name: str):
     if name == "api":
         return importlib.import_module("repro.api")
     if name == "design":
         return importlib.import_module("repro.api").design
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"'repro.{name}' is deprecated; "
-            f"use 'repro.api.{_DEPRECATED[name]}' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        api = importlib.import_module("repro.api")
-        return getattr(api, _DEPRECATED[name])
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -12,8 +12,9 @@ sites guard with a single module-attribute check --
 
 -- so with no collector installed (the default, always) the hooks cost
 one attribute load and one ``is not None`` comparison: no allocation,
-no function call.  The ``repro.obs.perfbench`` 2% disabled-overhead
-gate covers these sites (see ``run_learn_hook_overhead_benchmark``).
+no function call.  The 2% disabled-overhead gate of
+``benchmarks/bench_obs_overhead.py`` covers these sites (see
+``run_learn_hook_overhead_benchmark``).
 
 The collector slot is process-global and *not* inherited by worker
 processes; collection therefore sees exactly the evaluations that run

@@ -76,3 +76,18 @@ def detect_bdl_pairs(
             unpaired.discard(i)
             unpaired.discard(j)
     return pairs
+
+
+def scaling_layout(num_sites: int) -> SidbLayout:
+    """A BDL wire with ``num_sites`` dots (the paper's workhorse).
+
+    Dimers are spaced like the canonical Bestagon wire segments: two
+    dots two columns apart, six columns between dimers.
+    """
+    sites = []
+    column = 0
+    for _ in range((num_sites + 1) // 2):
+        sites.append(LatticeSite(column, 0, 0))
+        sites.append(LatticeSite(column + 2, 0, 0))
+        column += 6
+    return SidbLayout(sites[:num_sites])

@@ -7,28 +7,21 @@ geometric cooling schedule; the best *population-stable* configurations
 encountered are reported.  The exhaustive engine certifies its results
 on small systems (see the cross-validation tests).
 
-Two execution modes share one schedule and one seeding discipline:
-
-* ``mode="batch"`` (default) runs all instances in lockstep as NumPy
-  arrays -- occupation matrix ``(instances, n)``, incremental
-  local-potential matrix, vectorized Metropolis accept/reject -- which
-  is the per-move-loop engine's order-of-magnitude-faster replacement
-  (QuickSim / "The Need for Speed" style).
-* ``mode="serial"`` is the original pure-Python per-move loop, kept as
-  the benchmark baseline.
+All instances run in lockstep as NumPy arrays -- occupation matrix
+``(instances, n)``, incremental local-potential matrix, vectorized
+Metropolis accept/reject -- in place of SiQAD's per-move loop
+(QuickSim / "The Need for Speed" style).
 
 Per-instance random streams are derived with
 ``numpy.random.SeedSequence(seed).spawn(instances)``, so instance *k*'s
 trajectory depends only on ``(seed, k)`` -- never on which other
 instances run in the same process.  That makes results reproducible and
-identical whether the instances run serially, in one batch, or split
+identical whether the instances run in one batch, in subsets, or split
 across worker processes (:func:`repro.sidb.parallel.parallel_simanneal`).
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +64,7 @@ class SimAnnealParameters:
     sweeps: int = 300
     initial_temperature: float = 0.25  # eV-scale effective temperature
     final_temperature: float = 0.002
-    hop_fraction: float = 0.6
     seed: int = 0
-    mode: str = "batch"  # "batch" (vectorized) or "serial" (per-move loop)
 
 
 class SimAnneal:
@@ -89,8 +80,6 @@ class SimAnneal:
         self.layout = layout
         self.model = model or EnergyModel(layout, parameters)
         self.schedule = schedule or SimAnnealParameters()
-        if self.schedule.mode not in ("batch", "serial"):
-            raise ValueError(f"unknown SimAnneal mode {self.schedule.mode!r}")
         # Move bookkeeping of the most recent run (reported via obs).
         self._proposals = 0
         self._accepted = 0
@@ -125,15 +114,11 @@ class SimAnneal:
         if n == 0 or not indices:
             return []
         with obs.span("simanneal.run") as span:
-            span.set("mode", self.schedule.mode)
             span.set("batch_shape", [len(indices), n])
             self._proposals = 0
             self._accepted = 0
             self._kernel_passes = 0
-            if self.schedule.mode == "serial":
-                candidates = self._run_serial(indices)
-            else:
-                candidates = self._run_batch(indices)
+            candidates = self._run_batch(indices)
             span.add("sweeps", self.schedule.sweeps * len(indices))
             span.add("moves.proposed", self._proposals)
             span.add("moves.accepted", self._accepted)
@@ -164,7 +149,7 @@ class SimAnneal:
         :data:`ENERGY_TOLERANCE` of the best energy are reported, so
         degeneracy-agreement checks fire for this engine exactly as they
         do for the exhaustive one.  Deterministic regardless of the
-        order finalists arrive in (serial / batch / process-parallel).
+        order finalists arrive in (one batch / subsets / process-parallel).
         """
         n = len(self.layout)
         result = GroundStateResult(self.layout, total_count=1 << n)
@@ -378,109 +363,6 @@ class SimAnneal:
                 else occupation[row, :n].astype(np.int8)
             )
         return candidates
-
-    # --- legacy per-move loop (benchmark baseline) ------------------------
-    def _run_serial(self, indices: list[int]) -> list[np.ndarray]:
-        seeds = self.instance_seeds()
-        candidates = []
-        for k in indices:
-            rng = random.Random(int(seeds[k].generate_state(1)[0]))
-            candidate = self._run_instance(rng)
-            if candidate is not None:
-                candidates.append(candidate)
-        return candidates
-
-    def _run_instance(self, rng: random.Random) -> np.ndarray | None:
-        model = self.model
-        n = model.num_sites
-        mu = model.parameters.mu_minus
-        matrix = model.potential_matrix
-
-        occupation = np.array(
-            [1 if rng.random() < 0.5 else 0 for _ in range(n)], dtype=np.int8
-        )
-        potentials = model.local_potentials(occupation)
-
-        best: np.ndarray | None = None
-        best_energy = float("inf")
-
-        temperature = self.schedule.initial_temperature
-        cooling = (
-            self.schedule.final_temperature / self.schedule.initial_temperature
-        ) ** (1.0 / max(1, self.schedule.sweeps - 1))
-
-        for _ in range(self.schedule.sweeps):
-            self._proposals += n
-            for _ in range(n):
-                if rng.random() < self.schedule.hop_fraction:
-                    self._accepted += self._try_hop(
-                        rng, occupation, potentials, matrix, temperature
-                    )
-                else:
-                    self._accepted += self._try_flip(
-                        rng, occupation, potentials, matrix, mu, temperature
-                    )
-            if is_population_stable(model, occupation):
-                # Exact recomputation: the incremental deltas the moves
-                # accept are only used for Metropolis decisions, never
-                # accumulated into a drifting running energy.
-                energy = model.energy(occupation)
-                if energy < best_energy - 1e-12:
-                    best_energy = energy
-                    best = occupation.copy()
-            temperature *= cooling
-        if best is None:
-            return occupation
-        return best
-
-    def _try_flip(
-        self,
-        rng: random.Random,
-        occupation: np.ndarray,
-        potentials: np.ndarray,
-        matrix: np.ndarray,
-        mu: float,
-        temperature: float,
-    ) -> bool:
-        site = rng.randrange(len(occupation))
-        if occupation[site]:
-            delta = -(potentials[site] + mu)
-        else:
-            delta = potentials[site] + mu
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            if occupation[site]:
-                occupation[site] = 0
-                potentials -= matrix[site]
-            else:
-                occupation[site] = 1
-                potentials += matrix[site]
-            return True
-        return False
-
-    def _try_hop(
-        self,
-        rng: random.Random,
-        occupation: np.ndarray,
-        potentials: np.ndarray,
-        matrix: np.ndarray,
-        temperature: float,
-    ) -> bool:
-        occupied = np.flatnonzero(occupation)
-        empty = np.flatnonzero(occupation == 0)
-        if len(occupied) == 0 or len(empty) == 0:
-            return False
-        source = int(occupied[rng.randrange(len(occupied))])
-        target = int(empty[rng.randrange(len(empty))])
-        delta = (
-            potentials[target] - potentials[source] - matrix[source, target]
-        )
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            occupation[source] = 0
-            occupation[target] = 1
-            potentials -= matrix[source]
-            potentials += matrix[target]
-            return True
-        return False
 
     # --- deterministic polishing ------------------------------------------
     def _greedy_descent(self, occupation: np.ndarray) -> np.ndarray:

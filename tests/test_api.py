@@ -75,20 +75,7 @@ def test_flow_configuration_is_keyword_only():
         api.FlowConfiguration("exact")
 
 
-# --- deprecation shims ---------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "name", ["design_sidb_circuit", "FlowConfiguration", "DesignResult"]
-)
-def test_top_level_shims_warn_but_work(name):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        attribute = getattr(repro, name)
-    assert attribute is getattr(api, name)
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
+# --- top-level aliases ---------------------------------------------------
 
 
 def test_repro_design_alias_is_not_deprecated():

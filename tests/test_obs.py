@@ -266,7 +266,7 @@ class TestInstrumentedSubsystems:
         assert solve.counters["sat.propagations"] > 0
 
     def test_simanneal_reports_counters(self):
-        from repro.sidb.perfbench import scaling_layout
+        from repro.sidb.bdl import scaling_layout
         from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 
         layout = scaling_layout(10)

@@ -15,8 +15,8 @@ from repro import obs
 from repro.defects import DefectType, SidbDefect, SurfaceDefects
 from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
 from repro.networks import benchmark_verilog
+from repro.sidb.bdl import scaling_layout
 from repro.sidb.parallel import parallel_simanneal, run_tasks
-from repro.sidb.perfbench import scaling_layout
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 
 

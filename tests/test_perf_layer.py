@@ -11,7 +11,7 @@ import pytest
 
 from repro.coords.lattice import LatticeSite
 from repro.networks.truth_table import TruthTable
-from repro.sidb.bdl import BdlPair
+from repro.sidb.bdl import BdlPair, scaling_layout
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import (
     EnergyModel,
@@ -22,7 +22,6 @@ from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import GateFunctionSpec, check_operational
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.sidb.parallel import parallel_simanneal, resolve_workers, run_tasks
-from repro.sidb.perfbench import scaling_layout
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -53,30 +52,16 @@ class TestBatchAnnealer:
         )
         assert annealed.degeneracy == exact.degeneracy
 
-    def test_serial_mode_matches_exhaustive(self):
-        layout = scaling_layout(10)
-        exact = exhaustive_ground_state(layout)
-        schedule = SimAnnealParameters(
-            instances=16, sweeps=100, seed=1, mode="serial"
-        )
-        annealed = SimAnneal(layout, schedule=schedule).run()
-        assert annealed.ground_energy == pytest.approx(
-            exact.ground_energy, abs=1e-9
-        )
-
     def test_reported_energy_is_exact(self):
         # Satellite fix: the reported energy is recomputed from the
         # occupation vector, never accumulated from per-move deltas.
         layout = scaling_layout(12)
-        for mode in ("batch", "serial"):
-            schedule = SimAnnealParameters(
-                instances=8, sweeps=80, seed=2, mode=mode
-            )
-            engine = SimAnneal(layout, schedule=schedule)
-            result = engine.run()
-            assert result.ground_energy == engine.model.energy(
-                result.occupation()
-            )
+        schedule = SimAnnealParameters(instances=8, sweeps=80, seed=2)
+        engine = SimAnneal(layout, schedule=schedule)
+        result = engine.run()
+        assert result.ground_energy == engine.model.energy(
+            result.occupation()
+        )
 
     def test_degenerate_states_collected(self):
         # The symmetric wire has a 2-fold degenerate ground state; the
@@ -88,12 +73,6 @@ class TestBatchAnnealer:
         assert annealed.degeneracy == 2
         keys = {state.tobytes() for state in annealed.ground_states}
         assert keys == {state.tobytes() for state in exact.ground_states}
-
-    def test_unknown_mode_rejected(self):
-        layout = scaling_layout(4)
-        schedule = SimAnnealParameters(mode="warp")
-        with pytest.raises(ValueError, match="mode"):
-            SimAnneal(layout, schedule=schedule)
 
 
 class TestOrderIndependentSeeding:

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.coords.lattice import LatticeSite
 from repro.defects.model import DefectType, SidbDefect
 from repro.gatelib.library import BestagonLibrary
+from repro.sidb.bdl import scaling_layout
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import EnergyModel
 from repro.sidb.exhaustive import exhaustive_ground_state
@@ -33,7 +34,6 @@ from repro.sidb.operational import (
     check_operational,
     resolve_exact_engine,
 )
-from repro.sidb.perfbench import scaling_layout
 from repro.sidb.quickexact import (
     MAX_QUICKEXACT_SITES,
     QuickExactStatistics,

@@ -72,21 +72,6 @@ def test_pool_reuses_worker_across_jobs(tmp_path):
         )
 
 
-def test_recycle_after_one_is_process_per_job(tmp_path):
-    with JobScheduler(
-        ArtifactStore(tmp_path), workers=1, recycle_after=1
-    ) as scheduler:
-        verilog = benchmark_verilog("xor2")
-        jobs = [
-            scheduler.submit(verilog, name=f"recycle-{index}")
-            for index in range(3)
-        ]
-        for job in jobs:
-            assert job.wait(180) and job.status == "done", job.error
-        pids = {job.worker_pid for job in jobs}
-        assert len(pids) == 3
-
-
 def test_worker_crash_fails_job_and_respawns(tmp_path):
     with JobScheduler(ArtifactStore(tmp_path), workers=1) as scheduler:
         victim = scheduler.submit(benchmark_verilog("c17"), name="victim")
