@@ -7,8 +7,9 @@ that instrumentation deleted) against the real no-op fast path
 (recording disabled, logging unconfigured, no learn collector):
 
 * the full ``par_check`` flow, also with full trace recording;
-* a process-parallel anneal (``parallel_simanneal`` with ``workers=2``),
-  which adds the worker-side span capture and progress plumbing;
+* a process-parallel operational check (``check_operational`` of the
+  2-input ``or_SE`` tile with ``workers=2``), which adds the
+  worker-side span capture and progress plumbing;
 * a small ``check_operational`` call, which carries the learn hook.
 
 Each disabled overhead must stay below :data:`DISABLED_OVERHEAD_LIMIT`
@@ -31,10 +32,8 @@ from repro.networks import benchmark_verilog
 from repro.networks.truth_table import TruthTable
 from repro.obs import _NOOP
 from repro.obs import log as obs_log
-from repro.sidb.bdl import BdlPair, scaling_layout
+from repro.sidb.bdl import BdlPair
 from repro.sidb.operational import GateFunctionSpec, check_operational
-from repro.sidb.parallel import parallel_simanneal
-from repro.sidb.simanneal import SimAnnealParameters
 from repro.synthesis.database import NpnDatabase
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -262,11 +261,15 @@ def run_worker_overhead_benchmark() -> dict:
     inside real fan-out costs -- but it also makes the samples far
     noisier than the flow benchmark's, hence the extra attempt.
     """
-    layout = scaling_layout(14)
-    schedule = SimAnnealParameters(instances=8, sweeps=300, seed=1)
+    design = BestagonLibrary().design("or_SE")
+    body = list(design.sites) + list(design.output_perturbers)
+    stimuli = [(list(far), list(close)) for far, close in design.input_stimuli]
+    spec = GateFunctionSpec(design.functions)
 
     def run_parallel(variant: str) -> None:
-        parallel_simanneal(layout, schedule=schedule, workers=2)
+        check_operational(
+            body, stimuli, list(design.output_pairs), spec, workers=2
+        )
 
     record = measure_overhead(
         run_parallel,
@@ -277,7 +280,7 @@ def run_worker_overhead_benchmark() -> dict:
         clock=time.perf_counter,
     )
     return {
-        "benchmark": "parallel_simanneal(workers=2)",
+        "benchmark": "check_operational(or_SE, workers=2)",
         "workers": 2,
         **record,
     }

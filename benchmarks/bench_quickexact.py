@@ -15,7 +15,7 @@ from repro.sidb.energy import EnergyModel
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.quickexact import quickexact_ground_state
 
-#: System sizes of the exact-engine sweep.  ExGS is only timed up to
+#: System sizes of the exact ground-state sweep.  ExGS is only timed up to
 #: :data:`QUICKEXACT_EXGS_CEILING` (2^n enumeration beyond that would
 #: dominate the whole benchmark run); QuickExact covers the full range.
 QUICKEXACT_SIZES = (10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30)
@@ -79,7 +79,7 @@ def measure_quickexact_point(num_sites: int, repeats: int = 3) -> dict:
 def run_quickexact_benchmark(
     sizes: tuple[int, ...] = QUICKEXACT_SIZES, repeats: int = 3
 ) -> dict:
-    """The exact-engine race; returns the ``BENCH_quickexact`` record."""
+    """The ExGS-vs-QuickExact race; returns the ``BENCH_quickexact`` record."""
     points = [measure_quickexact_point(n, repeats=repeats) for n in sizes]
     return {
         "benchmark": "quickexact_vs_exgs",

@@ -42,5 +42,17 @@ echo "== benchmark imports =="
 # Collects (imports) every benchmark without running it.
 PYTHONPATH=src python -m pytest benchmarks --collect-only -q
 
+echo "== examples =="
+# Runs every example from a temporary directory: quickstart.py writes
+# mux21.sqd into its working directory.
+repo=$(pwd)
+examples_dir=$(mktemp -d)
+trap 'rm -rf "$examples_dir"' EXIT
+for example in examples/*.py; do
+    echo "$example"
+    (cd "$examples_dir" && PYTHONPATH="$repo/src" python "$repo/$example") \
+        > /dev/null
+done
+
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q

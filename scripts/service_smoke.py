@@ -4,9 +4,8 @@ Spins up a :class:`repro.api.DesignService` on an ephemeral port with a
 throwaway artifact store, then exercises the whole client surface over
 real HTTP against the ``/v1`` API: health check, job submission, status
 polling, artifact fetch, cache-hit resubmission (asserting
-byte-identical ``.sqd``), metrics scrape, the deprecated unversioned
-aliases (must still work and carry a ``Deprecation`` header), and
-shutdown.  The observability surface is exercised along the way:
+byte-identical ``.sqd``), metrics scrape, a 404 for the retired
+unversioned paths, and shutdown.  The observability surface is exercised along the way:
 ``/v1/readyz``, W3C ``traceparent`` continuation into the job document
 and the ``/v1/jobs/<id>/trace`` worker span tree, and a concurrent
 ``/v1/events`` server-sent-events subscriber that must see the job's
@@ -155,7 +154,6 @@ def main() -> int:
         status, health, headers = _request(url + "/v1/healthz")
         assert status == 200 and health["status"] == "ok", health
         assert health["version"] == api.package_version(), health
-        assert "Deprecation" not in headers, headers
         assert api.parse_traceparent(headers.get("traceparent", "")), headers
         assert "X-Repro-Trace-Id" in headers, headers
         print(f"healthz ok (version {health['version']}, trace headers on)")
@@ -236,23 +234,11 @@ def main() -> int:
         assert "repro_service_queue_depth" in text, text[:400]
         print("metrics scrape ok (spans + http + gauges)")
 
-        # The historical unversioned paths must keep working as
-        # deprecated aliases: same payloads, plus a Deprecation header
-        # pointing at the /v1 successor.
-        status, alias_health, headers = _request(url + "/healthz")
-        assert status == 200 and alias_health["status"] == "ok", alias_health
-        assert headers.get("Deprecation") == "true", headers
-        assert "/v1/healthz" in headers.get("Link", ""), headers
-        status, alias_doc, headers = _request(f"{url}/jobs/{job['id']}")
-        assert status == 200 and alias_doc["status"] == "done", alias_doc
-        assert headers.get("Deprecation") == "true", headers
-        assert alias_doc["artifacts"]["sqd"].startswith("/artifacts/"), (
-            alias_doc["artifacts"]
-        )
-        _, alias_sqd, headers = _request(url + alias_doc["artifacts"]["sqd"])
-        assert alias_sqd == sqd_first, "alias served different bytes"
-        assert headers.get("Deprecation") == "true", headers
-        print("unversioned aliases ok (Deprecation headers present)")
+        # The historical unversioned paths are gone: only /v1 answers.
+        for path in ("/healthz", f"/jobs/{job['id']}"):
+            status, document, _ = _request(url + path)
+            assert status == 404 and "/v1" in document["error"], document
+        print("unversioned paths answer 404")
 
     _smoke_backpressure_and_drain()
     print("service smoke test passed")

@@ -140,10 +140,8 @@ from repro.timing.sta import TIMING_SCHEMA_VERSION
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.sqd.sqd import (
     SQD_WRITER_VERSION,
-    load_sqd,
     read_sqd,
     read_sqd_defects,
-    save_sqd,
     write_sqd,
 )
 from repro.synthesis.database import NpnDatabase
@@ -151,7 +149,7 @@ from repro.tech.constants import (
     MIN_DEFECT_SEPARATION_NM,
     MIN_METAL_PITCH_NM,
 )
-from repro.tech.parameters import EXACT_ENGINES, SiDBSimulationParameters
+from repro.tech.parameters import SiDBSimulationParameters
 from repro.verification.equivalence import (
     EquivalenceResult,
     check_layout_against_network,
@@ -230,8 +228,6 @@ __all__ = [
     "write_sqd",
     "read_sqd",
     "read_sqd_defects",
-    "save_sqd",
-    "load_sqd",
     # Gate library + designer toolkit.
     "BestagonLibrary",
     "CanvasSearchProblem",
@@ -266,7 +262,6 @@ __all__ = [
     "exhaustive_ground_state",
     "quickexact_ground_state",
     "QuickExactStatistics",
-    "EXACT_ENGINES",
     "BdlPair",
     "read_bdl_pair",
     "ClockedWire",
@@ -365,7 +360,9 @@ def design(
         config = FlowConfiguration(engine=engine, defects=defects, **options)
     if isinstance(specification, Xag):
         spec: str | Xag = specification
-    elif "\n" in specification or "module" in specification:
+    elif "module" in specification and not (
+        os.path.exists(specification) or specification.endswith(".v")
+    ):
         spec = specification
     else:
         spec, resolved = load_specification(specification)

@@ -78,7 +78,6 @@ def _configuration(args: argparse.Namespace) -> api.FlowConfiguration:
     try:
         return api.FlowConfiguration(
             engine=args.engine,
-            exact_engine=getattr(args, "exact_engine", "quickexact"),
             clocking=getattr(args, "clocking", "columnar-rows"),
             exact_conflict_limit=args.conflict_limit,
             exact_time_limit_seconds=args.time_limit,
@@ -544,7 +543,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     verilog, name = _load_specification(args.spec)
     options: dict = {
         "engine": args.engine,
-        "exact_engine": getattr(args, "exact_engine", "quickexact"),
         "clocking": getattr(args, "clocking", "columnar-rows"),
         "exact_conflict_limit": args.conflict_limit,
         "exact_time_limit_seconds": args.time_limit,
@@ -634,10 +632,6 @@ def _engine_options() -> argparse.ArgumentParser:
     group = parent.add_argument_group("physical design engine")
     group.add_argument("--engine", default="auto",
                        choices=[engine.value for engine in api.Engine])
-    group.add_argument("--exact-engine", default="quickexact",
-                       choices=list(api.EXACT_ENGINES),
-                       help="exact ground-state solver for operational "
-                            "simulations (default: quickexact)")
     group.add_argument("--clocking", default="columnar-rows",
                        choices=sorted(api.CLOCKING_SCHEMES),
                        help="clocking scheme the layout is zoned under "
@@ -856,8 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve the JSON design API (versioned under /v1): "
                     "POST /v1/jobs, GET /v1/jobs, "
                     "GET /v1/artifacts/<digest>/<name>, GET /v1/metrics, "
-                    "GET /v1/healthz; unversioned paths remain as "
-                    "deprecated aliases.  Results are cached in the "
+                    "GET /v1/healthz.  Results are cached in the "
                     "artifact store; identical in-flight submissions "
                     "share one execution.",
     )

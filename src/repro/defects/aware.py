@@ -155,7 +155,6 @@ def recheck_layout_against_defects(
     engine: str = "auto",
     schedule: SimAnnealParameters | None = None,
     workers: int = 1,
-    exact_engine: str | None = None,
 ) -> DefectAwareReport:
     """Re-validate every placed tile against the defects under it.
 
@@ -197,7 +196,6 @@ def recheck_layout_against_defects(
                 engine=engine,
                 schedule=schedule,
                 workers=workers,
-                exact_engine=exact_engine,
             )
         return baselines[design.name]
 
@@ -253,7 +251,6 @@ def recheck_layout_against_defects(
                 schedule=schedule,
                 workers=workers,
                 defects=nearby,
-                exact_engine=exact_engine,
             )
             baseline = pristine_baseline(design)
             check.operational = not any(

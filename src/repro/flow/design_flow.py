@@ -51,7 +51,6 @@ from repro.synthesis.database import NpnDatabase
 from repro.synthesis.mapping import map_to_bestagon
 from repro.synthesis.rewrite import cut_rewrite
 from repro.tech.design_rules import DesignRules, DesignRuleViolation
-from repro.tech.parameters import EXACT_ENGINES
 from repro.timing.sta import TimingReport, analyze_timing
 from repro.verification.equivalence import (
     EquivalenceResult,
@@ -116,10 +115,6 @@ class FlowConfiguration:
     #: Surface defects to design around; ``None`` or an empty
     #: collection leaves every step bit-identical to the pristine flow.
     defects: SurfaceDefects | None = None
-    #: Exact ground-state solver of the defect recheck's operational
-    #: simulations: ``"quickexact"`` (pruned search, default) or
-    #: ``"exgs"`` (brute-force enumeration).
-    exact_engine: str = "quickexact"
     #: Worker processes for the flow's parallelizable work (today: the
     #: per-tile defect recheck's simulations).  ``1`` is serial; results
     #: are bit-identical across worker counts, and traces are
@@ -155,12 +150,6 @@ class FlowConfiguration:
                 self.clocking = scheme_by_name(self.clocking)
             except KeyError as error:
                 raise ValueError(str(error)) from None
-        if self.exact_engine not in EXACT_ENGINES:
-            choices = ", ".join(repr(e) for e in EXACT_ENGINES)
-            raise ValueError(
-                f"unknown exact engine {self.exact_engine!r} "
-                f"(choose from {choices})"
-            )
 
 
 @dataclass
@@ -424,7 +413,6 @@ def design_sidb_circuit(
                     config.defects,
                     library=library,
                     workers=config.workers,
-                    exact_engine=config.exact_engine,
                 )
                 span.set("defects", defect_report.defects_total)
                 span.set("tiles", len(defect_report.tiles))

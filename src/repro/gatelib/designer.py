@@ -6,7 +6,9 @@ within the logic design canvas and toggle through input combinations to
 check for logic correctness", followed by manual review.  This module is
 our substitute generator: a stochastic local search that adds, removes
 and moves SiDBs on a candidate canvas grid, scored by how many input
-patterns the exhaustive ground-state oracle evaluates correctly.
+patterns QuickExact evaluates correctly -- through the same per-pattern
+check (:func:`~repro.sidb.operational.simulate_pattern`) that
+:func:`~repro.sidb.operational.check_operational` runs.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from repro import obs
 from repro.coords.lattice import LatticeSite
 from repro.learn import hooks as _learn_hooks
 from repro.networks.truth_table import TruthTable
-from repro.sidb.bdl import BdlPair, read_bdl_pair
-from repro.sidb.charge import SidbLayout
-from repro.sidb.exhaustive import exhaustive_ground_state
+from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import simulate_pattern
+from repro.sidb.parallel import PatternTask
 from repro.tech.parameters import SiDBSimulationParameters
 
 
@@ -43,42 +45,49 @@ class CanvasSearchProblem:
 def score_design(
     problem: CanvasSearchProblem, canvas: frozenset[LatticeSite]
 ) -> tuple[int, int]:
-    """(correct patterns, total patterns) for a canvas choice."""
+    """(correct patterns, total patterns) for a canvas choice.
+
+    Each pair of ``input_pairs_to_hold`` is checked as one more output
+    whose truth table is its input variable.  A layout above
+    QuickExact's site ceiling raises ``ValueError``.
+    """
     num_inputs = len(problem.input_stimuli)
     total = 1 << num_inputs
     obs.add("gatelib.patterns_scored", total)
-    correct = 0
-    for pattern in range(total):
-        try:
-            layout = SidbLayout(problem.fixed_sites)
-            layout.extend(sorted(canvas))
-            for bit, (far, close) in enumerate(problem.input_stimuli):
-                layout.extend(close if (pattern >> bit) & 1 else far)
-        except ValueError:
-            # Canvas collides with fixed/stimulus sites; still a
-            # legitimate (always-negative) training example.
-            if _learn_hooks.COLLECTOR is not None:
-                _learn_hooks.record_canvas(problem, canvas, 0, total)
-            return 0, total
-        result = exhaustive_ground_state(layout, problem.parameters)
-        if not result.ground_states:
-            continue
-        ok = True
-        for ground_state in result.ground_states:
-            for index, pair in enumerate(problem.output_pairs):
-                expected = problem.outputs[index].get_bit(pattern)
-                if read_bdl_pair(layout, ground_state, pair) != expected:
-                    ok = False
-                    break
-            for pair, input_bit in problem.input_pairs_to_hold:
-                expected = bool((pattern >> input_bit) & 1)
-                if read_bdl_pair(layout, ground_state, pair) != expected:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            correct += 1
+    output_pairs = tuple(problem.output_pairs) + tuple(
+        pair for pair, _ in problem.input_pairs_to_hold
+    )
+    outputs = list(problem.outputs) + [
+        TruthTable.variable(bit, num_inputs)
+        for _, bit in problem.input_pairs_to_hold
+    ]
+    body = tuple(problem.fixed_sites) + tuple(sorted(canvas))
+    stimuli = tuple(
+        (tuple(far), tuple(close)) for far, close in problem.input_stimuli
+    )
+    tasks = [
+        PatternTask(
+            pattern=pattern,
+            body_sites=body,
+            input_stimuli=stimuli,
+            output_pairs=output_pairs,
+            expected=tuple(table.get_bit(pattern) for table in outputs),
+            parameters=problem.parameters,
+            engine="quickexact",
+            schedule=None,
+        )
+        for pattern in range(total)
+    ]
+    try:
+        for task in tasks:
+            task.build_layout()
+    except ValueError:
+        # Canvas collides with fixed/stimulus sites; still a
+        # legitimate (always-negative) training example.
+        if _learn_hooks.COLLECTOR is not None:
+            _learn_hooks.record_canvas(problem, canvas, 0, total)
+        return 0, total
+    correct = sum(simulate_pattern(task).correct for task in tasks)
     if _learn_hooks.COLLECTOR is not None:
         _learn_hooks.record_canvas(problem, canvas, correct, total)
     return correct, total
@@ -170,7 +179,7 @@ def search_canvas_design(
     them and prune hopeless batches, and physics-scores at most the top
     pick -- the search trajectory and runtime change, but every
     accepted score (and the returned winner) still comes from the
-    exact ground-state oracle, never from the surrogate.  Without a
+    QuickExact oracle, never from the surrogate.  Without a
     guide the search is bit-identical to previous releases.
     """
     rng = random.Random(seed)

@@ -72,13 +72,3 @@ def layout_from_json(text: str) -> GateLevelLayout:
         )
         layout.place(HexCoord(tile["x"], tile["y"]), content)
     return layout
-
-
-def save_layout(layout: GateLevelLayout, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(layout_to_json(layout))
-
-
-def load_layout(path: str) -> GateLevelLayout:
-    with open(path, encoding="utf-8") as handle:
-        return layout_from_json(handle.read())

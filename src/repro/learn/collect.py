@@ -57,7 +57,7 @@ def wire_problem(
     The known-good canvas ``{(0,6), (0,8)}`` completes a pitch-6
     three-pair chain -- the geometry the wire scans in
     ``scripts/design_gates.py`` validated.  Cheap: at most ~12 sites
-    per exhaustive ground-state call.
+    per ground-state call.
     """
     from repro.gatelib.designer import CanvasSearchProblem
 
@@ -180,7 +180,7 @@ def screening_pool(
 
     The substrate of the ranked-screening benchmark: on the or-core at
     4 dots only ~10% of random decorations keep the gate operational,
-    so finding a verified design means paying for many ~230 ms physics
+    so finding a verified design means paying for many ~15 ms QuickExact
     evaluations -- unless a surrogate orders the pool first.
     """
     rng = random.Random(seed)

@@ -95,12 +95,6 @@ def _apply(xag: Xag, operator: str, operands: list[Signal]) -> Signal:
     return signal
 
 
-def read_bench(path: str) -> Xag:
-    """Parse a BENCH file into an XAG."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_bench(handle.read())
-
-
 def write_bench(xag: Xag) -> str:
     """Serialize an XAG in BENCH format (NOT gates made explicit)."""
     lines = []

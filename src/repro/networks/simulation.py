@@ -1,14 +1,13 @@
 """Cross-representation simulation helpers.
 
-Provides exhaustive and randomized equivalence predicates used by tests
-and by the formal-verification package's sanity checks.  Unlike
-:mod:`repro.verification`, which proves equivalence with SAT, these
-helpers simply simulate both representations.
+Provides the exhaustive equivalence predicate used by tests and by the
+formal-verification package's sanity checks.  Unlike
+:mod:`repro.verification`, which proves equivalence with SAT, it simply
+simulates both representations.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Protocol
 
 from repro.networks.truth_table import TruthTable
@@ -33,25 +32,3 @@ def exhaustive_equivalent(a: Simulatable, b: Simulatable) -> bool:
     if a.num_pis != b.num_pis or a.num_pos != b.num_pos:
         return False
     return a.simulate() == b.simulate()
-
-
-def random_equivalent(
-    a: Simulatable, b: Simulatable, patterns: int = 256, seed: int = 0
-) -> bool:
-    """Compare on random patterns; a False result is a definite mismatch."""
-    if a.num_pis != b.num_pis or a.num_pos != b.num_pos:
-        return False
-    rng = random.Random(seed)
-    for _ in range(patterns):
-        inputs = [rng.random() < 0.5 for _ in range(a.num_pis)]
-        if a.evaluate(inputs) != b.evaluate(inputs):
-            return False
-    return True
-
-
-def input_patterns(num_inputs: int) -> list[list[bool]]:
-    """All input assignments in index order (LSB = input 0)."""
-    return [
-        [bool((index >> bit) & 1) for bit in range(num_inputs)]
-        for index in range(1 << num_inputs)
-    ]

@@ -10,7 +10,6 @@ canonicalization and exact synthesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 
 def _mask(num_vars: int) -> int:
@@ -214,8 +213,3 @@ class TruthTable:
 
     def __str__(self) -> str:
         return self.to_binary_string()
-
-
-def all_input_permutations(num_vars: int):
-    """All variable permutations, shared helper for NPN enumeration."""
-    return permutations(range(num_vars))

@@ -281,12 +281,6 @@ def _build_primitive(xag: Xag, primitive: str, inputs: list[Signal]) -> Signal:
     return signal
 
 
-def read_verilog(path: str) -> Xag:
-    """Parse a Verilog file into an XAG."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_verilog(handle.read())
-
-
 def _sanitize(name: str) -> str:
     """Make a net name a legal Verilog identifier."""
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", name) and name not in _KEYWORDS:

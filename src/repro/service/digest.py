@@ -43,8 +43,10 @@ from repro.tech.design_rules import DesignRules
 #: Version 4 added ``learn`` (surrogate-example collection during the
 #: flow -- the artifacts stay bit-identical, but a learn-enabled run
 #: performs side-effectful collection a cached hit would silently
-#: skip, so the two must not share a digest).
-DIGEST_VERSION = 4
+#: skip, so the two must not share a digest).  Version 5 dropped
+#: ``exact_engine`` (QuickExact is the one exact engine, so the key no
+#: longer selected anything).
+DIGEST_VERSION = 5
 
 
 class UncacheableConfigurationError(ValueError):
@@ -86,7 +88,6 @@ def normalize_configuration(configuration: FlowConfiguration) -> dict:
         )
     return {
         "engine": configuration.engine.value,
-        "exact_engine": configuration.exact_engine,
         "clocking": configuration.clocking.name,
         "rewrite": configuration.rewrite,
         "verify": configuration.verify,
@@ -120,7 +121,6 @@ def configuration_from_normalized(normalized: dict) -> FlowConfiguration:
     rules = normalized["design_rules"]
     return FlowConfiguration(
         engine=normalized["engine"],
-        exact_engine=normalized.get("exact_engine", "quickexact"),
         clocking=scheme_by_name(normalized["clocking"]),
         rewrite=normalized["rewrite"],
         verify=normalized["verify"],

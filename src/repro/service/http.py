@@ -30,15 +30,13 @@ scheduler into the pool worker, so the job document, the worker's span
 tree (``GET /v1/jobs/<id>/trace``) and every structured log line share
 the request's trace id.
 
-The historical unversioned paths (``/jobs``, ``/healthz``, ...) keep
-working as aliases but every response to one carries a ``Deprecation:
-true`` header and a ``Link`` to the ``/v1`` successor; new clients
-should use ``/v1`` exclusively.  Job documents are stamped with
+Paths outside ``/v1`` (the historical unversioned ``/jobs``,
+``/healthz``, ...) answer 404.  Job documents are stamped with
 ``schema_version`` (:data:`~repro.service.scheduler.JOB_SCHEMA_VERSION`)
 and the stored ``result.json`` carries the structured design report
 (:data:`~repro.flow.reporting.REPORT_SCHEMA_VERSION`).
 
-``POST /jobs`` accepts ``{"specification": <benchmark name | Verilog
+``POST /v1/jobs`` accepts ``{"specification": <benchmark name | Verilog
 source>, "name": ..., "options": {flow knobs}, "priority": int,
 "timeout": seconds}`` and answers with the job record -- immediately
 ``done`` (``cache_hit: true``) when the artifact store already holds
@@ -93,7 +91,6 @@ DEFAULT_PORT = 8724
 #: Path prefix of the current (and only) stable API version.
 API_PREFIX = "/v1"
 
-_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 _JOB_PATH_RE = re.compile(r"^/jobs/([A-Za-z0-9-]+)$")
 _JOB_TRACE_PATH_RE = re.compile(r"^/jobs/([A-Za-z0-9-]+)/trace$")
 _ARTIFACT_PATH_RE = re.compile(
@@ -186,9 +183,20 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._status = 0
         started = time.monotonic()
         route = route_pattern(self.path)
+        path = self._route()
         with obs_log.bind(trace_id=self._trace.trace_id):
             try:
-                inner()
+                if path is None:
+                    # The body (if any) stays unread: close the
+                    # connection rather than parse it as a request.
+                    self.close_connection = True
+                    self._send_error_json(
+                        404,
+                        f"unknown path {self.path.split('?', 1)[0]!r} "
+                        f"(the API is served under {API_PREFIX})",
+                    )
+                else:
+                    inner(path)
             finally:
                 elapsed = time.monotonic() - started
                 status = self._status or 500
@@ -205,30 +213,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 )
 
     # --- helpers -------------------------------------------------------
-    def _route(self) -> str:
-        """The request path, version-normalized.
-
-        Strips the ``/v1`` prefix when present and remembers whether
-        the client used the deprecated unversioned alias; every
-        response helper consults that flag to attach the
-        ``Deprecation`` headers.
-        """
+    def _route(self) -> str | None:
+        """The request path below ``/v1``; ``None`` for any other path."""
         path = self.path.split("?", 1)[0]
-        if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-            self._deprecated_alias = False
-            path = path[len(API_PREFIX):] or "/"
-        else:
-            self._deprecated_alias = True
-        return path.rstrip("/") or "/"
-
-    def _deprecation_headers(self) -> dict[str, str]:
-        if not getattr(self, "_deprecated_alias", False):
-            return {}
-        successor = API_PREFIX + self.path.split("?", 1)[0]
-        return {
-            "Deprecation": "true",
-            "Link": f'<{successor}>; rel="successor-version"',
-        }
+        if path != API_PREFIX and not path.startswith(API_PREFIX + "/"):
+            return None
+        return path[len(API_PREFIX):].rstrip("/") or "/"
 
     def _send_json(
         self,
@@ -240,8 +230,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
-        for name, value in self._deprecation_headers().items():
-            self.send_header(name, value)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -282,13 +270,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _job_document(self, job) -> dict:
         document = job.to_dict()
         if job.status == DONE:
-            prefix = (
-                "" if getattr(self, "_deprecated_alias", False)
-                else API_PREFIX
-            )
             document["artifacts"] = {
-                "manifest": f"{prefix}/artifacts/{job.digest}",
-                "sqd": f"{prefix}/artifacts/{job.digest}/{ARTIFACT_SQD}",
+                "manifest": f"{API_PREFIX}/artifacts/{job.digest}",
+                "sqd": f"{API_PREFIX}/artifacts/{job.digest}/{ARTIFACT_SQD}",
             }
         return document
 
@@ -296,8 +280,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
         self._handle("GET", self._do_get)
 
-    def _do_get(self) -> None:
-        path = self._route()
+    def _do_get(self, path: str) -> None:
         if path == "/healthz":
             self._send_json(
                 {
@@ -317,8 +300,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
             )
             self.send_header("Content-Length", str(len(body)))
-            for name, value in self._deprecation_headers().items():
-                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
         elif path == "/events":
@@ -413,8 +394,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "Content-Type", "application/json; charset=utf-8"
             )
             self.send_header("Content-Length", str(len(body)))
-            for name, value in self._deprecation_headers().items():
-                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
         elif fmt == "json":
@@ -464,8 +443,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "text/event-stream; charset=utf-8")
         self.send_header("Cache-Control", "no-store")
         self.send_header("Connection", "close")
-        for name, value in self._deprecation_headers().items():
-            self.send_header(name, value)
         self.end_headers()
         self.close_connection = True
 
@@ -544,8 +521,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        for header, value in self._deprecation_headers().items():
-            self.send_header(header, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -553,8 +528,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         self._handle("POST", self._do_post)
 
-    def _do_post(self) -> None:
-        path = self._route()
+    def _do_post(self, path: str) -> None:
         if path != "/jobs":
             self._send_error_json(404, f"unknown path {path!r}")
             return
@@ -610,8 +584,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802
         self._handle("DELETE", self._do_delete)
 
-    def _do_delete(self) -> None:
-        path = self._route()
+    def _do_delete(self, path: str) -> None:
         match = _JOB_PATH_RE.match(path)
         if not match:
             self._send_error_json(404, f"unknown path {path!r}")

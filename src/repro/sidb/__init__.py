@@ -4,11 +4,12 @@ Implements the physical model used by the paper's validation tool chain
 [Ng TNANO'20]: SiDBs as point charges on the H-Si(100)-2x1 surface
 interacting through a Thomas-Fermi-screened Coulomb potential, with the
 chemical potential ``mu_minus`` deciding the neutral/negative population.
-Ground states are found exactly -- by the pruned QuickExact search
-(:mod:`repro.sidb.quickexact`, the default) or brute-force enumeration
-(:mod:`repro.sidb.exhaustive`) -- or by simulated annealing
+Ground states are found exactly by the pruned QuickExact search
+(:mod:`repro.sidb.quickexact`) or heuristically by simulated annealing
 (:mod:`repro.sidb.simanneal`, the *SimAnneal* port used for Figures 1c
-and 5).
+and 5); brute-force enumeration (:mod:`repro.sidb.exhaustive`, ExGS) is
+the reference both are tested against.  :mod:`repro.sidb.operational`
+alone decides which engine simulates a given system.
 """
 
 from repro.sidb.charge import ChargeState, SidbLayout
@@ -31,7 +32,6 @@ from repro.sidb.quickexact import (
 )
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.sidb.parallel import (
-    parallel_simanneal,
     resolve_workers,
     run_tasks,
     workers_from_env,
@@ -65,7 +65,6 @@ __all__ = [
     "QuickExactStatistics",
     "SimAnneal",
     "SimAnnealParameters",
-    "parallel_simanneal",
     "resolve_workers",
     "run_tasks",
     "workers_from_env",

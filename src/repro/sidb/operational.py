@@ -33,34 +33,18 @@ from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.parallel import PatternTask, run_tasks
 from repro.sidb.quickexact import quickexact_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
-from repro.tech.parameters import EXACT_ENGINES, SiDBSimulationParameters
+from repro.tech.parameters import SiDBSimulationParameters
 
 #: Ground-state engine selectors accepted by the operational checks:
-#: ``"auto"`` picks the configured exact engine up to its ceiling and
-#: falls back to SimAnneal beyond it; ``"exact"`` forces the configured
-#: exact engine regardless of size; ``"exhaustive"``, ``"quickexact"``
-#: and ``"simanneal"`` name a specific solver.
-ENGINES = ("auto", "exact", "exhaustive", "quickexact", "simanneal")
+#: ``"auto"`` solves systems of up to :data:`QUICKEXACT_AUTO_MAX_SITES`
+#: exactly with QuickExact and anneals larger ones; ``"quickexact"``,
+#: ``"exhaustive"`` (ExGS, the reference the tests compare against) and
+#: ``"simanneal"`` name a specific solver.
+ENGINES = ("auto", "quickexact", "exhaustive", "simanneal")
 
-#: Largest systems ``engine="auto"`` still solves exactly, per exact
-#: engine.  The pruned engine pushes the crossover from 18 to 30 sites;
-#: SimAnneal takes over beyond.
+#: Largest system ``engine="auto"`` still solves exactly; SimAnneal
+#: takes over beyond.
 QUICKEXACT_AUTO_MAX_SITES = 30
-EXGS_AUTO_MAX_SITES = 18
-
-
-def resolve_exact_engine(
-    exact_engine: str | None, parameters: SiDBSimulationParameters
-) -> str:
-    """The exact solver to use: explicit choice, else the parameters'."""
-    resolved = (
-        exact_engine if exact_engine is not None else parameters.exact_engine
-    )
-    if resolved not in EXACT_ENGINES:
-        raise ValueError(
-            f"unknown exact engine {resolved!r}; know {EXACT_ENGINES}"
-        )
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -113,7 +97,6 @@ def simulate_pattern(task: PatternTask) -> PatternResult:
         task.engine,
         task.schedule,
         task.defects,
-        task.exact_engine,
     )
     if result.ground_states:
         occupation = result.occupation()
@@ -156,16 +139,13 @@ def check_operational(
     schedule: SimAnnealParameters | None = None,
     workers: int = 1,
     defects=None,
-    exact_engine: str | None = None,
 ) -> OperationalReport:
     """Simulate a gate design over all input patterns.
 
     ``input_stimuli[i]`` is the pair (sites_for_0, sites_for_1) of input
     ``i`` -- the far/close perturber sets.  ``engine`` selects the ground
-    state finder (see :data:`ENGINES`); with the default ``"auto"`` the
-    exact solver named by ``exact_engine`` (or, when ``None``, by
-    ``parameters.exact_engine`` -- ``"quickexact"`` unless overridden)
-    handles systems up to its ceiling and SimAnneal handles the rest.
+    state finder (see :data:`ENGINES`); with the default ``"auto"``
+    QuickExact handles systems up to its ceiling and SimAnneal the rest.
     ``workers > 1`` fans the per-pattern simulations out over processes;
     results are bit-identical to the serial default.  ``defects``
     optionally lists charged surface defects
@@ -179,7 +159,6 @@ def check_operational(
         raise ValueError("spec arity does not match the number of inputs")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    exact_engine = resolve_exact_engine(exact_engine, parameters)
 
     stimuli_spec = tuple(
         (tuple(sites0), tuple(sites1)) for sites0, sites1 in input_stimuli
@@ -197,7 +176,6 @@ def check_operational(
             engine=engine,
             schedule=schedule,
             defects=tuple(defects) if defects else (),
-            exact_engine=exact_engine,
         )
         for pattern in range(1 << num_inputs)
     ]
@@ -230,21 +208,14 @@ def _ground_state(
     engine: str,
     schedule: SimAnnealParameters | None,
     defects=(),
-    exact_engine: str | None = None,
 ):
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    exact_engine = resolve_exact_engine(exact_engine, parameters)
     model = EnergyModel(layout, parameters, defects) if defects else None
-    if engine == "quickexact":
-        return quickexact_ground_state(layout, parameters, model=model)
     if engine == "exhaustive":
         return exhaustive_ground_state(layout, parameters, model=model)
-    if engine in ("exact", "auto"):
-        if exact_engine == "quickexact":
-            solver, ceiling = quickexact_ground_state, QUICKEXACT_AUTO_MAX_SITES
-        else:
-            solver, ceiling = exhaustive_ground_state, EXGS_AUTO_MAX_SITES
-        if engine == "exact" or len(layout) <= ceiling:
-            return solver(layout, parameters, model=model)
+    if engine == "quickexact" or (
+        engine == "auto" and len(layout) <= QUICKEXACT_AUTO_MAX_SITES
+    ):
+        return quickexact_ground_state(layout, parameters, model=model)
     return SimAnneal(layout, parameters, schedule, model=model).run()

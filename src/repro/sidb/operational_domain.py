@@ -12,6 +12,7 @@ figure of merit.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -90,7 +91,6 @@ def evaluate_domain_point(task: DomainPointTask) -> DomainPoint:
         parameters=task.parameters,
         engine=task.engine,
         schedule=task.schedule,
-        exact_engine=task.exact_engine,
     )
     return DomainPoint(
         x=task.x,
@@ -114,15 +114,12 @@ def compute_operational_domain(
     engine: str = "auto",
     schedule: SimAnnealParameters | None = None,
     workers: int = 1,
-    exact_engine: str | None = None,
 ) -> OperationalDomain:
     """Sweep two physical parameters; returns the operational domain.
 
     ``workers > 1`` distributes the grid points over a process pool;
     each point is an independent simulation, and the returned
     ``DomainPoint`` list is bit-identical to a serial sweep.
-    ``exact_engine`` selects the exact solver at every grid point
-    (defaulting to ``base.exact_engine``, i.e. the pruned QuickExact).
     """
     for parameter in (x_parameter, y_parameter):
         if parameter not in _PARAMETERS:
@@ -143,14 +140,6 @@ def compute_operational_domain(
     tasks = []
     for x in x_values:
         for y in y_values:
-            values = {
-                "mu_minus": base.mu_minus,
-                "epsilon_r": base.epsilon_r,
-                "lambda_tf": base.lambda_tf,
-                "exact_engine": base.exact_engine,
-            }
-            values[x_parameter] = x
-            values[y_parameter] = y
             tasks.append(
                 DomainPointTask(
                     x=x,
@@ -159,10 +148,11 @@ def compute_operational_domain(
                     input_stimuli=stimuli,
                     output_pairs=pairs,
                     outputs=tables,
-                    parameters=SiDBSimulationParameters(**values),
+                    parameters=dataclasses.replace(
+                        base, **{x_parameter: x, y_parameter: y}
+                    ),
                     engine=engine,
                     schedule=schedule,
-                    exact_engine=exact_engine,
                 )
             )
     domain.points.extend(

@@ -3,16 +3,9 @@
 Every ground-state simulation of an operational-domain sweep is
 independent of every other one -- across input patterns and across
 parameter grid points -- so the sweep is embarrassingly parallel.  This
-module provides the plumbing: picklable task records, an ordered
+module provides the plumbing: picklable task records and an ordered
 ``ProcessPoolExecutor`` map that degrades to a plain loop for
-``workers <= 1`` (the default, keeping CI deterministic and fork-free),
-and a process-parallel driver for the annealer itself.
-
-Because the annealer derives per-instance random streams from
-``SeedSequence(seed).spawn(instances)`` (see
-:mod:`repro.sidb.simanneal`), splitting instances across worker
-processes yields *bit-identical* results to a single-process run -- the
-merge in :meth:`SimAnneal.collect_result` is order-invariant.
+``workers <= 1`` (the default, keeping CI deterministic and fork-free).
 """
 
 from __future__ import annotations
@@ -21,7 +14,7 @@ import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro import obs
 from repro.coords.lattice import LatticeSite
@@ -29,7 +22,7 @@ from repro.obs import Span
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
 from repro.sidb.charge import SidbLayout
-from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
+from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
 T = TypeVar("T")
@@ -171,9 +164,6 @@ class PatternTask:
     engine: str
     schedule: SimAnnealParameters | None
     defects: tuple = ()
-    #: Exact solver the engine dispatch should use; ``None`` defers to
-    #: ``parameters.exact_engine``.
-    exact_engine: str | None = None
 
     def build_layout(self) -> SidbLayout:
         """Body plus the pattern's chosen far/close input perturbers."""
@@ -197,65 +187,4 @@ class DomainPointTask:
     parameters: SiDBSimulationParameters
     engine: str
     schedule: SimAnnealParameters | None
-    exact_engine: str | None = None
 
-
-@dataclass(frozen=True)
-class AnnealTask:
-    """A slice of annealing instances for one worker process."""
-
-    sites: tuple[LatticeSite, ...]
-    parameters: SiDBSimulationParameters
-    schedule: SimAnnealParameters
-    instance_indices: tuple[int, ...]
-
-
-def _anneal_worker(task: AnnealTask) -> list[tuple[list[int], float]]:
-    """Run a slice of instances; returns picklable finalists."""
-    engine = SimAnneal(SidbLayout(task.sites), task.parameters, task.schedule)
-    return [
-        (occupation.tolist(), energy)
-        for occupation, energy in engine.run_instances(
-            list(task.instance_indices)
-        )
-    ]
-
-
-def parallel_simanneal(
-    layout: SidbLayout,
-    parameters: SiDBSimulationParameters | None = None,
-    schedule: SimAnnealParameters | None = None,
-    workers: int = 2,
-):
-    """Anneal with the instances split across worker processes.
-
-    Bit-identical to ``SimAnneal(layout, parameters, schedule).run()``
-    thanks to order-independent per-instance seeding.
-    """
-    import numpy as np
-
-    schedule = schedule or SimAnnealParameters()
-    parameters = parameters or SiDBSimulationParameters()
-    workers = min(resolve_workers(workers), max(1, schedule.instances))
-    engine = SimAnneal(layout, parameters, schedule)
-    if workers <= 1 or len(layout) == 0:
-        return engine.run()
-    sites = tuple(layout.sites())
-    slices = [
-        tuple(range(start, schedule.instances, workers))
-        for start in range(workers)
-    ]
-    tasks = [
-        AnnealTask(sites, parameters, schedule, indices)
-        for indices in slices
-        if indices
-    ]
-    finalists = []
-    for batch in run_tasks(
-        _anneal_worker, tasks, workers, label="simanneal.instances"
-    ):
-        finalists.extend(
-            (np.asarray(occupation, dtype=np.int8), energy)
-            for occupation, energy in batch
-        )
-    return engine.collect_result(finalists)

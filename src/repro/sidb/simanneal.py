@@ -15,9 +15,7 @@ Metropolis accept/reject -- in place of SiQAD's per-move loop
 Per-instance random streams are derived with
 ``numpy.random.SeedSequence(seed).spawn(instances)``, so instance *k*'s
 trajectory depends only on ``(seed, k)`` -- never on which other
-instances run in the same process.  That makes results reproducible and
-identical whether the instances run in one batch, in subsets, or split
-across worker processes (:func:`repro.sidb.parallel.parallel_simanneal`).
+instances run beside it -- and every seeded run is reproducible.
 """
 
 from __future__ import annotations
@@ -86,31 +84,19 @@ class SimAnneal:
         self._kernel_passes = 0
 
     # --- public API -------------------------------------------------------
-    def run(self, instance_subset: list[int] | None = None) -> GroundStateResult:
-        """Anneal; returns the best stable configuration(s) found.
+    def run(self) -> GroundStateResult:
+        """Anneal; returns the best stable configuration(s) found."""
+        return self._collect_result(self._run_instances())
 
-        ``instance_subset`` restricts the run to the given instance
-        indices (used by the process-parallel driver); each instance's
-        trajectory is independent of the subset it runs in.
-        """
-        finalists = self.run_instances(instance_subset)
-        return self.collect_result(finalists)
-
-    def run_instances(
-        self, instance_subset: list[int] | None = None
-    ) -> list[tuple[np.ndarray, float]]:
-        """Run annealing instances; returns (occupation, energy) finalists.
+    def _run_instances(self) -> list[tuple[np.ndarray, float]]:
+        """Run all instances; returns (occupation, energy) finalists.
 
         Every finalist is greedy-descended to the bottom of its basin
         and carries an *exactly recomputed* energy (no accumulated
         floating-point drift).
         """
         n = len(self.layout)
-        indices = (
-            list(range(self.schedule.instances))
-            if instance_subset is None
-            else sorted(instance_subset)
-        )
+        indices = list(range(self.schedule.instances))
         if n == 0 or not indices:
             return []
         with obs.span("simanneal.run") as span:
@@ -140,7 +126,7 @@ class SimAnneal:
             span.add("finalists", len(finalists))
         return finalists
 
-    def collect_result(
+    def _collect_result(
         self, finalists: list[tuple[np.ndarray, float]]
     ) -> GroundStateResult:
         """Merge finalists into a result with degenerate-state collection.
@@ -148,8 +134,7 @@ class SimAnneal:
         All distinct metastable configurations within
         :data:`ENERGY_TOLERANCE` of the best energy are reported, so
         degeneracy-agreement checks fire for this engine exactly as they
-        do for the exhaustive one.  Deterministic regardless of the
-        order finalists arrive in (one batch / subsets / process-parallel).
+        do for the exhaustive one.
         """
         n = len(self.layout)
         result = GroundStateResult(self.layout, total_count=1 << n)

@@ -132,20 +132,3 @@ def read_sqd_defects(text: str) -> SurfaceDefects:
             )
         )
     return defects
-
-
-def save_sqd(
-    layout: SidbLayout,
-    path: str,
-    design_name: str = "layout",
-    defects: SurfaceDefects | None = None,
-) -> None:
-    """Write a .sqd file to disk."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(write_sqd(layout, design_name, defects))
-
-
-def load_sqd(path: str) -> SidbLayout:
-    """Read a .sqd file from disk."""
-    with open(path, encoding="utf-8") as handle:
-        return read_sqd(handle.read())

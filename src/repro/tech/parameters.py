@@ -17,39 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Exact ground-state solvers an operational check may select:
-#: ``"quickexact"`` is the pruned search of
-#: :mod:`repro.sidb.quickexact` (default, exact up to 32 sites),
-#: ``"exgs"`` the brute-force enumeration of
-#: :mod:`repro.sidb.exhaustive` (up to 24 sites).
-EXACT_ENGINES = ("quickexact", "exgs")
-
 
 @dataclass(frozen=True)
 class SiDBSimulationParameters:
-    """Physical parameters of the SiDB ground-state model.
-
-    ``exact_engine`` rides along with the physical constants because it
-    determines which arithmetic produces "the" exact ground state in
-    every simulation consuming these parameters -- see
-    :data:`EXACT_ENGINES`.
-    """
+    """Physical parameters of the SiDB ground-state model."""
 
     mu_minus: float = -0.32
     epsilon_r: float = 5.6
     lambda_tf: float = 5.0
-    exact_engine: str = "quickexact"
 
     def __post_init__(self) -> None:
         if self.epsilon_r <= 0:
             raise ValueError("epsilon_r must be positive")
         if self.lambda_tf <= 0:
             raise ValueError("lambda_tf must be positive")
-        if self.exact_engine not in EXACT_ENGINES:
-            raise ValueError(
-                f"unknown exact engine {self.exact_engine!r}; "
-                f"know {EXACT_ENGINES}"
-            )
 
     @classmethod
     def huff_or_gate(cls) -> "SiDBSimulationParameters":

@@ -35,6 +35,15 @@ def test_design_accepts_verilog_text():
     assert result.name == "renamed"
 
 
+def test_design_accepts_path_containing_module(tmp_path):
+    path = tmp_path / "modules" / "xor2.v"
+    path.parent.mkdir()
+    path.write_text(api.benchmark_verilog("xor2"), encoding="utf-8")
+    result = api.design(str(path), verify=False)
+    assert result.name == "xor2"
+    assert result.sqd == api.design("xor2", verify=False).sqd
+
+
 def test_design_rejects_configuration_plus_options():
     config = api.FlowConfiguration()
     with pytest.raises(TypeError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.coords.hexagonal import HexCoord, HexDirection
 from repro.gatelib import BestagonLibrary, TileGeometry, apply_library
+from repro.gatelib.designer import score_design
 from repro.gatelib.designs import builtin_designs, core_parameters
 from repro.gatelib.tile import CANVAS_FIRST_ROW, CANVAS_LAST_ROW, Port
 from repro.layout.gate_layout import (
@@ -15,7 +16,11 @@ from repro.layout.gate_layout import (
     wire_tile,
 )
 from repro.networks.logic_network import GateType
+from repro.learn.collect import bootstrap_problems
 from repro.networks.truth_table import TruthTable
+from repro.sidb.bdl import read_bdl_pair
+from repro.sidb.charge import SidbLayout
+from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import GateFunctionSpec, check_operational
 from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
@@ -221,3 +226,64 @@ class TestPhysicsValidation:
             engine="exhaustive",
         )
         assert report.operational
+
+
+def exgs_score(problem, canvas) -> tuple[int, int]:
+    """Reference canvas score: every ExGS ground state must show the
+    expected outputs and hold every pinned input pair."""
+    total = 1 << len(problem.input_stimuli)
+    correct = 0
+    for pattern in range(total):
+        try:
+            layout = SidbLayout(problem.fixed_sites)
+            layout.extend(sorted(canvas))
+            for bit, (far, close) in enumerate(problem.input_stimuli):
+                layout.extend(close if (pattern >> bit) & 1 else far)
+        except ValueError:
+            return 0, total
+        result = exhaustive_ground_state(layout, problem.parameters)
+        expected = [
+            (pair, table.get_bit(pattern))
+            for pair, table in zip(problem.output_pairs, problem.outputs)
+        ] + [
+            (pair, bool((pattern >> bit) & 1))
+            for pair, bit in problem.input_pairs_to_hold
+        ]
+        if result.ground_states and all(
+            read_bdl_pair(layout, state, pair) == value
+            for state in result.ground_states
+            for pair, value in expected
+        ):
+            correct += 1
+    return correct, total
+
+
+class TestDesignerOracle:
+    """``score_design`` (QuickExact through ``simulate_pattern``) gives
+    the verdicts of the ExGS reference loop."""
+
+    @pytest.mark.parametrize(
+        "bootstrap", bootstrap_problems(), ids=lambda b: b.name
+    )
+    def test_matches_exgs_reference(self, bootstrap):
+        problem = bootstrap.problem
+        canvases = [bootstrap.known_good] + [
+            bootstrap.known_good | {site}
+            for site in problem.candidate_sites[::5][:6]
+        ]
+        for canvas in canvases:
+            assert score_design(problem, canvas) == exgs_score(
+                problem, canvas
+            ), sorted(canvas)
+
+    def test_canvas_on_a_stimulus_site_scores_zero(self):
+        problem = bootstrap_problems()[1].problem
+        close_stimulus = problem.input_stimuli[0][1][0]
+        assert score_design(problem, frozenset({close_stimulus})) == (0, 4)
+
+    def test_above_the_quickexact_ceiling_raises(self):
+        problem = bootstrap_problems()[1].problem
+        canvas = frozenset(problem.candidate_sites[::3][:20])
+        assert len(problem.fixed_sites) + len(canvas) + 2 > 32
+        with pytest.raises(ValueError, match="QuickExact limit"):
+            score_design(problem, canvas)

@@ -15,9 +15,10 @@ from repro import obs
 from repro.defects import DefectType, SidbDefect, SurfaceDefects
 from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
 from repro.networks import benchmark_verilog
-from repro.sidb.bdl import scaling_layout
-from repro.sidb.parallel import parallel_simanneal, run_tasks
-from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
+from repro.gatelib.library import BestagonLibrary
+from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.parallel import run_tasks
+from repro.sidb.simanneal import SimAnnealParameters
 
 
 @pytest.fixture(autouse=True)
@@ -124,16 +125,31 @@ class TestRunTasksCapture:
 
 class TestParallelAnnealTelemetry:
     def test_counter_totals_match_serial_exactly(self):
-        layout = scaling_layout(14)
+        design = BestagonLibrary().design("or_SE")
+        kwargs = dict(
+            body_sites=list(design.sites) + list(design.output_perturbers),
+            input_stimuli=[
+                (list(far), list(close))
+                for far, close in design.input_stimuli
+            ],
+            output_pairs=list(design.output_pairs),
+            spec=GateFunctionSpec(design.functions),
+            engine="simanneal",
+            schedule=SCHEDULE,
+        )
         obs.enable()
         with obs.span("serial") as serial_root:
-            serial_result = SimAnneal(layout, schedule=SCHEDULE).run()
+            serial = check_operational(**kwargs)
         with obs.span("parallel") as parallel_root:
-            parallel_result = parallel_simanneal(
-                layout, schedule=SCHEDULE, workers=4
-            )
-        assert parallel_result.ground_energy == serial_result.ground_energy
-        assert parallel_result.degeneracy == serial_result.degeneracy
+            parallel = check_operational(**kwargs, workers=2)
+        assert [
+            (p.pattern, p.observed, p.correct, p.ground_energy)
+            for p in parallel.patterns
+        ] == [
+            (p.pattern, p.observed, p.correct, p.ground_energy)
+            for p in serial.patterns
+        ]
+        assert serial_root.total("sweeps") == 4 * 16 * 100
         for key in COUNTER_KEYS:
             assert parallel_root.total(key) == serial_root.total(key), key
         serial_energy = serial_root.histogram_total("simanneal.energy")

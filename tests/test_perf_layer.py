@@ -21,24 +21,13 @@ from repro.sidb.energy import (
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import GateFunctionSpec, check_operational
 from repro.sidb.operational_domain import compute_operational_domain
-from repro.sidb.parallel import parallel_simanneal, resolve_workers, run_tasks
+from repro.sidb.parallel import resolve_workers, run_tasks
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
 
 SCHEDULE = SimAnnealParameters(instances=16, sweeps=100, seed=1)
-
-
-def _results_equal(first, second) -> bool:
-    return (
-        first.ground_energy == second.ground_energy
-        and len(first.ground_states) == len(second.ground_states)
-        and all(
-            (a == b).all()
-            for a, b in zip(first.ground_states, second.ground_states)
-        )
-    )
 
 
 class TestBatchAnnealer:
@@ -76,28 +65,6 @@ class TestBatchAnnealer:
 
 
 class TestOrderIndependentSeeding:
-    def test_instance_subsets_merge_to_full_run(self):
-        layout = scaling_layout(14)
-        engine = SimAnneal(layout, schedule=SCHEDULE)
-        full = engine.run()
-        finalists = []
-        for subset in ([4, 9, 14], [0, 1, 2, 3], [5, 6, 7, 8],
-                       [10, 11, 12, 13, 15]):
-            finalists.extend(SimAnneal(
-                layout, schedule=SCHEDULE
-            ).run_instances(subset))
-        merged = engine.collect_result(finalists)
-        assert _results_equal(full, merged)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_simanneal_identical(self, workers):
-        layout = scaling_layout(14)
-        single = SimAnneal(layout, schedule=SCHEDULE).run()
-        split = parallel_simanneal(
-            layout, schedule=SCHEDULE, workers=workers
-        )
-        assert _results_equal(single, split)
-
     def test_seeds_depend_only_on_seed_and_index(self):
         layout = scaling_layout(6)
         engine = SimAnneal(layout, schedule=SCHEDULE)

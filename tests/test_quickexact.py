@@ -28,11 +28,11 @@ from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import EnergyModel
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import (
-    EXGS_AUTO_MAX_SITES,
+    ENGINES,
     QUICKEXACT_AUTO_MAX_SITES,
+    GateFunctionSpec,
     _ground_state,
     check_operational,
-    resolve_exact_engine,
 )
 from repro.sidb.quickexact import (
     MAX_QUICKEXACT_SITES,
@@ -40,7 +40,7 @@ from repro.sidb.quickexact import (
     quickexact_ground_state,
 )
 from repro.sidb.stability import is_metastable
-from repro.tech.parameters import EXACT_ENGINES, SiDBSimulationParameters
+from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
 P32 = SiDBSimulationParameters(mu_minus=-0.32)
@@ -239,55 +239,32 @@ class TestScalingAndStatistics:
 
 
 class TestEngineSelection:
-    def test_parameters_validate_exact_engine(self):
-        assert SiDBSimulationParameters().exact_engine == "quickexact"
-        assert set(EXACT_ENGINES) == {"quickexact", "exgs"}
-        with pytest.raises(ValueError, match="exact engine"):
-            SiDBSimulationParameters(exact_engine="simanneal")
-
-    def test_resolution_order(self):
-        exgs_params = SiDBSimulationParameters(exact_engine="exgs")
-        assert resolve_exact_engine(None, exgs_params) == "exgs"
-        assert resolve_exact_engine("quickexact", exgs_params) == "quickexact"
-        with pytest.raises(ValueError, match="exact engine"):
-            resolve_exact_engine("bogus", exgs_params)
-
     def test_auto_uses_quickexact_up_to_30_sites(self):
+        assert ENGINES == ("auto", "quickexact", "exhaustive", "simanneal")
         layout = scaling_layout(QUICKEXACT_AUTO_MAX_SITES)
         result = _ground_state(layout, P32, "auto", None)
         assert isinstance(result.stats, QuickExactStatistics)
-
-    def test_auto_with_exgs_keeps_the_legacy_ceiling(self):
-        params = SiDBSimulationParameters(exact_engine="exgs")
-        small = scaling_layout(EXGS_AUTO_MAX_SITES)
-        result = _ground_state(small, params, "auto", None)
-        assert result.stats is None  # exhaustive, not quickexact
-        assert result.total_count == 1 << EXGS_AUTO_MAX_SITES
-        # One past the exgs ceiling falls back to SimAnneal (which only
-        # ever counts the distinct ground states it reports)...
-        larger = scaling_layout(EXGS_AUTO_MAX_SITES + 2)
-        annealed = _ground_state(larger, params, "auto", None)
+        # Two sites past the ceiling SimAnneal takes over (it reports
+        # no search statistics and counts only the states it returns).
+        larger = scaling_layout(QUICKEXACT_AUTO_MAX_SITES + 2)
+        annealed = _ground_state(larger, P32, "auto", None)
         assert annealed.stats is None
         assert annealed.valid_count == annealed.degeneracy
-        # ...while the default quickexact still solves it exactly.
-        exact = _ground_state(larger, P32, "auto", None)
-        assert isinstance(exact.stats, QuickExactStatistics)
 
     def test_explicit_engine_values(self):
         layout = scaling_layout(12)
         quick = _ground_state(layout, P32, "quickexact", None)
         brute = _ground_state(layout, P32, "exhaustive", None)
-        exact = _ground_state(layout, P32, "exact", None)
+        assert isinstance(quick.stats, QuickExactStatistics)
+        assert brute.stats is None
         assert quick.ground_energy == brute.ground_energy
-        assert exact.ground_energy == brute.ground_energy
-        with pytest.raises(ValueError, match="unknown engine"):
-            _ground_state(layout, P32, "bogus", None)
+        for engine in ("exact", "bogus"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                _ground_state(layout, P32, engine, None)
 
-    def test_check_operational_accepts_exact_engine(self):
+    def test_check_operational_exhaustive_matches_default(self):
         library = BestagonLibrary()
         design = library.design("wire_NW_SE")
-        from repro.sidb.operational import GateFunctionSpec
-
         kwargs = dict(
             body_sites=list(design.sites) + list(design.output_perturbers),
             input_stimuli=[
@@ -299,13 +276,16 @@ class TestEngineSelection:
             parameters=P32,
         )
         default = check_operational(**kwargs)
-        forced = check_operational(**kwargs, exact_engine="exgs")
-        assert default.operational == forced.operational
-        assert [p.ground_energy for p in default.patterns] == [
-            p.ground_energy for p in forced.patterns
+        reference = check_operational(**kwargs, engine="exhaustive")
+        assert default.operational == reference.operational
+        assert [
+            (p.observed, p.correct, p.ground_energy) for p in default.patterns
+        ] == [
+            (p.observed, p.correct, p.ground_energy)
+            for p in reference.patterns
         ]
-        with pytest.raises(ValueError, match="exact engine"):
-            check_operational(**kwargs, exact_engine="bogus")
+        with pytest.raises(ValueError, match="unknown engine"):
+            check_operational(**kwargs, engine="exact")
 
 
 # --- pinned searches ---------------------------------------------------------

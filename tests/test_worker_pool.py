@@ -39,7 +39,7 @@ def _wait_running(scheduler, job, timeout=60.0):
 
 def _post_job(url, specification, name, timeout=60):
     request = urllib.request.Request(
-        f"{url}/jobs",
+        f"{url}/v1/jobs",
         data=json.dumps(
             {"specification": specification, "name": name}
         ).encode("utf-8"),
@@ -307,13 +307,13 @@ def test_http_evicted_job_gets_distinct_404(tmp_path):
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(
-                f"{service.url}/jobs/{first}", timeout=30
+                f"{service.url}/v1/jobs/{first}", timeout=30
             )
         assert excinfo.value.code == 404
         assert "evicted" in json.loads(excinfo.value.read())["error"]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(
-                f"{service.url}/jobs/j-never-existed", timeout=30
+                f"{service.url}/v1/jobs/j-never-existed", timeout=30
             )
         assert excinfo.value.code == 404
         assert "evicted" not in json.loads(excinfo.value.read())["error"]
