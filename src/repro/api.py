@@ -21,18 +21,14 @@ import os
 import sys
 
 from repro import package_version
-from repro.coords.hexagonal import HexCoord
 from repro.coords.lattice import LatticeSite
 from repro.defects import (
-    DefectAwareReport,
     DefectType,
     SidbDefect,
     SurfaceDefects,
-    blocked_tiles,
     recheck_layout_against_defects,
 )
 from repro.flow.design_flow import (
-    FLOW_STEP_SPANS,
     DesignResult,
     Engine,
     FlowConfiguration,
@@ -40,7 +36,6 @@ from repro.flow.design_flow import (
 )
 from repro.flow.reporting import (
     REPORT_SCHEMA_VERSION,
-    TABLE1_REFERENCE,
     format_table1_row,
     render_summary,
     trace_json,
@@ -71,7 +66,7 @@ from repro.learn import (
     train_surrogate,
 )
 from repro.layout.clocking import SCHEMES as _CLOCKING_SCHEME_REGISTRY
-from repro.layout.clocking import ClockingScheme, scheme_by_name
+from repro.layout.clocking import scheme_by_name
 from repro.gatelib.designs import core_parameters
 from repro.gatelib.library import GATE_LIBRARY_VERSION, BestagonLibrary
 from repro.layout.render import layout_to_ascii, layout_to_svg
@@ -79,81 +74,45 @@ from repro.networks import (
     BENCHMARK_NAMES,
     TruthTable,
     Xag,
-    benchmark_network,
     benchmark_verilog,
 )
 from repro.obs import (
-    Histogram,
     LineProgressReporter,
-    ProgressReporter,
-    Span,
     progress_scope,
-    set_progress,
     to_chrome_trace,
     to_prometheus,
     trace_from_json,
 )
 from repro.obs.log import LEVELS as LOG_LEVELS
-from repro.obs.log import (
-    LOG_SCHEMA_VERSION,
-    Logger,
-    get_logger,
-)
+from repro.obs.log import LOG_SCHEMA_VERSION, get_logger
 from repro.obs.log import bind as log_bind
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import shutdown as shutdown_logging
 from repro.obs.tracing import (
-    TraceContext,
     continue_trace,
     new_trace_context,
     parse_traceparent,
 )
+from repro.physical_design import PhysicalDesignError
 from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.clocked import ClockedWire
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import GateFunctionSpec, check_operational
-from repro.sidb.quickexact import (
-    QuickExactStatistics,
-    quickexact_ground_state,
-)
+from repro.sidb.quickexact import quickexact_ground_state
 from repro.service import (
     ArtifactStore,
     DesignService,
-    JobScheduler,
-    QueueFullError,
     UncacheableConfigurationError,
-    default_store_root,
-    design_digest,
 )
 from repro.service.scheduler import JOB_SCHEMA_VERSION
-from repro.timing import (
-    ClockingExploration,
-    ClockingPoint,
-    PhaseDelayModel,
-    TimingReport,
-    analyze_timing,
-    explore_clocking,
-    pareto_front,
-)
+from repro.timing import TimingReport, analyze_timing, explore_clocking
 from repro.timing.sta import TIMING_SCHEMA_VERSION
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
-from repro.sqd.sqd import (
-    SQD_WRITER_VERSION,
-    read_sqd,
-    read_sqd_defects,
-    write_sqd,
-)
+from repro.sqd.sqd import SQD_WRITER_VERSION
 from repro.synthesis.database import NpnDatabase
-from repro.tech.constants import (
-    MIN_DEFECT_SEPARATION_NM,
-    MIN_METAL_PITCH_NM,
-)
+from repro.tech.constants import MIN_METAL_PITCH_NM
 from repro.tech.parameters import SiDBSimulationParameters
-from repro.verification.equivalence import (
-    EquivalenceResult,
-    check_layout_against_network,
-)
 
 #: Names of the registered clocking schemes; each resolves through
 #: :func:`scheme_by_name` and is accepted by ``FlowConfiguration(
@@ -164,53 +123,36 @@ __all__ = [
     # The one-call flow.
     "design",
     "load_specification",
-    "design_sidb_circuit",
     "DesignResult",
     "FlowConfiguration",
     "Engine",
-    "FLOW_STEP_SPANS",
+    "PhysicalDesignError",
     # Surface defects.
     "DefectType",
     "SidbDefect",
     "SurfaceDefects",
-    "DefectAwareReport",
-    "blocked_tiles",
     "recheck_layout_against_defects",
-    "MIN_DEFECT_SEPARATION_NM",
     # Benchmarks + reporting.
     "BENCHMARK_NAMES",
-    "benchmark_network",
-    "benchmark_verilog",
     "format_table1_row",
-    "TABLE1_REFERENCE",
     "render_summary",
     "REPORT_SCHEMA_VERSION",
     "trace_json",
     "trace_report",
     # Static timing analysis + clocking exploration.
     "TimingReport",
-    "PhaseDelayModel",
     "analyze_timing",
     "TIMING_SCHEMA_VERSION",
-    "ClockingExploration",
-    "ClockingPoint",
     "explore_clocking",
-    "pareto_front",
-    "ClockingScheme",
     "CLOCKING_SCHEMES",
     "scheme_by_name",
-    # Telemetry: traces, exporters, live progress.
-    "Span",
-    "Histogram",
-    "ProgressReporter",
+    # Telemetry: trace exporters, live progress.
     "LineProgressReporter",
     "progress_scope",
-    "set_progress",
     "to_chrome_trace",
     "to_prometheus",
     "trace_from_json",
     # Distributed tracing (W3C trace context).
-    "TraceContext",
     "new_trace_context",
     "parse_traceparent",
     "continue_trace",
@@ -218,18 +160,15 @@ __all__ = [
     "configure_logging",
     "shutdown_logging",
     "get_logger",
-    "Logger",
     "log_bind",
     "LOG_LEVELS",
     "LOG_SCHEMA_VERSION",
-    # Rendering + design files.
+    # Rendering.
     "layout_to_ascii",
     "layout_to_svg",
-    "write_sqd",
-    "read_sqd",
-    "read_sqd_defects",
     # Gate library + designer toolkit.
     "BestagonLibrary",
+    "NpnDatabase",
     "CanvasSearchProblem",
     "search_canvas_design",
     "screen_canvas_candidates",
@@ -261,28 +200,19 @@ __all__ = [
     "SimAnnealParameters",
     "exhaustive_ground_state",
     "quickexact_ground_state",
-    "QuickExactStatistics",
     "BdlPair",
     "read_bdl_pair",
     "ClockedWire",
     "MIN_METAL_PITCH_NM",
     # Coordinates + specifications.
-    "HexCoord",
     "LatticeSite",
     "TruthTable",
     "Xag",
-    # Verification.
-    "EquivalenceResult",
-    "check_layout_against_network",
-    # Design service: artifact cache, job scheduler, HTTP front end.
+    # Design service: artifact cache, HTTP front end.
     "ArtifactStore",
-    "JobScheduler",
     "DesignService",
     "JOB_SCHEMA_VERSION",
-    "QueueFullError",
     "UncacheableConfigurationError",
-    "design_digest",
-    "default_store_root",
     "package_version",
     "GATE_LIBRARY_VERSION",
     "SQD_WRITER_VERSION",

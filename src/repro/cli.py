@@ -33,12 +33,17 @@ parallelizable steps out over processes.
 JSON HTTP API, versioned under ``/v1``); ``submit`` and ``jobs`` are
 its thin clients.  ``synth --cache [DIR]`` serves repeat runs from the
 artifact store directly, no server needed.  Ctrl-C anywhere exits with
-status 130 and a one-line message, never a traceback.
+status 130 and a one-line message, never a traceback.  A failed
+placement exits with status 1 and prints what its search proved: the
+message, one line per candidate floor plan and, with ``--trace``, the
+partial trace of the steps that ran.
 
 The flow subcommands share their common options through parent parsers
 (:func:`_trace_options`, :func:`_engine_options`), so ``--trace`` and
 the engine knobs spell and behave identically everywhere.  Everything
-the CLI touches comes from the stable :mod:`repro.api` facade.
+the CLI touches comes from the stable :mod:`repro.api` facade, except
+:func:`repro.obs.render_tree`, which renders a failed run's partial
+trace.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import time
 import urllib.error
 import urllib.request
 
-from repro import api
+from repro import api, obs
 from repro.service.http import DEFAULT_PORT as _DEFAULT_PORT
 
 _DEFAULT_URL = f"http://127.0.0.1:{_DEFAULT_PORT}"
@@ -116,6 +121,22 @@ def _report_trace(args: argparse.Namespace, result: api.DesignResult) -> None:
         print(f"wrote {args.trace_json}")
 
 
+def _report_failure(
+    args: argparse.Namespace, error: api.PhysicalDesignError
+) -> None:
+    """What a failed placement proved, instead of a traceback."""
+    print(f"physical design failed: {error}", file=sys.stderr)
+    for attempt in error.attempts:
+        print(
+            f"  {attempt.width}x{attempt.height}  {attempt.outcome:10s} "
+            f"{attempt.sat_conflicts} conflicts",
+            file=sys.stderr,
+        )
+    if getattr(args, "trace", False) and error.trace is not None:
+        print("partial trace up to the failure:")
+        print(obs.render_tree(error.trace))
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     verilog, name = _load_specification(args.spec)
     result = _design(args, verilog, name, _configuration(args))
@@ -141,6 +162,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(f"wrote {args.svg}")
     ok = result.equivalence and result.equivalence.equivalent
     if result.defect_report is not None and not result.defect_report.operational:
+        ok = False
+    if result.drc_violations:
         ok = False
     return 0 if ok else 1
 
@@ -170,13 +193,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_timing_report(args: argparse.Namespace) -> int:
     verilog, name = _load_specification(args.spec)
-    config = _configuration(args)
-    result = _design(args, verilog, name, config)
+    result = _design(args, verilog, name, _configuration(args))
     report = result.timing
-    if report is None:
-        report = api.analyze_timing(
-            result.layout, config.clocking, name=name
-        )
     if args.json:
         print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
         return 0
@@ -665,11 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"repro {api.package_version()}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    trace_options = _trace_options()
-    engine_options = _engine_options()
-
+    # Each subcommand gets fresh parent parsers: argparse shares a
+    # parent's actions, so one command's set_defaults would otherwise
+    # change the defaults of every other command.
     synth = sub.add_parser("synth", help="run the 8-step flow",
-                           parents=[engine_options, trace_options])
+                           parents=[_engine_options(), _trace_options()])
     synth.add_argument("spec", help="Verilog file or benchmark name")
     synth.add_argument("-o", "--output", help="write .sqd design file")
     synth.add_argument("--svg", help="write SVG rendering")
@@ -691,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     timing_report = timing_sub.add_parser(
         "report",
         help="design one circuit and report its timing",
-        parents=[engine_options, trace_options],
+        parents=[_engine_options(), _trace_options()],
         description="Run the flow with static timing analysis enabled "
                     "and print latency (clock phases and ns), "
                     "throughput, worst slack, and the critical path "
@@ -722,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     timing_sweep.set_defaults(handler=cmd_timing_sweep)
 
     bench = sub.add_parser("bench", help="Table-1 style rows",
-                           parents=[engine_options, trace_options])
+                           parents=[_engine_options(), _trace_options()])
     bench.add_argument("names", nargs="*",
                        type=_benchmark_name,
                        metavar="name",
@@ -731,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(conflict_limit=150_000, handler=cmd_bench)
 
     validate = sub.add_parser("validate", help="physics-check library tiles",
-                              parents=[trace_options])
+                              parents=[_trace_options()])
     validate.add_argument("names", nargs="*")
     validate.set_defaults(handler=cmd_validate)
 
@@ -882,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit = sub.add_parser(
         "submit", help="submit a design job to a running service",
-        parents=[engine_options],
+        parents=[_engine_options()],
     )
     submit.add_argument("spec", help="Verilog file or benchmark name")
     submit.add_argument("--url", default=_DEFAULT_URL,
@@ -911,6 +929,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except api.PhysicalDesignError as error:
+        _report_failure(args, error)
+        return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

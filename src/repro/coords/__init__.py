@@ -1,11 +1,9 @@
 """Coordinate systems for SiDB design automation.
 
-Three coordinate families are used throughout the framework:
+Two coordinate families are used throughout the framework:
 
 * :mod:`repro.coords.hexagonal` -- pointy-top hexagonal tile coordinates in
   odd-row offset form, the floor-plan topology proposed by the paper.
-* :mod:`repro.coords.cartesian` -- square tile coordinates, used for the
-  Cartesian-vs-hexagonal topology study (Figure 3).
 * :mod:`repro.coords.lattice` -- H-Si(100)-2x1 surface lattice sites, the
   dot-accurate physical coordinates of individual SiDBs.
 """
@@ -15,23 +13,18 @@ from repro.coords.hexagonal import (
     HexDirection,
     axial_to_offset,
     cube_distance,
-    cube_round,
     offset_to_axial,
     offset_to_cube,
 )
-from repro.coords.cartesian import CartesianCoord, CartesianDirection
 from repro.coords.lattice import LatticeSite, SurfaceLattice
 
 __all__ = [
     "HexCoord",
     "HexDirection",
-    "CartesianCoord",
-    "CartesianDirection",
     "LatticeSite",
     "SurfaceLattice",
     "axial_to_offset",
     "cube_distance",
-    "cube_round",
     "offset_to_axial",
     "offset_to_cube",
 ]

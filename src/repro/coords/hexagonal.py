@@ -106,20 +106,6 @@ class HexCoord:
                 return direction
         return None
 
-    def incoming_neighbors(self) -> list["HexCoord"]:
-        """Tiles that may drive this tile (NW and NE neighbors)."""
-        return [
-            self.neighbor(HexDirection.NORTH_WEST),
-            self.neighbor(HexDirection.NORTH_EAST),
-        ]
-
-    def outgoing_neighbors(self) -> list["HexCoord"]:
-        """Tiles this tile may drive (SW and SE neighbors)."""
-        return [
-            self.neighbor(HexDirection.SOUTH_WEST),
-            self.neighbor(HexDirection.SOUTH_EAST),
-        ]
-
     def distance(self, other: "HexCoord") -> int:
         """Hex-grid (cube) distance between two tiles."""
         return cube_distance(offset_to_cube(self), offset_to_cube(other))
@@ -160,15 +146,3 @@ def cube_distance(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
     """Distance between two cube coordinates."""
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))
 
-
-def cube_round(x: float, y: float, z: float) -> tuple[int, int, int]:
-    """Round fractional cube coordinates to the nearest hex."""
-    rx, ry, rz = round(x), round(y), round(z)
-    dx, dy, dz = abs(rx - x), abs(ry - y), abs(rz - z)
-    if dx > dy and dx > dz:
-        rx = -ry - rz
-    elif dy > dz:
-        ry = -rx - rz
-    else:
-        rz = -rx - ry
-    return int(rx), int(ry), int(rz)

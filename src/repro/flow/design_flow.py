@@ -339,7 +339,12 @@ def design_sidb_circuit(
 
         # Step 4: physical design.
         with obs.span("flow.place_route") as span:
-            layout, engine_used = _place_and_route(mapped, config)
+            try:
+                layout, engine_used = _place_and_route(mapped, config)
+            except PhysicalDesignError as error:
+                # The capture finishes its root span as the error leaves.
+                error.trace = captured.span
+                raise
             span.set("engine", engine_used)
             span.set("width", layout.width)
             span.set("height", layout.height)

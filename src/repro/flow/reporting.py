@@ -33,7 +33,8 @@ def render_summary(report: dict) -> str:
     """The one-line human summary of a structured result document.
 
     This is the single source of the ``DesignResult.summary()`` text;
-    the base line is byte-identical to the pre-report format, and the
+    the base line is byte-identical to the pre-report format, the DRC
+    suffix only appears when the layout violates a design rule, and the
     defect / timing suffixes only appear when those sections exist.
     """
     equivalence = report.get("equivalence")
@@ -46,6 +47,9 @@ def render_summary(report: dict) -> str:
         f"{verified} ({report['engine']}, "
         f"{report['runtime_seconds']:.2f} s)"
     )
+    violations = report.get("drc_violations")
+    if violations:
+        text += f", DRC: {violations} violations"
     defects = report.get("defects")
     if defects is not None:
         state = "ok" if defects["operational"] else "FAILING"

@@ -91,9 +91,6 @@ class TileGeometry:
         port_row = 0 if port in (Port.NW, Port.NE) else self.height_rows - 1
         return column + PORT_COLUMNS[port], row + port_row
 
-    def canvas_height_nm(self) -> float:
-        return (CANVAS_LAST_ROW - CANVAS_FIRST_ROW) * BOUNDING_BOX_PITCH_NM
-
     def canvas_separation_nm(self) -> float:
         """Vertical distance between canvases of vertically adjacent tiles."""
         rows_between = (self.height_rows - CANVAS_LAST_ROW) + CANVAS_FIRST_ROW

@@ -45,20 +45,6 @@ class ClockingScheme:
         """
         return self.zone_of(target) == (self.zone_of(source) + 1) % self.num_phases
 
-    def phase_increment(self, source: HexCoord, target: HexCoord) -> int:
-        """Clock phases a signal spends on the ``source`` -> ``target`` hop.
-
-        A perfectly pipelined hop (the :meth:`is_valid_hop` case) costs
-        one phase.  A hop whose target is clocked ``d`` phases ahead
-        costs ``d`` phases -- the signal waits in the source zone until
-        the target activates.  A same-zone hop costs a full wave of
-        ``num_phases`` phases (the zone must cycle all the way around
-        before it can latch new data), which also makes the degenerate
-        single-phase "open" scheme tick one phase per hop.
-        """
-        delta = (self.zone_of(target) - self.zone_of(source)) % self.num_phases
-        return delta if delta else self.num_phases
-
 
 def columnar_rows() -> ClockingScheme:
     """Row-based Columnar: tile (x, y) in zone ``y mod 4``; flow top->bottom.

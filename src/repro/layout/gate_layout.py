@@ -148,14 +148,6 @@ class GateLevelLayout:
         """Layout area in tiles (the ``A`` column of Table 1)."""
         return self.width * self.height
 
-    def bounding_box(self) -> tuple[int, int]:
-        """(width, height) of the occupied bounding box in tiles."""
-        if not self._tiles:
-            return 0, 0
-        xs = [c.x for c in self._tiles]
-        ys = [c.y for c in self._tiles]
-        return max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
-
     def area_nm2(self) -> float:
         """Physical bounding-box area per the paper's Table-1 model."""
         return layout_area_nm2(self.width, self.height)

@@ -1,7 +1,7 @@
 """Logic network substrate (mockturtle substitute).
 
 Provides truth tables, XOR-AND-inverter graphs (XAGs) with structural
-hashing, generic technology netlists, simulation, file-format I/O and the
+hashing, generic technology netlists, simulation, Verilog I/O and the
 built-in benchmark suite used by the paper's evaluation.
 """
 

@@ -14,7 +14,6 @@ from repro.networks.xag import (
     Signal,
     Xag,
     XagNodeKind,
-    is_complemented,
     signal_node,
 )
 
@@ -72,10 +71,6 @@ class Aig:
 
     def evaluate(self, inputs: list[bool]) -> list[bool]:
         return self._xag.evaluate(inputs)
-
-    def as_xag(self) -> Xag:
-        """View the AIG as an XAG (every AIG is a valid XAG)."""
-        return self._xag
 
     def __repr__(self) -> str:
         return (

@@ -38,10 +38,6 @@ class GateType(enum.Enum):
         """Number of fanins the type requires."""
         return _ARITY[self]
 
-    @property
-    def is_two_input(self) -> bool:
-        return self.arity == 2
-
     def evaluate(self, inputs: list[bool]) -> bool:
         """Boolean semantics of the gate type."""
         if len(inputs) != self.arity:
@@ -186,9 +182,6 @@ class LogicNetwork:
             for fanin in self._nodes[node].fanins:
                 result[fanin].append(node)
         return result
-
-    def fanout_degree(self, node: int) -> int:
-        return len(self.fanouts()[node])
 
     # --- invariants -----------------------------------------------------
     def check_fanout_discipline(self) -> list[str]:

@@ -187,10 +187,6 @@ class Xag:
     def pi_name(self, node: int) -> str | None:
         return self._nodes[node].name
 
-    def pi_index(self, node: int) -> int:
-        """Position of a PI node in the PI list."""
-        return self._pis.index(node)
-
     def kind(self, node: int) -> XagNodeKind:
         return self._nodes[node].kind
 

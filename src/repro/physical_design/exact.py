@@ -54,6 +54,8 @@ class PhysicalDesignError(RuntimeError):
     Raised by :meth:`ExactPhysicalDesign.run` after candidates were
     tried, it carries their records in ``attempts``, and its message
     names what they proved and the area lower bound that follows.
+    A failed flow run sets ``trace`` to its partial trace, the root
+    span of the steps that ran up to the failure.
     """
 
     def __init__(
@@ -61,6 +63,7 @@ class PhysicalDesignError(RuntimeError):
     ) -> None:
         super().__init__(message)
         self.attempts = list(attempts)
+        self.trace: obs.Span | None = None
 
 
 class PhysicalDesignTimeoutError(PhysicalDesignError):

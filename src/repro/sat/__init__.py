@@ -5,8 +5,8 @@ physical design (flow step 4), SAT-based equivalence checking (step 5) and
 the exact-synthesis NPN database behind cut rewriting (step 2).  Since no
 external solver is available in this environment, this package provides a
 self-contained CDCL solver with watched literals, VSIDS branching, first-UIP
-clause learning, phase saving and Luby restarts, plus the usual encoding
-helpers (Tseitin, at-most-one, sequential cardinality).
+clause learning, phase saving and Luby restarts, plus the encoding helpers
+the flow uses (Tseitin gates, at-least-one, at-most-one, exactly-one).
 """
 
 from repro.sat.cnf import Cnf
@@ -14,13 +14,11 @@ from repro.sat.solver import Solver, SolverResult
 from repro.sat.encodings import (
     at_least_one,
     at_most_one,
-    at_most_k,
     exactly_one,
     tseitin_and,
     tseitin_or,
     tseitin_xor,
 )
-from repro.sat.dimacs import parse_dimacs, write_dimacs
 
 __all__ = [
     "Cnf",
@@ -28,11 +26,8 @@ __all__ = [
     "SolverResult",
     "at_least_one",
     "at_most_one",
-    "at_most_k",
     "exactly_one",
     "tseitin_and",
     "tseitin_or",
     "tseitin_xor",
-    "parse_dimacs",
-    "write_dimacs",
 ]

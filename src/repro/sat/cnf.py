@@ -34,10 +34,6 @@ class Cnf:
             self.num_vars = max(self.num_vars, abs(literal))
         self.clauses.append(clause)
 
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        for clause in clauses:
-            self.add_clause(clause)
-
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)

@@ -1,8 +1,7 @@
 """Standard CNF encoding gadgets.
 
 Tseitin gate encodings plus the cardinality constraints used by the exact
-physical design encoding (at-most-one tile occupancy, sequential-counter
-at-most-k).
+physical design encoding (at-most-one tile occupancy).
 """
 
 from __future__ import annotations
@@ -41,14 +40,6 @@ def tseitin_equal(cnf: Cnf, a: int, b: int) -> None:
     cnf.add_clause([a, -b])
 
 
-def tseitin_ite(cnf: Cnf, output: int, cond: int, then: int, other: int) -> None:
-    """output <-> (cond ? then : other)."""
-    cnf.add_clause([-output, -cond, then])
-    cnf.add_clause([-output, cond, other])
-    cnf.add_clause([output, -cond, -then])
-    cnf.add_clause([output, cond, -other])
-
-
 # --- cardinality constraints -------------------------------------------------
 def at_least_one(cnf: Cnf, literals: Sequence[int]) -> None:
     """At least one of the literals is true."""
@@ -85,32 +76,3 @@ def exactly_one(cnf: Cnf, literals: Sequence[int]) -> None:
     at_least_one(cnf, literals)
     at_most_one(cnf, literals)
 
-
-def at_most_k(cnf: Cnf, literals: Sequence[int], k: int) -> None:
-    """Sequential-counter encoding of sum(literals) <= k."""
-    literals = list(literals)
-    n = len(literals)
-    if k < 0:
-        cnf.add_clause([])  # unsatisfiable
-        return
-    if k == 0:
-        for literal in literals:
-            cnf.add_clause([-literal])
-        return
-    if n <= k:
-        return
-    if k == 1:
-        at_most_one(cnf, literals)
-        return
-    # registers[i][j] == "at least j+1 of the first i+1 literals are true".
-    registers = [[cnf.new_var() for _ in range(k)] for _ in range(n)]
-    cnf.add_clause([-literals[0], registers[0][0]])
-    for j in range(1, k):
-        cnf.add_clause([-registers[0][j]])
-    for i in range(1, n):
-        cnf.add_clause([-literals[i], registers[i][0]])
-        cnf.add_clause([-registers[i - 1][0], registers[i][0]])
-        for j in range(1, k):
-            cnf.add_clause([-literals[i], -registers[i - 1][j - 1], registers[i][j]])
-            cnf.add_clause([-registers[i - 1][j], registers[i][j]])
-        cnf.add_clause([-literals[i], -registers[i - 1][k - 1]])

@@ -12,7 +12,7 @@ the reference both are tested against.  :mod:`repro.sidb.operational`
 alone decides which engine simulates a given system.
 """
 
-from repro.sidb.charge import ChargeState, SidbLayout
+from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import (
     EnergyModel,
     GeometryCache,
@@ -36,7 +36,7 @@ from repro.sidb.parallel import (
     run_tasks,
     workers_from_env,
 )
-from repro.sidb.bdl import BdlPair, detect_bdl_pairs, read_bdl_pair
+from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.operational import (
     GateFunctionSpec,
     OperationalReport,
@@ -45,11 +45,9 @@ from repro.sidb.operational import (
 from repro.sidb.operational_domain import (
     OperationalDomain,
     compute_operational_domain,
-    design_operational_domain,
 )
 
 __all__ = [
-    "ChargeState",
     "SidbLayout",
     "EnergyModel",
     "GeometryCache",
@@ -69,12 +67,10 @@ __all__ = [
     "run_tasks",
     "workers_from_env",
     "BdlPair",
-    "detect_bdl_pairs",
     "read_bdl_pair",
     "GateFunctionSpec",
     "OperationalReport",
     "check_operational",
     "OperationalDomain",
     "compute_operational_domain",
-    "design_operational_domain",
 ]

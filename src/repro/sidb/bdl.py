@@ -1,4 +1,4 @@
-"""Binary-dot logic (BDL) pairs: detection and readout.
+"""Binary-dot logic (BDL) pairs and their readout.
 
 BDL encodes one bit in a *pair* of SiDBs sharing a single excess
 electron (Figure 1a): the dot the electron localizes on determines the
@@ -48,34 +48,6 @@ def read_bdl_pair(
     if charge0 + charge1 != 1:
         return None
     return bool(charge1)
-
-
-def detect_bdl_pairs(
-    layout: SidbLayout, max_separation_nm: float = 1.0
-) -> list[tuple[LatticeSite, LatticeSite]]:
-    """Greedy proximity pairing of a layout's sites into BDL pairs.
-
-    Sites are matched to their nearest unpaired neighbor within the
-    threshold; unpaired leftovers (perturbers, isolated dots) are simply
-    not reported.  Used for diagnostics and for importing foreign
-    layouts whose pair structure is unknown.
-    """
-    sites = layout.sites()
-    unpaired = set(range(len(sites)))
-    candidates: list[tuple[float, int, int]] = []
-    for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
-            distance = SurfaceLattice.distance_nm(sites[i], sites[j])
-            if distance <= max_separation_nm:
-                candidates.append((distance, i, j))
-    candidates.sort()
-    pairs = []
-    for _, i, j in candidates:
-        if i in unpaired and j in unpaired:
-            pairs.append((sites[i], sites[j]))
-            unpaired.discard(i)
-            unpaired.discard(j)
-    return pairs
 
 
 def scaling_layout(num_sites: int) -> SidbLayout:

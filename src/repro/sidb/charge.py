@@ -1,31 +1,16 @@
-"""Charge states and SiDB layouts.
+"""SiDB layouts and charge configurations.
 
 In the demonstrated system SiDBs may hold 0, 1 or 2 electrons
 (positive, neutral, negative).  As in the paper, positive charge states
 "are not relevant to the configuration of interest", so the simulation
-engines work in the two-state {neutral, negative} regime; the positive
-state exists in the data model for completeness.
+engines work in the two-state {neutral, negative} regime.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Sequence
 
 from repro.coords.lattice import LatticeSite, SurfaceLattice
-
-
-class ChargeState(enum.IntEnum):
-    """Charge state of an SiDB; the value is the charge in units of e."""
-
-    POSITIVE = 1
-    NEUTRAL = 0
-    NEGATIVE = -1
-
-    @property
-    def electrons(self) -> int:
-        """Number of excess electrons relative to the neutral state."""
-        return -int(self)
 
 
 class SidbLayout:
@@ -61,20 +46,12 @@ class SidbLayout:
     def index_of(self, site: LatticeSite) -> int:
         return self._index[site]
 
-    def positions_nm(self) -> list[tuple[float, float]]:
-        return [site.position_nm for site in self._sites]
-
     def bounding_box_nm(self) -> tuple[float, float, float, float]:
         return SurfaceLattice.bounding_box_nm(self._sites)
 
     def translated(self, dn: int, drow: int) -> "SidbLayout":
         """The layout shifted by whole lattice offsets."""
         return SidbLayout(site.translated(dn, drow) for site in self._sites)
-
-    def merged_with(self, other: "SidbLayout") -> "SidbLayout":
-        result = SidbLayout(self._sites)
-        result.extend(other.sites())
-        return result
 
     def __repr__(self) -> str:
         return f"SidbLayout({len(self._sites)} SiDBs)"

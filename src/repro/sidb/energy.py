@@ -228,24 +228,6 @@ class EnergyModel:
         np.fill_diagonal(matrix, 0.0)
         return matrix
 
-    def with_parameters(
-        self, parameters: SiDBSimulationParameters
-    ) -> "EnergyModel":
-        """A model of the same layout at another parameter point.
-
-        Reuses this model's geometry directly (no cache lookup at all).
-        """
-        clone = object.__new__(EnergyModel)
-        clone.layout = self.layout
-        clone.parameters = parameters
-        clone.defects = self.defects
-        clone.distance_matrix = self.distance_matrix
-        clone.potential_matrix = self._rescale(self.distance_matrix, parameters)
-        clone.external_potential = external_potential_vector(
-            tuple(self.layout.sites()), self.defects, parameters
-        )
-        return clone
-
     @property
     def num_sites(self) -> int:
         return len(self.layout)
@@ -271,18 +253,6 @@ class EnergyModel:
         if self.external_potential is not None:
             total += float(self.external_potential @ n)
         return total
-
-    def energy_delta_flip(
-        self, occupation: np.ndarray, site: int, potentials: np.ndarray
-    ) -> float:
-        """Energy change from toggling one site's occupation.
-
-        ``potentials`` must be the current local potentials of
-        ``occupation`` (kept incrementally by the annealer).
-        """
-        if occupation[site]:
-            return -(potentials[site] + self.parameters.mu_minus)
-        return potentials[site] + self.parameters.mu_minus
 
     def batched_energies(self, occupations: np.ndarray) -> np.ndarray:
         """Energies of many configurations at once (rows = configs)."""

@@ -160,13 +160,3 @@ def compute_operational_domain(
     )
     return domain
 
-
-def design_operational_domain(design, **kwargs) -> OperationalDomain:
-    """Operational domain of a :class:`~repro.gatelib.designs.GateDesign`."""
-    return compute_operational_domain(
-        body_sites=list(design.sites) + list(design.output_perturbers),
-        input_stimuli=design.input_stimuli,
-        output_pairs=design.output_pairs,
-        outputs=design.functions,
-        **kwargs,
-    )

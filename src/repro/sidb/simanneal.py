@@ -394,8 +394,3 @@ class SimAnneal:
                 if improved:
                     break
         return occupation
-
-    def is_result_metastable(self, result: GroundStateResult) -> bool:
-        return bool(result.ground_states) and is_metastable(
-            self.model, result.occupation()
-        )

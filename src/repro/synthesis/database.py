@@ -30,7 +30,6 @@ class NpnDatabase:
         self.max_gates = max_gates
         self.conflict_limit = conflict_limit
         self._recipes: dict[tuple[int, int], XagRecipe] = {}
-        self._exact: dict[tuple[int, int], bool] = {}
         self.lookups = 0
         self.synthesis_calls = 0
 
@@ -44,11 +43,9 @@ class NpnDatabase:
             canon, max_gates=self.max_gates, conflict_limit=self.conflict_limit
         )
         recipe = exact_xag_synthesis(spec)
-        exact = recipe is not None
         if recipe is None:
             recipe = shannon_recipe(canon)
         self._recipes[key] = recipe
-        self._exact[key] = exact
         return recipe
 
     def lookup(self, function: TruthTable) -> tuple[XagRecipe, NpnTransform]:
@@ -74,12 +71,6 @@ class NpnDatabase:
         """Gate count of the stored implementation for a function."""
         recipe, _ = self.lookup(function)
         return recipe.size
-
-    def is_exact(self, function: TruthTable) -> bool:
-        """Whether the stored recipe is provably size-optimal."""
-        canon, _ = npn_canonical(function)
-        self.canonical_recipe(canon)
-        return self._exact[(canon.num_vars, canon.bits)]
 
 
 def shannon_recipe(function: TruthTable) -> XagRecipe:

@@ -73,7 +73,13 @@ class PhaseDelayModel:
         )
 
     def hop_phases(self, source: HexCoord, target: HexCoord) -> int:
-        """Clock phases spent on one tile-to-tile hop."""
+        """Clock phases spent on one tile-to-tile hop.
+
+        A hop whose target is clocked ``d`` phases ahead costs ``d``
+        phases: the signal waits in the source zone until the target
+        activates, so a pipelined hop costs one.  A same-zone hop costs
+        a full wave, or nothing inside a merged super-tile zone.
+        """
         delta = (
             self.zone_of(target) - self.zone_of(source)
         ) % self.num_phases
@@ -117,12 +123,6 @@ class TimingReport:
     def latency_ps(self) -> float:
         """Worst PI-to-PO latency in picoseconds."""
         return self.latency_phases * self.phase_duration_ps
-
-    @property
-    def phases_per_wave(self) -> int:
-        """Clock phases between successive input waves (throughput)."""
-        waves, cycles = self.throughput
-        return (cycles * self.num_phases) // max(waves, 1)
 
     @property
     def throughput_str(self) -> str:

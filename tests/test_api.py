@@ -10,7 +10,9 @@ import pytest
 
 import repro
 from repro import api
-from repro.cli import build_parser, main
+from repro.cli import _configuration, build_parser, main
+from repro.networks import benchmark_verilog
+from repro.service import design_digest
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -30,7 +32,7 @@ def test_design_accepts_benchmark_name():
 
 
 def test_design_accepts_verilog_text():
-    verilog = api.benchmark_verilog("xor2")
+    verilog = benchmark_verilog("xor2")
     result = api.design(verilog, name="renamed", verify=False)
     assert result.name == "renamed"
 
@@ -38,7 +40,7 @@ def test_design_accepts_verilog_text():
 def test_design_accepts_path_containing_module(tmp_path):
     path = tmp_path / "modules" / "xor2.v"
     path.parent.mkdir()
-    path.write_text(api.benchmark_verilog("xor2"), encoding="utf-8")
+    path.write_text(benchmark_verilog("xor2"), encoding="utf-8")
     result = api.design(str(path), verify=False)
     assert result.name == "xor2"
     assert result.sqd == api.design("xor2", verify=False).sqd
@@ -150,6 +152,39 @@ def test_cli_shared_options_on_all_flow_commands():
         )
         assert args.engine == "exact"
         assert args.trace
+
+
+def test_cli_subcommand_defaults_do_not_leak():
+    parser = build_parser()
+    synth = parser.parse_args(["synth", "xor2"])
+    assert (synth.timing, synth.conflict_limit) == (False, 400_000)
+    submit = parser.parse_args(["submit", "xor2"])
+    assert (submit.timing, submit.conflict_limit) == (False, 400_000)
+    assert parser.parse_args(["bench"]).conflict_limit == 150_000
+    assert parser.parse_args(["timing", "report", "xor2"]).timing
+    # `repro synth --cache` and api.design(cache=True) share cache entries.
+    verilog, name = api.load_specification("xor2")
+    assert design_digest(verilog, name, _configuration(synth)) == (
+        design_digest(verilog, name, api.FlowConfiguration())
+    )
+
+
+def test_cli_failed_placement_reports_instead_of_traceback(capsys):
+    status = main(
+        ["synth", "xor2", "--engine", "exact", "--time-limit", "0", "--trace"]
+    )
+    captured = capsys.readouterr()
+    assert status == 1
+    assert "time limit" in captured.err
+    assert "flow.place_route" in captured.out
+
+
+def test_cli_synth_fails_on_drc_violations(capsys):
+    # Both P&R engines place rows as clock stages, so a column-zoned
+    # layout breaks the clocking rule at two hops.
+    status = main(["synth", "xor2", "--clocking", "columnar-columns"])
+    assert status == 1
+    assert "DRC: 2 violations" in capsys.readouterr().out
 
 
 def test_cli_defects_sample_writes_json(tmp_path):

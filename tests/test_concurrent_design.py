@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro import api, cli, obs
+from repro.flow.design_flow import FLOW_STEP_SPANS
 from repro.sidb.energy import clear_geometry_cache
 
 
@@ -51,7 +52,7 @@ def test_concurrent_design_calls_do_not_cross_talk(names):
         # in from the sibling thread's flow.
         assert result.trace is not None
         assert result.trace.attributes.get("name") == name
-        for step in api.FLOW_STEP_SPANS:
+        for step in FLOW_STEP_SPANS:
             assert len(result.trace.find_all(step)) == 1, (
                 f"{name}: expected exactly one {step} span"
             )

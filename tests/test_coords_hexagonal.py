@@ -8,7 +8,6 @@ from repro.coords.hexagonal import (
     HexDirection,
     axial_to_offset,
     cube_distance,
-    cube_round,
     offset_to_axial,
     offset_to_cube,
 )
@@ -91,9 +90,6 @@ class TestConversions:
     @given(coords, coords, coords)
     def test_triangle_inequality(self, a, b, c):
         assert a.distance(c) <= a.distance(b) + b.distance(c)
-
-    def test_cube_round_exact(self):
-        assert cube_round(1.0, -1.0, 0.0) == (1, -1, 0)
 
     def test_cube_distance(self):
         assert cube_distance((0, 0, 0), (2, -1, -1)) == 2

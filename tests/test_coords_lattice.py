@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.coords.cartesian import CartesianCoord, CartesianDirection
 from repro.coords.lattice import LatticeSite, SurfaceLattice
 from repro.tech.constants import LATTICE_A_NM, LATTICE_B_NM, LATTICE_C_NM
 
@@ -73,24 +72,3 @@ class TestSurfaceLattice:
         width, height = SurfaceLattice.extent_nm(sites)
         assert width == pytest.approx(10 * LATTICE_A_NM)
         assert height == 0.0
-
-
-class TestCartesianCoord:
-    def test_neighbors(self):
-        c = CartesianCoord(2, 2)
-        assert c.neighbor(CartesianDirection.NORTH) == CartesianCoord(2, 1)
-        assert c.neighbor(CartesianDirection.SOUTH) == CartesianCoord(2, 3)
-        assert c.neighbor(CartesianDirection.EAST) == CartesianCoord(3, 2)
-        assert c.neighbor(CartesianDirection.WEST) == CartesianCoord(1, 2)
-
-    def test_opposites(self):
-        for direction in CartesianDirection:
-            assert direction.opposite.opposite is direction
-
-    @given(st.integers(-50, 50), st.integers(-50, 50))
-    def test_manhattan_distance_to_self(self, x, y):
-        c = CartesianCoord(x, y)
-        assert c.manhattan_distance(c) == 0
-
-    def test_manhattan_distance(self):
-        assert CartesianCoord(0, 0).manhattan_distance(CartesianCoord(3, 4)) == 7

@@ -14,10 +14,7 @@ from repro.networks.simulation import exhaustive_equivalent
 from repro.networks.truth_table import TruthTable
 from repro.networks.xag import Xag
 from repro.sidb.bdl import BdlPair
-from repro.sidb.operational_domain import (
-    compute_operational_domain,
-    design_operational_domain,
-)
+from repro.sidb.operational_domain import compute_operational_domain
 from repro.verification.bdd import (
     Bdd,
     bdd_equivalent,
@@ -187,15 +184,6 @@ class TestOperationalDomain:
         assert len(domain.points) == 4
         art = domain.to_ascii()
         assert "|" in art and len(art.splitlines()) == 3
-
-    def test_design_wrapper(self):
-        from repro.gatelib.designs import pi_design
-        from repro.gatelib.tile import Port
-
-        domain = design_operational_domain(
-            pi_design(Port.SW), x_values=(5.6,), y_values=(5.0,)
-        )
-        assert domain.coverage == 1.0
 
     def test_parameter_validation(self):
         sites, pairs = self._wire()

@@ -1,17 +1,14 @@
-"""Tests for Verilog, BENCH, DOT and SQD I/O."""
+"""Tests for Verilog and SQD I/O."""
 
 import pytest
 
 from repro.coords.lattice import LatticeSite
-from repro.networks import BENCHMARK_NAMES, benchmark_network, benchmark_verilog
-from repro.networks.bench_format import BenchError, parse_bench, write_bench
-from repro.networks.dot import network_to_dot, xag_to_dot
+from repro.networks import BENCHMARK_NAMES, benchmark_network
 from repro.networks.simulation import exhaustive_equivalent
 from repro.networks.verilog import VerilogError, parse_verilog, write_verilog
 from repro.networks.xag import Xag
 from repro.sidb.charge import SidbLayout
 from repro.sqd.sqd import read_sqd, write_sqd
-from repro.synthesis.mapping import map_to_bestagon
 
 
 class TestVerilogParser:
@@ -89,40 +86,6 @@ class TestVerilogParser:
         xag = benchmark_network(name)
         parsed = parse_verilog(write_verilog(xag))
         assert exhaustive_equivalent(xag, parsed)
-
-
-class TestBench:
-    def test_parse_simple(self):
-        xag = parse_bench(
-            "INPUT(a)\nINPUT(b)\nOUTPUT(f)\nf = NAND(a, b)\n"
-        )
-        assert xag.evaluate([True, True]) == [False]
-
-    def test_comments_and_blank_lines(self):
-        xag = parse_bench("# header\n\nINPUT(a)\nOUTPUT(f)\nf = NOT(a)\n")
-        assert xag.evaluate([False]) == [True]
-
-    def test_unknown_operator_rejected(self):
-        with pytest.raises(BenchError):
-            parse_bench("INPUT(a)\nOUTPUT(f)\nf = FROB(a, a)\n")
-
-    @pytest.mark.parametrize("name", ["c17", "mux21", "cm82a_5"])
-    def test_roundtrip(self, name):
-        xag = benchmark_network(name)
-        parsed = parse_bench(write_bench(xag))
-        assert exhaustive_equivalent(xag, parsed)
-
-
-class TestDot:
-    def test_xag_dot_contains_nodes(self):
-        xag = benchmark_network("xor2")
-        dot = xag_to_dot(xag)
-        assert "digraph" in dot and "XOR" in dot
-
-    def test_network_dot(self):
-        network = map_to_bestagon(benchmark_network("mux21"))
-        dot = network_to_dot(network)
-        assert "digraph" in dot and "->" in dot
 
 
 class TestSqd:

@@ -1,14 +1,13 @@
-"""Additional coverage: half-adder tile, BDL detection on real designs,
+"""Additional coverage: half-adder tile, SiDB layout bounding boxes,
 rendering variants, solver reuse and CLI file input."""
 
 import pytest
 
 from repro.coords.lattice import LatticeSite
-from repro.gatelib.designs import builtin_designs, half_adder_design, wire_design
+from repro.gatelib.designs import builtin_designs, half_adder_design
 from repro.gatelib.tile import Port
 from repro.networks.truth_table import TruthTable
 from repro.sat import Cnf, Solver, SolverResult
-from repro.sidb.bdl import detect_bdl_pairs
 from repro.sidb.charge import SidbLayout
 
 S = LatticeSite.from_row
@@ -36,20 +35,6 @@ class TestHalfAdderTile:
 
 
 class TestBdlDetectionOnDesigns:
-    def test_straight_wire_pairs_detected(self):
-        design = wire_design(Port.NW, Port.SW)
-        layout = SidbLayout(design.sites)
-        pairs = detect_bdl_pairs(layout)
-        # Seven chain pairs in a straight wire tile.
-        assert len(pairs) == 7
-
-    def test_merged_layouts(self):
-        a = SidbLayout([S(0, 0), S(0, 2)])
-        b = SidbLayout([S(5, 0)])
-        merged = a.merged_with(b)
-        assert len(merged) == 3
-        assert len(a) == 2  # original untouched
-
     def test_bounding_box(self):
         layout = SidbLayout([S(0, 0), S(10, 4)])
         min_x, min_y, max_x, max_y = layout.bounding_box_nm()

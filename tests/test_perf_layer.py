@@ -2,11 +2,10 @@
 
 Covers the vectorized batch annealer (cross-validated against the
 exhaustive oracle), order-independent per-instance seeding, the shared
-geometry cache with its parameter-point rescale, and the bit-identity
-of serial vs process-parallel sweeps.
+geometry cache, and the bit-identity of serial vs process-parallel
+sweeps.
 """
 
-import numpy as np
 import pytest
 
 from repro.coords.lattice import LatticeSite
@@ -23,7 +22,6 @@ from repro.sidb.operational import GateFunctionSpec, check_operational
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.sidb.parallel import resolve_workers, run_tasks
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
-from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
 
@@ -77,40 +75,17 @@ class TestGeometryCache:
     def test_hit_counter_and_rescale(self):
         layout = SidbLayout([S(0, 0), S(0, 2), S(4, 6), S(4, 8)])
         clear_geometry_cache()
-        EnergyModel(layout)
+        first = EnergyModel(layout)
         after_first = geometry_cache_stats()
         assert after_first["misses"] == 1
         assert after_first["hits"] == 0
 
-        base = EnergyModel(layout)  # same site tuple: cache hit
+        second = EnergyModel(layout)  # same site tuple: cache hit
         after_second = geometry_cache_stats()
         assert after_second["misses"] == 1
         assert after_second["hits"] == 1
         assert after_second["entries"] == 1
-
-        # A rescaled model must match a freshly built one to 1e-12 at
-        # every parameter point of a small (eps_r, lambda_tf, mu) grid.
-        for eps_r in (4.6, 5.6, 6.6):
-            for lambda_tf in (3.0, 5.0, 7.0):
-                for mu in (-0.28, -0.32):
-                    point = SiDBSimulationParameters(
-                        mu_minus=mu, epsilon_r=eps_r, lambda_tf=lambda_tf
-                    )
-                    cached = base.with_parameters(point)
-                    fresh = EnergyModel(layout, point)
-                    assert np.allclose(
-                        cached.potential_matrix,
-                        fresh.potential_matrix,
-                        atol=1e-12, rtol=0.0,
-                    )
-                    assert cached.parameters is point
-
-    def test_geometry_shared_not_copied(self):
-        layout = scaling_layout(8)
-        first = EnergyModel(layout)
-        second = first.with_parameters(
-            SiDBSimulationParameters(mu_minus=-0.25)
-        )
+        # The hit shares the cached, read-only geometry.
         assert second.distance_matrix is first.distance_matrix
         assert not first.distance_matrix.flags.writeable
 

@@ -14,7 +14,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.physical_design.exact as exact_pnr
@@ -23,13 +22,10 @@ from repro.networks import benchmark_verilog
 from repro.networks.truth_table import TruthTable
 from repro.networks.verilog import parse_verilog
 from repro.sat import Cnf, Solver, SolverResult
-from repro.sat.dimacs import parse_dimacs, write_dimacs
 from repro.sat.encodings import (
-    at_most_k,
     at_most_one,
     exactly_one,
     tseitin_and,
-    tseitin_ite,
     tseitin_or,
     tseitin_xor,
 )
@@ -182,25 +178,13 @@ class TestEncodings:
         solver = Solver(cnf)
         assert solver.solve([xs[i], xs[j]]) is SolverResult.UNSAT
 
-    @settings(deadline=None)
-    @given(st.integers(2, 7), st.integers(0, 7), st.integers(0, 7))
-    def test_at_most_k_boundary(self, n, k, j):
-        k, j = min(k, n), min(j, n)
-        cnf = Cnf()
-        xs = cnf.new_vars(n)
-        at_most_k(cnf, xs, k)
-        assumptions = [xs[i] if i < j else -xs[i] for i in range(n)]
-        expected = SolverResult.SAT if j <= k else SolverResult.UNSAT
-        assert Solver(cnf).solve(assumptions) is expected
-
     def test_tseitin_gates(self):
         cnf = Cnf()
         a, b = cnf.new_vars(2)
-        and_out, or_out, xor_out, ite_out = cnf.new_vars(4)
+        and_out, or_out, xor_out = cnf.new_vars(3)
         tseitin_and(cnf, and_out, [a, b])
         tseitin_or(cnf, or_out, [a, b])
         tseitin_xor(cnf, xor_out, a, b)
-        tseitin_ite(cnf, ite_out, a, b, -b)
         for pattern in range(4):
             va, vb = bool(pattern & 1), bool(pattern >> 1 & 1)
             solver = Solver(cnf)
@@ -209,7 +193,6 @@ class TestEncodings:
             assert solver.model_value(and_out) == (va and vb)
             assert solver.model_value(or_out) == (va or vb)
             assert solver.model_value(xor_out) == (va != vb)
-            assert solver.model_value(ite_out) == (vb if va else not vb)
 
 
 def pigeonhole(pigeons: int, holes: int) -> Cnf:
@@ -294,26 +277,6 @@ class TestLubySequence:
         # indices; the iterative one must terminate regardless.
         assert _luby_simple((1 << 64) - 1) == 1 << 63
         assert _luby_simple(1 << 64) == 1
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        cnf = Cnf()
-        cnf.add_clause([1, -2, 3])
-        cnf.add_clause([-1])
-        text = write_dimacs(cnf)
-        parsed = parse_dimacs(text)
-        assert parsed.clauses == cnf.clauses
-        assert parsed.num_vars == cnf.num_vars
-
-    def test_comments_ignored(self):
-        parsed = parse_dimacs("c hello\np cnf 2 1\n1 -2 0\n")
-        assert parsed.clauses == [[1, -2]]
-        assert parsed.num_vars == 2
-
-    def test_malformed_problem_line(self):
-        with pytest.raises(ValueError):
-            parse_dimacs("p dnf 2 1\n1 0\n")
 
 
 # --- pinned search trajectories ----------------------------------------------

@@ -55,9 +55,10 @@ def test_valid_hop_is_antisymmetric_for_four_phase_schemes(name):
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_phase_increment_is_positive_and_congruent(name):
     scheme = scheme_by_name(name)
+    model = PhaseDelayModel.from_scheme(scheme)
     for source in _WINDOW[:36]:
         for target in _WINDOW[:36]:
-            cost = scheme.phase_increment(source, target)
+            cost = model.hop_phases(source, target)
             assert 1 <= cost <= scheme.num_phases
             delta = (
                 scheme.zone_of(target) - scheme.zone_of(source)
