@@ -23,7 +23,7 @@ from repro.physical_design import (
     PhysicalDesignError,
 )
 from repro.sidb.bdl import BdlPair
-from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.synthesis import cut_rewrite, map_to_bestagon
 from repro.synthesis.rewrite import RewriteStatistics
 from repro.tech.parameters import SiDBSimulationParameters
@@ -121,8 +121,7 @@ def _perturber_robustness(encoding: str):
     else:  # Huff: perturber absent for 0, present for 1
         stimuli = [([], [S(0, -2)])]
     report = check_operational(
-        body, stimuli, [pairs[-1]],
-        GateFunctionSpec((TruthTable(1, 0b10),)),
+        GateUnderTest(body, stimuli, [pairs[-1]], [TruthTable(1, 0b10)]),
         SiDBSimulationParameters.bestagon(),
     )
     return report.operational

@@ -33,7 +33,7 @@ from repro.networks.truth_table import TruthTable
 from repro.obs import _NOOP
 from repro.obs import log as obs_log
 from repro.sidb.bdl import BdlPair
-from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.synthesis.database import NpnDatabase
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -261,15 +261,10 @@ def run_worker_overhead_benchmark() -> dict:
     inside real fan-out costs -- but it also makes the samples far
     noisier than the flow benchmark's, hence the extra attempt.
     """
-    design = BestagonLibrary().design("or_SE")
-    body = list(design.sites) + list(design.output_perturbers)
-    stimuli = [(list(far), list(close)) for far, close in design.input_stimuli]
-    spec = GateFunctionSpec(design.functions)
+    gate = BestagonLibrary().design("or_SE").under_test
 
     def run_parallel(variant: str) -> None:
-        check_operational(
-            body, stimuli, list(design.output_pairs), spec, workers=2
-        )
+        check_operational(gate, workers=2)
 
     record = measure_overhead(
         run_parallel,
@@ -297,14 +292,16 @@ def run_learn_hook_overhead_benchmark() -> dict:
     3-pair wire, exact engine).
     """
     S = LatticeSite.from_row
-    body = [S(0, r) for r in (0, 2, 6, 8, 12, 14)] + [S(0, 18)]
-    stimuli = [([S(0, -6)], [S(0, -2)])]
-    pairs = [BdlPair(S(0, 12), S(0, 14))]
-    spec = GateFunctionSpec((TruthTable(1, 0b10),))
+    gate = GateUnderTest(
+        body=[S(0, r) for r in (0, 2, 6, 8, 12, 14)] + [S(0, 18)],
+        input_stimuli=[([S(0, -6)], [S(0, -2)])],
+        output_pairs=[BdlPair(S(0, 12), S(0, 14))],
+        outputs=[TruthTable(1, 0b10)],
+    )
     parameters = SiDBSimulationParameters(mu_minus=-0.32)
 
     def run_check(variant: str) -> None:
-        check_operational(body, stimuli, pairs, spec, parameters=parameters)
+        check_operational(gate, parameters=parameters)
 
     record = measure_overhead(
         run_check,

@@ -14,6 +14,7 @@ from repro.coords.lattice import LatticeSite
 from repro.gatelib.designs import core_parameters
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import GateUnderTest
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.sidb.parallel import workers_from_env
 
@@ -33,7 +34,7 @@ def _wire_fixture():
         sites += [S(0, 6 * k), S(0, 6 * k + 2)]
         pairs.append(BdlPair(S(0, 6 * k), S(0, 6 * k + 2)))
     sites.append(S(0, 18))
-    return (
+    return GateUnderTest(
         sites,
         [([S(0, -6)], [S(0, -2)])],
         [pairs[-1]],
@@ -54,7 +55,7 @@ def _or_fixture():
         sites.append(S(c, r))
     sites.append(S(0, orow + 2 + core["gout"]))
     stim = dx2 + 2 * dx1
-    return (
+    return GateUnderTest(
         sites,
         [
             ([S(-stim, -6)], [S(-stim, -2)]),
@@ -67,12 +68,10 @@ def _or_fixture():
 
 @pytest.mark.parametrize("fixture_name", ["wire", "or_gate"])
 def test_operational_domain(benchmark, fixture_name):
-    sites, stimuli, pairs, outputs = (
-        _wire_fixture() if fixture_name == "wire" else _or_fixture()
-    )
+    gate = _wire_fixture() if fixture_name == "wire" else _or_fixture()
     domain = benchmark.pedantic(
         compute_operational_domain,
-        args=(sites, stimuli, pairs, outputs),
+        args=(gate,),
         kwargs={
             "x_values": X_VALUES,
             "y_values": Y_VALUES,

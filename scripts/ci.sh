@@ -18,25 +18,41 @@ echo "== design service smoke =="
 PYTHONPATH=src python scripts/service_smoke.py
 
 # A traced benchmark pass patches engine entry points and reads their
-# counters.  run.py fails on an unfaithful pass; a non-deterministic one
-# is caught from its trace.determinism_mismatches metric.
+# counters.  run.py fails on an unfaithful pass; traced_run then checks
+# trace.determinism_mismatches = 0 and every name=value pin it is given,
+# and fails with the list of every mismatch.  The pins are the search
+# counts at seed 1: a change meant to keep the searches leaves them.
 traced_run() {
-    trace_run=$(python3 perfbench/run.py --workload "$1" --seed 1 \
+    workload=$1
+    shift
+    trace_run=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
         --seconds 1 --trace 1) || { printf '%s\n' "$trace_run"; exit 1; }
     printf '%s\n' "$trace_run" | tail -n 1 | python3 -c '
 import json, sys
-value = json.load(sys.stdin)["metrics"]["trace.determinism_mismatches"]["value"]
-sys.exit("trace.determinism_mismatches = %s" % value if value else 0)'
+metrics = json.load(sys.stdin)["metrics"]
+pins = dict(pin.split("=", 1) for pin in sys.argv[1:])
+pins["trace.determinism_mismatches"] = "0"
+found = {name: metrics.get(name, {}).get("value") for name in pins}
+wrong = [
+    "%s = %s, expected %s" % (name, found[name], value)
+    for name, value in pins.items()
+    if found[name] != float(value)
+]
+sys.exit("\n".join(wrong) if wrong else 0)' "$@"
 }
 
 echo "== benchmark solver hooks (traced table1 run) =="
 # Subclasses repro.sat.Solver and reads its counters.
-traced_run table1
+traced_run table1 place_route.conflicts=135 \
+    place_route.propagations=21691 verify.conflicts=119
 
 echo "== benchmark physics hooks (traced tile_library run) =="
 # Patches repro.sidb.operational.quickexact_ground_state and SimAnneal
 # and reads QuickExactStatistics fields.
-traced_run tile_library
+traced_run tile_library quickexact.calls=56 quickexact.nodes_visited=149464 \
+    quickexact.leaves_evaluated=21668 quickexact.cuts=53120 \
+    simanneal.calls=32 geometry.hits=8 geometry.misses=80 \
+    validate.patterns=88
 
 echo "== benchmark imports =="
 # Collects (imports) every benchmark without running it.

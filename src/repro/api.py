@@ -98,7 +98,7 @@ from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.clocked import ClockedWire
 from repro.sidb.exhaustive import exhaustive_ground_state
-from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.sidb.quickexact import quickexact_ground_state
 from repro.service import (
     ArtifactStore,
@@ -173,7 +173,7 @@ __all__ = [
     "search_canvas_design",
     "screen_canvas_candidates",
     "core_parameters",
-    "GateFunctionSpec",
+    "GateUnderTest",
     "check_operational",
     # Learned guidance: featurization, datasets, surrogate, guide.
     "FEATURE_VERSION",

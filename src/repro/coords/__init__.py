@@ -7,24 +7,3 @@ Two coordinate families are used throughout the framework:
 * :mod:`repro.coords.lattice` -- H-Si(100)-2x1 surface lattice sites, the
   dot-accurate physical coordinates of individual SiDBs.
 """
-
-from repro.coords.hexagonal import (
-    HexCoord,
-    HexDirection,
-    axial_to_offset,
-    cube_distance,
-    offset_to_axial,
-    offset_to_cube,
-)
-from repro.coords.lattice import LatticeSite, SurfaceLattice
-
-__all__ = [
-    "HexCoord",
-    "HexDirection",
-    "LatticeSite",
-    "SurfaceLattice",
-    "axial_to_offset",
-    "cube_distance",
-    "offset_to_axial",
-    "offset_to_cube",
-]

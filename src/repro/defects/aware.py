@@ -24,8 +24,7 @@ from repro.defects.model import SidbDefect, SurfaceDefects
 from repro.gatelib.library import BestagonLibrary
 from repro.gatelib.tile import TileGeometry
 from repro.layout.gate_layout import GateLevelLayout
-from repro.sidb.operational import GateFunctionSpec, check_operational
-from repro.sidb.simanneal import SimAnnealParameters
+from repro.sidb.operational import check_operational
 from repro.tech.constants import DEFECT_INFLUENCE_RADIUS_NM
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -149,56 +148,35 @@ def recheck_layout_against_defects(
     layout: GateLevelLayout,
     defects: SurfaceDefects,
     library: BestagonLibrary | None = None,
-    geometry: TileGeometry | None = None,
-    parameters: SiDBSimulationParameters | None = None,
     influence_radius_nm: float = DEFECT_INFLUENCE_RADIUS_NM,
-    engine: str = "auto",
-    schedule: SimAnnealParameters | None = None,
     workers: int = 1,
 ) -> DefectAwareReport:
     """Re-validate every placed tile against the defects under it.
 
     For each occupied tile, charged defects within
     ``influence_radius_nm`` of the tile footprint become fixed point
-    charges in the tile's operational check; a structural defect
-    coinciding with one of the design's SiDB sites fails the tile
-    outright (the dot cannot be fabricated).  Tiles with no nearby
-    defect are reported as skipped -- their pristine validation stands.
+    charges in the tile's operational check.  A defect that sits on
+    the tile fails it outright: a structural one on a dot of the
+    design (the dot cannot be fabricated), a charged one on any site
+    the check simulates, stimuli and output perturbers included.
+    Tiles with no nearby defect are reported as skipped -- their
+    pristine validation stands.
 
     A tile fails only on a *regression*: an input pattern correct on
     the pristine surface that the defects flip.  The pristine baseline
-    is simulated once per distinct design (translation leaves the
-    electrostatics invariant, so the untranslated design suffices).
+    is ``library.validate`` of the untranslated design, memoised per
+    library: tile origins are whole dimer rows apart, so translation
+    leaves the electrostatics invariant.
     """
     library = library or BestagonLibrary()
-    geometry = geometry or TileGeometry()
-    parameters = parameters or SiDBSimulationParameters.bestagon()
+    geometry = TileGeometry()
+    parameters = SiDBSimulationParameters.bestagon()
     blocked_sites = structural_defect_sites(defects)
     report = DefectAwareReport(
         operational=True,
         defects_total=len(defects),
         influence_radius_nm=influence_radius_nm,
     )
-    baselines: dict[str, object] = {}
-
-    def pristine_baseline(design):
-        if design.name not in baselines:
-            baselines[design.name] = check_operational(
-                body_sites=list(design.sites)
-                + list(design.output_perturbers),
-                input_stimuli=[
-                    (list(far), list(close))
-                    for far, close in design.input_stimuli
-                ],
-                output_pairs=list(design.output_pairs),
-                spec=GateFunctionSpec(design.functions),
-                parameters=parameters,
-                engine=engine,
-                schedule=schedule,
-                workers=workers,
-            )
-        return baselines[design.name]
-
     occupied = list(layout.occupied())
     for tile_index, (coord, content) in enumerate(occupied):
         obs.progress(
@@ -208,15 +186,17 @@ def recheck_layout_against_defects(
         nearby = defects_near_tile(
             coord, defects, influence_radius_nm, geometry
         )
-        column0, row0 = geometry.origin_of(coord)
-        translated_sites = [
-            site.translated(column0, row0) for site in design.sites
-        ]
-        # A defect on one of the design's own sites breaks the tile
-        # outright: structural kinds destroy the dot, and a fixed
-        # charge in its place leaves no site to host the DB- electron.
-        clobbered = blocked_sites.intersection(translated_sites) | (
-            {d.site for d in nearby} & set(translated_sites)
+        gate = design.under_test.translated(*geometry.origin_of(coord))
+        # The body starts with the design's own dots; its output
+        # perturbers and the input stimuli are simulated, not built.
+        fabricated = set(gate.body[: design.num_sidbs])
+        simulated = set(gate.body).union(
+            *(far + close for far, close in gate.input_stimuli)
+        )
+        # A fixed charge on a simulated site leaves no site to host
+        # that dot's electron.
+        clobbered = (blocked_sites & fabricated) | (
+            {d.site for d in nearby} & simulated
         )
         nearby = [d for d in nearby if d.site not in clobbered]
         check = TileDefectCheck(
@@ -229,30 +209,9 @@ def recheck_layout_against_defects(
             check.operational = False
         elif nearby:
             tile_report = check_operational(
-                body_sites=translated_sites
-                + [
-                    site.translated(column0, row0)
-                    for site in design.output_perturbers
-                ],
-                input_stimuli=[
-                    (
-                        [site.translated(column0, row0) for site in far],
-                        [site.translated(column0, row0) for site in close],
-                    )
-                    for far, close in design.input_stimuli
-                ],
-                output_pairs=[
-                    pair.translated(column0, row0)
-                    for pair in design.output_pairs
-                ],
-                spec=GateFunctionSpec(design.functions),
-                parameters=parameters,
-                engine=engine,
-                schedule=schedule,
-                workers=workers,
-                defects=nearby,
+                gate, parameters, workers=workers, defects=nearby
             )
-            baseline = pristine_baseline(design)
+            baseline = library.validate(design.name, parameters)
             check.operational = not any(
                 base.correct and not with_defects.correct
                 for base, with_defects in zip(

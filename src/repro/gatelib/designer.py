@@ -21,8 +21,7 @@ from repro.coords.lattice import LatticeSite
 from repro.learn import hooks as _learn_hooks
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
-from repro.sidb.operational import simulate_pattern
-from repro.sidb.parallel import PatternTask
+from repro.sidb.operational import GateUnderTest, PatternTask, simulate_pattern
 from repro.tech.parameters import SiDBSimulationParameters
 
 
@@ -54,40 +53,32 @@ def score_design(
     num_inputs = len(problem.input_stimuli)
     total = 1 << num_inputs
     obs.add("gatelib.patterns_scored", total)
-    output_pairs = tuple(problem.output_pairs) + tuple(
-        pair for pair, _ in problem.input_pairs_to_hold
+    gate = GateUnderTest(
+        body=list(problem.fixed_sites) + sorted(canvas),
+        input_stimuli=problem.input_stimuli,
+        output_pairs=list(problem.output_pairs)
+        + [pair for pair, _ in problem.input_pairs_to_hold],
+        outputs=list(problem.outputs)
+        + [
+            TruthTable.variable(bit, num_inputs)
+            for _, bit in problem.input_pairs_to_hold
+        ],
     )
-    outputs = list(problem.outputs) + [
-        TruthTable.variable(bit, num_inputs)
-        for _, bit in problem.input_pairs_to_hold
-    ]
-    body = tuple(problem.fixed_sites) + tuple(sorted(canvas))
-    stimuli = tuple(
-        (tuple(far), tuple(close)) for far, close in problem.input_stimuli
-    )
-    tasks = [
-        PatternTask(
-            pattern=pattern,
-            body_sites=body,
-            input_stimuli=stimuli,
-            output_pairs=output_pairs,
-            expected=tuple(table.get_bit(pattern) for table in outputs),
-            parameters=problem.parameters,
-            engine="quickexact",
-            schedule=None,
-        )
-        for pattern in range(total)
-    ]
     try:
-        for task in tasks:
-            task.build_layout()
+        for pattern in range(total):
+            gate.layout(pattern)
     except ValueError:
         # Canvas collides with fixed/stimulus sites; still a
         # legitimate (always-negative) training example.
         if _learn_hooks.COLLECTOR is not None:
             _learn_hooks.record_canvas(problem, canvas, 0, total)
         return 0, total
-    correct = sum(simulate_pattern(task).correct for task in tasks)
+    correct = sum(
+        simulate_pattern(
+            PatternTask(gate, pattern, problem.parameters, "quickexact")
+        ).correct
+        for pattern in range(total)
+    )
     if _learn_hooks.COLLECTOR is not None:
         _learn_hooks.record_canvas(problem, canvas, correct, total)
     return correct, total

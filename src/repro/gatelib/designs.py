@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from repro.coords.lattice import LatticeSite
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import GateUnderTest
 from repro.gatelib.tile import Port
 
 S = LatticeSite.from_row
@@ -128,6 +129,20 @@ class GateDesign:
     @property
     def num_sidbs(self) -> int:
         return len(self.sites)
+
+    @property
+    def under_test(self) -> GateUnderTest:
+        """The design as the operational check simulates it.
+
+        The body is the tile's own dots followed by its output
+        perturbers, which stand in for the downstream tile.
+        """
+        return GateUnderTest(
+            body=self.sites + self.output_perturbers,
+            input_stimuli=self.input_stimuli,
+            output_pairs=self.output_pairs,
+            outputs=self.functions,
+        )
 
 
 class _Assembler:

@@ -8,11 +8,7 @@ from repro.gatelib.designs import GateDesign, builtin_designs
 from repro.gatelib.tile import Port
 from repro.layout.gate_layout import TileContent, TileKind
 from repro.networks.logic_network import GateType
-from repro.sidb.operational import (
-    GateFunctionSpec,
-    OperationalReport,
-    check_operational,
-)
+from repro.sidb.operational import OperationalReport, check_operational
 from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -103,18 +99,8 @@ class BestagonLibrary:
         )
         if key in self._validation:
             return self._validation[key]
-        design = self.design(name)
         report = check_operational(
-            body_sites=list(design.sites) + list(design.output_perturbers),
-            input_stimuli=[
-                (list(far), list(close))
-                for far, close in design.input_stimuli
-            ],
-            output_pairs=list(design.output_pairs),
-            spec=GateFunctionSpec(design.functions),
-            parameters=parameters,
-            engine=engine,
-            schedule=schedule,
+            self.design(name).under_test, parameters, engine, schedule
         )
         self._validation[key] = report
         return report

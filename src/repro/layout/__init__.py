@@ -1,31 +1,1 @@
 """Hexagonal gate-level layouts, clocking, super-tiles, DRC, rendering."""
-
-from repro.layout.clocking import (
-    ClockingScheme,
-    columnar_rows,
-    columnar_columns,
-    two_d_d_wave,
-    use_scheme,
-    open_clocking,
-)
-from repro.layout.gate_layout import GateLevelLayout, TileContent, TileKind
-from repro.layout.supertile import SuperTilePlan, merge_into_supertiles
-from repro.layout.drc import check_layout
-from repro.layout.render import layout_to_ascii, layout_to_svg
-
-__all__ = [
-    "ClockingScheme",
-    "columnar_rows",
-    "columnar_columns",
-    "two_d_d_wave",
-    "use_scheme",
-    "open_clocking",
-    "GateLevelLayout",
-    "TileContent",
-    "TileKind",
-    "SuperTilePlan",
-    "merge_into_supertiles",
-    "check_layout",
-    "layout_to_ascii",
-    "layout_to_svg",
-]

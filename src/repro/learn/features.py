@@ -143,19 +143,14 @@ class CandidateGeometry:
         )
 
     @classmethod
-    def from_operational(
-        cls, body_sites, input_stimuli, output_pairs, outputs, name: str = ""
-    ) -> "CandidateGeometry":
-        """Adapt a :func:`check_operational` call (no canvas subset)."""
+    def from_operational(cls, gate) -> "CandidateGeometry":
+        """Adapt a :func:`check_operational` gate (no canvas subset)."""
         return cls(
-            sites=tuple(body_sites),
+            sites=gate.body,
             canvas=(),
-            input_stimuli=tuple(
-                (tuple(far), tuple(close)) for far, close in input_stimuli
-            ),
-            output_pairs=tuple(output_pairs),
-            outputs=tuple(outputs),
-            name=name,
+            input_stimuli=gate.input_stimuli,
+            output_pairs=gate.output_pairs,
+            outputs=gate.outputs,
         )
 
     def translated(self, dn: int, dm: int) -> "CandidateGeometry":

@@ -66,15 +66,7 @@ def record_canvas(problem, canvas, correct: int, total: int) -> None:
 
 
 def record_operational(
-    body_sites,
-    input_stimuli,
-    output_pairs,
-    outputs,
-    parameters,
-    defects,
-    correct: int,
-    total: int,
-    name: str = "",
+    gate, parameters, defects, correct: int, total: int
 ) -> None:
     """Record one operational-check outcome (called only when enabled)."""
     collector = COLLECTOR
@@ -83,9 +75,7 @@ def record_operational(
     from repro.learn.features import CandidateGeometry
 
     collector.record_candidate(
-        CandidateGeometry.from_operational(
-            body_sites, input_stimuli, output_pairs, outputs, name=name
-        ),
+        CandidateGeometry.from_operational(gate),
         correct=correct,
         total=total,
         kind="operational",

@@ -9,8 +9,9 @@ instead of representing logic 1 by the presence of a perturber and
 logic 0 by its absence, *both* states place a perturber -- at a closer
 location for 1 and a farther one for 0 -- which "constitutes a more
 realistic representation of the repulsion exerted by upstream input
-logic wires" (Section 4.1).  A design therefore specifies, per input,
-one SiDB set for logic 0 and one for logic 1.
+logic wires" (Section 4.1).  A :class:`GateUnderTest` therefore
+records, per input, one SiDB set for logic 0 and one for logic 1, and
+is the one description of a gate that every check below takes.
 
 Each input pattern is an independent ground-state simulation, so the
 check optionally fans the patterns out over worker processes
@@ -30,7 +31,7 @@ from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import EnergyModel
 from repro.sidb.exhaustive import exhaustive_ground_state
-from repro.sidb.parallel import PatternTask, run_tasks
+from repro.sidb.parallel import run_tasks
 from repro.sidb.quickexact import quickexact_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
@@ -48,18 +49,84 @@ QUICKEXACT_AUTO_MAX_SITES = 30
 
 
 @dataclass(frozen=True)
-class GateFunctionSpec:
-    """What a dot-accurate gate design must compute.
+class GateUnderTest:
+    """A dot-accurate gate as the operational check simulates it.
 
-    ``outputs[k]`` is the truth table of output pair ``k`` over the gate
-    inputs (in input order).
+    ``body`` holds the SiDBs present in every input pattern;
+    ``input_stimuli[i]`` is the (far, close) pair of SiDB sets that
+    input ``i`` adds for logic 0 and logic 1; ``outputs[k]`` is the
+    truth table over the inputs (in input order) that output pair ``k``
+    must show.  Fields are stored as tuples, so callers may pass lists.
     """
 
+    body: tuple[LatticeSite, ...]
+    input_stimuli: tuple[
+        tuple[tuple[LatticeSite, ...], tuple[LatticeSite, ...]], ...
+    ]
+    output_pairs: tuple[BdlPair, ...]
     outputs: tuple[TruthTable, ...]
+
+    def __post_init__(self) -> None:
+        stimuli = tuple(
+            (tuple(far), tuple(close)) for far, close in self.input_stimuli
+        )
+        object.__setattr__(self, "body", tuple(self.body))
+        object.__setattr__(self, "input_stimuli", stimuli)
+        object.__setattr__(self, "output_pairs", tuple(self.output_pairs))
+        object.__setattr__(self, "outputs", tuple(self.outputs))
+        if len(self.outputs) != len(self.output_pairs):
+            raise ValueError(
+                f"{len(self.output_pairs)} output pairs need as many truth "
+                f"tables, got {len(self.outputs)}"
+            )
+        for index, table in enumerate(self.outputs):
+            if table.num_vars != self.num_inputs:
+                raise ValueError(
+                    f"truth table {index} has {table.num_vars} inputs, "
+                    f"the gate {self.num_inputs}"
+                )
+        body = set(self.body)
+        for index, pair in enumerate(self.output_pairs):
+            if pair.site0 not in body or pair.site1 not in body:
+                raise ValueError(f"output pair {index} is not in the body")
 
     @property
     def num_inputs(self) -> int:
-        return self.outputs[0].num_vars if self.outputs else 0
+        return len(self.input_stimuli)
+
+    def layout(self, pattern: int) -> SidbLayout:
+        """Body plus the pattern's far (bit 0) or close (bit 1) stimuli."""
+        layout = SidbLayout(self.body)
+        for bit, (far, close) in enumerate(self.input_stimuli):
+            layout.extend(close if (pattern >> bit) & 1 else far)
+        return layout
+
+    def expected(self, pattern: int) -> tuple[bool, ...]:
+        """The value every output pair must show under ``pattern``."""
+        return tuple(table.get_bit(pattern) for table in self.outputs)
+
+    def translated(self, dn: int, drow: int) -> "GateUnderTest":
+        """The whole gate shifted by ``dn`` columns and ``drow`` rows.
+
+        An isometry only for even ``drow``: a row is half a dimer, so an
+        odd shift moves ``l=0`` and ``l=1`` sites by different distances
+        (on ``or_SE``, ``translated(0, 1)`` moves a ground energy by
+        31 meV).  Tile origins are multiples of 46 rows.
+        """
+
+        def shift(sites):
+            return tuple(site.translated(dn, drow) for site in sites)
+
+        return GateUnderTest(
+            body=shift(self.body),
+            input_stimuli=tuple(
+                (shift(far), shift(close)) for far, close in self.input_stimuli
+            ),
+            output_pairs=tuple(
+                pair.translated(dn, drow) for pair in self.output_pairs
+            ),
+            outputs=self.outputs,
+        )
 
 
 @dataclass
@@ -84,13 +151,32 @@ class OperationalReport:
         return [p.observed for p in self.patterns]
 
 
+@dataclass(frozen=True)
+class PatternTask:
+    """One input pattern of an operational check, ready to ship.
+
+    ``defects`` carries the fixed charged defects (as picklable
+    :class:`~repro.defects.model.SidbDefect` records) to fold into the
+    pattern's energy model; empty on pristine surfaces.
+    """
+
+    gate: GateUnderTest
+    pattern: int
+    parameters: SiDBSimulationParameters
+    engine: str = "auto"
+    schedule: SimAnnealParameters | None = None
+    defects: tuple = ()
+
+
 def simulate_pattern(task: PatternTask) -> PatternResult:
     """Ground-state simulation of one input pattern (worker-safe).
 
     Module-level so :func:`repro.sidb.parallel.run_tasks` can ship it to
     a ``ProcessPoolExecutor`` by reference.
     """
-    layout = task.build_layout()
+    gate = task.gate
+    layout = gate.layout(task.pattern)
+    expected = gate.expected(task.pattern)
     result = _ground_state(
         layout,
         task.parameters,
@@ -102,27 +188,27 @@ def simulate_pattern(task: PatternTask) -> PatternResult:
         occupation = result.occupation()
         observed = tuple(
             read_bdl_pair(layout, occupation, pair)
-            for pair in task.output_pairs
+            for pair in gate.output_pairs
         )
     else:
-        observed = tuple(None for _ in task.output_pairs)
+        observed = tuple(None for _ in gate.output_pairs)
     correct = all(
         obs is not None and obs == exp
-        for obs, exp in zip(observed, task.expected)
+        for obs, exp in zip(observed, expected)
     )
     # Degenerate ground states must agree on the outputs.
     if correct and len(result.ground_states) > 1:
         for other in result.ground_states[1:]:
             other_observed = tuple(
                 read_bdl_pair(layout, other, pair)
-                for pair in task.output_pairs
+                for pair in gate.output_pairs
             )
             if other_observed != observed:
                 correct = False
                 break
     return PatternResult(
         pattern=task.pattern,
-        expected=task.expected,
+        expected=expected,
         observed=observed,
         ground_energy=result.ground_energy,
         correct=correct,
@@ -130,54 +216,31 @@ def simulate_pattern(task: PatternTask) -> PatternResult:
 
 
 def check_operational(
-    body_sites: list[LatticeSite],
-    input_stimuli: list[tuple[list[LatticeSite], list[LatticeSite]]],
-    output_pairs: list[BdlPair],
-    spec: GateFunctionSpec,
+    gate: GateUnderTest,
     parameters: SiDBSimulationParameters | None = None,
     engine: str = "auto",
     schedule: SimAnnealParameters | None = None,
     workers: int = 1,
-    defects=None,
+    defects=(),
 ) -> OperationalReport:
-    """Simulate a gate design over all input patterns.
+    """Simulate a gate over all of its input patterns.
 
-    ``input_stimuli[i]`` is the pair (sites_for_0, sites_for_1) of input
-    ``i`` -- the far/close perturber sets.  ``engine`` selects the ground
-    state finder (see :data:`ENGINES`); with the default ``"auto"``
-    QuickExact handles systems up to its ceiling and SimAnneal the rest.
-    ``workers > 1`` fans the per-pattern simulations out over processes;
-    results are bit-identical to the serial default.  ``defects``
-    optionally lists charged surface defects
-    (:class:`~repro.defects.model.SidbDefect`) folded into every
-    pattern's energy model as fixed point charges; with none the check
-    is bit-identical to the pristine-surface result.
+    ``engine`` selects the ground state finder (see :data:`ENGINES`);
+    with the default ``"auto"`` QuickExact handles systems up to its
+    ceiling and SimAnneal the rest.  ``workers > 1`` fans the
+    per-pattern simulations out over processes; results are
+    bit-identical to the serial default.  ``defects`` optionally lists
+    charged surface defects (:class:`~repro.defects.model.SidbDefect`)
+    folded into every pattern's energy model as fixed point charges;
+    with none the check is bit-identical to the pristine-surface result.
     """
     parameters = parameters or SiDBSimulationParameters()
-    num_inputs = len(input_stimuli)
-    if spec.num_inputs != num_inputs:
-        raise ValueError("spec arity does not match the number of inputs")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-
-    stimuli_spec = tuple(
-        (tuple(sites0), tuple(sites1)) for sites0, sites1 in input_stimuli
-    )
+    defects = tuple(defects)
     tasks = [
-        PatternTask(
-            pattern=pattern,
-            body_sites=tuple(body_sites),
-            input_stimuli=stimuli_spec,
-            output_pairs=tuple(output_pairs),
-            expected=tuple(
-                table.get_bit(pattern) for table in spec.outputs
-            ),
-            parameters=parameters,
-            engine=engine,
-            schedule=schedule,
-            defects=tuple(defects) if defects else (),
-        )
-        for pattern in range(1 << num_inputs)
+        PatternTask(gate, pattern, parameters, engine, schedule, defects)
+        for pattern in range(1 << gate.num_inputs)
     ]
     results = run_tasks(
         simulate_pattern, tasks, workers, label="operational.patterns"
@@ -187,12 +250,9 @@ def check_operational(
     # hook never influences the verdict below.
     if _learn_hooks.COLLECTOR is not None:
         _learn_hooks.record_operational(
-            body_sites,
-            input_stimuli,
-            output_pairs,
-            spec.outputs,
+            gate,
             parameters,
-            tuple(defects) if defects else (),
+            defects,
             correct=sum(1 for result in results if result.correct),
             total=len(results),
         )

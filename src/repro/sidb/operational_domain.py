@@ -13,15 +13,12 @@ figure of merit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.coords.lattice import LatticeSite
-from repro.networks.truth_table import TruthTable
-from repro.sidb.bdl import BdlPair
-from repro.sidb.operational import GateFunctionSpec, check_operational
-from repro.sidb.parallel import DomainPointTask, run_tasks
-from repro.sidb.simanneal import SimAnnealParameters
+from repro.sidb.operational import GateUnderTest, check_operational
+from repro.sidb.parallel import run_tasks
 from repro.tech.parameters import SiDBSimulationParameters
 
 
@@ -73,28 +70,21 @@ class OperationalDomain:
 _PARAMETERS = ("epsilon_r", "lambda_tf", "mu_minus")
 
 
-def evaluate_domain_point(task: DomainPointTask) -> DomainPoint:
+def _domain_point(
+    gate: GateUnderTest,
+    point: tuple[float, float, SiDBSimulationParameters],
+) -> DomainPoint:
     """Operational check at one parameter grid point (worker-safe).
 
     Module-level so :func:`repro.sidb.parallel.run_tasks` can ship grid
-    points to a ``ProcessPoolExecutor`` by reference; the per-pattern
-    simulations inside stay serial (one process per grid point).
+    points to a ``ProcessPoolExecutor``; the per-pattern simulations
+    inside stay serial (one process per grid point).
     """
-    report = check_operational(
-        body_sites=list(task.body_sites),
-        input_stimuli=[
-            (list(sites0), list(sites1))
-            for sites0, sites1 in task.input_stimuli
-        ],
-        output_pairs=list(task.output_pairs),
-        spec=GateFunctionSpec(task.outputs),
-        parameters=task.parameters,
-        engine=task.engine,
-        schedule=task.schedule,
-    )
+    x, y, parameters = point
+    report = check_operational(gate, parameters)
     return DomainPoint(
-        x=task.x,
-        y=task.y,
+        x=x,
+        y=y,
         operational=report.operational,
         correct_patterns=sum(p.correct for p in report.patterns),
         total_patterns=len(report.patterns),
@@ -102,20 +92,14 @@ def evaluate_domain_point(task: DomainPointTask) -> DomainPoint:
 
 
 def compute_operational_domain(
-    body_sites: Sequence[LatticeSite],
-    input_stimuli: Sequence[tuple[list[LatticeSite], list[LatticeSite]]],
-    output_pairs: Sequence[BdlPair],
-    outputs: Sequence[TruthTable],
+    gate: GateUnderTest,
     x_parameter: str = "epsilon_r",
     x_values: Sequence[float] = (4.6, 5.1, 5.6, 6.1, 6.6),
     y_parameter: str = "lambda_tf",
     y_values: Sequence[float] = (3.0, 4.0, 5.0, 6.0, 7.0),
-    base: SiDBSimulationParameters | None = None,
-    engine: str = "auto",
-    schedule: SimAnnealParameters | None = None,
     workers: int = 1,
 ) -> OperationalDomain:
-    """Sweep two physical parameters; returns the operational domain.
+    """Sweep two physical parameters around the Bestagon point.
 
     ``workers > 1`` distributes the grid points over a process pool;
     each point is an independent simulation, and the returned
@@ -128,35 +112,19 @@ def compute_operational_domain(
             )
     if x_parameter == y_parameter:
         raise ValueError("x and y must sweep different parameters")
-    base = base or SiDBSimulationParameters.bestagon()
+    base = SiDBSimulationParameters.bestagon()
+    points = [
+        (x, y, dataclasses.replace(base, **{x_parameter: x, y_parameter: y}))
+        for x in x_values
+        for y in y_values
+    ]
     domain = OperationalDomain(x_parameter, y_parameter)
-
-    body = tuple(body_sites)
-    stimuli = tuple(
-        (tuple(sites0), tuple(sites1)) for sites0, sites1 in input_stimuli
-    )
-    pairs = tuple(output_pairs)
-    tables = tuple(outputs)
-    tasks = []
-    for x in x_values:
-        for y in y_values:
-            tasks.append(
-                DomainPointTask(
-                    x=x,
-                    y=y,
-                    body_sites=body,
-                    input_stimuli=stimuli,
-                    output_pairs=pairs,
-                    outputs=tables,
-                    parameters=dataclasses.replace(
-                        base, **{x_parameter: x, y_parameter: y}
-                    ),
-                    engine=engine,
-                    schedule=schedule,
-                )
-            )
     domain.points.extend(
-        run_tasks(evaluate_domain_point, tasks, workers, label="domain.points")
+        run_tasks(
+            functools.partial(_domain_point, gate),
+            points,
+            workers,
+            label="domain.points",
+        )
     )
     return domain
-

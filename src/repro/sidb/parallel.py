@@ -3,9 +3,10 @@
 Every ground-state simulation of an operational-domain sweep is
 independent of every other one -- across input patterns and across
 parameter grid points -- so the sweep is embarrassingly parallel.  This
-module provides the plumbing: picklable task records and an ordered
-``ProcessPoolExecutor`` map that degrades to a plain loop for
-``workers <= 1`` (the default, keeping CI deterministic and fork-free).
+module provides the plumbing: an ordered ``ProcessPoolExecutor`` map
+that degrades to a plain loop for ``workers <= 1`` (the default,
+keeping CI deterministic and fork-free).  The picklable task records
+live with the functions that consume them.
 """
 
 from __future__ import annotations
@@ -13,23 +14,13 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro import obs
-from repro.coords.lattice import LatticeSite
 from repro.obs import Span
-from repro.networks.truth_table import TruthTable
-from repro.sidb.bdl import BdlPair
-from repro.sidb.charge import SidbLayout
-from repro.sidb.simanneal import SimAnnealParameters
-from repro.tech.parameters import SiDBSimulationParameters
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Input stimuli in transport form: per input, (sites_for_0, sites_for_1).
-StimuliSpec = tuple[tuple[tuple[LatticeSite, ...], tuple[LatticeSite, ...]], ...]
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -87,7 +78,8 @@ def run_tasks(
 
     ``workers <= 1`` runs a plain loop in-process; otherwise the tasks
     fan out over a :class:`ProcessPoolExecutor`.  ``function`` must be a
-    module-level callable and the tasks picklable records.  The result
+    module-level callable (or a ``functools.partial`` of one) and the
+    tasks picklable.  The result
     list is always in task order, so serial and parallel execution are
     interchangeable bit-for-bit (given deterministic tasks).
 
@@ -141,50 +133,4 @@ def run_tasks(
                     parent.children.append(child)
                 obs.progress(label, index + 1, total)
         return results
-
-
-# --- picklable task records ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PatternTask:
-    """One input pattern of an operational check, ready to ship.
-
-    ``defects`` carries the fixed charged defects (as picklable
-    :class:`~repro.defects.model.SidbDefect` records) to fold into the
-    pattern's energy model; empty on pristine surfaces.
-    """
-
-    pattern: int
-    body_sites: tuple[LatticeSite, ...]
-    input_stimuli: StimuliSpec
-    output_pairs: tuple[BdlPair, ...]
-    expected: tuple[bool, ...]
-    parameters: SiDBSimulationParameters
-    engine: str
-    schedule: SimAnnealParameters | None
-    defects: tuple = ()
-
-    def build_layout(self) -> SidbLayout:
-        """Body plus the pattern's chosen far/close input perturbers."""
-        layout = SidbLayout(self.body_sites)
-        for bit, (sites0, sites1) in enumerate(self.input_stimuli):
-            chosen = sites1 if (self.pattern >> bit) & 1 else sites0
-            layout.extend(chosen)
-        return layout
-
-
-@dataclass(frozen=True)
-class DomainPointTask:
-    """One parameter grid point of an operational-domain sweep."""
-
-    x: float
-    y: float
-    body_sites: tuple[LatticeSite, ...]
-    input_stimuli: StimuliSpec
-    output_pairs: tuple[BdlPair, ...]
-    outputs: tuple[TruthTable, ...]
-    parameters: SiDBSimulationParameters
-    engine: str
-    schedule: SimAnnealParameters | None
 

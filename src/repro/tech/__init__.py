@@ -1,27 +1,1 @@
 """Technology constants, physical parameters, design rules and area model."""
-
-from repro.tech.constants import (
-    COULOMB_CONSTANT_EV_NM,
-    LATTICE_A_NM,
-    LATTICE_B_NM,
-    LATTICE_C_NM,
-    TILE_HEIGHT_ROWS,
-    TILE_WIDTH_COLUMNS,
-)
-from repro.tech.parameters import SiDBSimulationParameters
-from repro.tech.area import layout_area_nm2, layout_extent_nm
-from repro.tech.design_rules import DesignRules, DesignRuleViolation
-
-__all__ = [
-    "COULOMB_CONSTANT_EV_NM",
-    "LATTICE_A_NM",
-    "LATTICE_B_NM",
-    "LATTICE_C_NM",
-    "TILE_HEIGHT_ROWS",
-    "TILE_WIDTH_COLUMNS",
-    "SiDBSimulationParameters",
-    "DesignRules",
-    "DesignRuleViolation",
-    "layout_area_nm2",
-    "layout_extent_nm",
-]

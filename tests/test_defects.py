@@ -15,10 +15,12 @@ from repro.defects import (
     tile_is_blocked,
 )
 from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
+from repro.gatelib.library import BestagonLibrary
 from repro.gatelib.tile import TileGeometry
 from repro.networks import benchmark_verilog
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import EnergyModel, external_potential_vector
+from repro.sidb.operational import check_operational
 from repro.sqd.sqd import read_sqd, read_sqd_defects, write_sqd
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -243,6 +245,53 @@ def test_recheck_structural_defect_on_design_site_fails_tile():
     clobber = SurfaceDefects([SidbDefect(site, DefectType.MISSING_DIMER)])
     report = recheck_layout_against_defects(result.layout, clobber)
     assert not report.operational
+
+
+@pytest.mark.parametrize(
+    "site, kind",
+    [
+        # The output perturber of the pi_SE tile at (0, 0) ...
+        ((45, 22, 0), DefectType.DB),
+        ((45, 22, 0), DefectType.ARSENIC),
+        # ... and the close stimulus of its input.
+        ((45, 0, 0), DefectType.DB),
+    ],
+)
+def test_recheck_charged_defect_on_a_simulated_site_fails_tile(site, kind):
+    result = design_sidb_circuit(benchmark_verilog("xor2"), "xor2")
+    defect = SidbDefect(LatticeSite(*site), kind)
+    # Simulated by the tile check, but not a fabricated dot.
+    assert defect.site not in set(result.sidb_layout.sites())
+    report = recheck_layout_against_defects(
+        result.layout, SurfaceDefects([defect])
+    )
+    tile = next(t for t in report.tiles if t.coord == HexCoord(0, 0))
+    assert tile.design_name == "pi_SE"
+    assert not tile.operational
+    assert not report.operational
+
+
+@pytest.mark.parametrize(
+    "name", ["wire_NW_SW", "inv_NW_SW", "or_SE", "fanout_NW"]
+)
+def test_translation_keeps_the_tile_verdict(name):
+    """The recheck's pristine baseline is the untranslated tile."""
+    geometry = TileGeometry()
+    parameters = SiDBSimulationParameters.bestagon()
+    gate = BestagonLibrary().design(name).under_test
+    reference = check_operational(gate, parameters)
+    # Origins (60, 0), (30, 46) and (210, 230).
+    for coord in (HexCoord(1, 0), HexCoord(0, 1), HexCoord(3, 5)):
+        moved = check_operational(
+            gate.translated(*geometry.origin_of(coord)), parameters
+        )
+        assert len(moved.patterns) == len(reference.patterns)
+        for base, shifted in zip(reference.patterns, moved.patterns):
+            assert shifted.observed == base.observed
+            assert shifted.correct == base.correct
+            assert shifted.ground_energy == pytest.approx(
+                base.ground_energy, abs=1e-12
+            )
 
 
 # --- .sqd round trip -----------------------------------------------------

@@ -14,6 +14,7 @@ from repro.networks.simulation import exhaustive_equivalent
 from repro.networks.truth_table import TruthTable
 from repro.networks.xag import Xag
 from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import GateUnderTest
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.verification.bdd import (
     Bdd,
@@ -145,52 +146,39 @@ class TestOperationalDomain:
             sites += [S(0, 6 * k), S(0, 6 * k + 2)]
             pairs.append(BdlPair(S(0, 6 * k), S(0, 6 * k + 2)))
         sites.append(S(0, 18))
-        return sites, pairs
+        return GateUnderTest(
+            sites,
+            [([S(0, -6)], [S(0, -2)])],
+            [pairs[-1]],
+            [TruthTable(1, 0b10)],
+        )
 
     def test_wire_domain_contains_nominal_point(self):
-        sites, pairs = self._wire()
         domain = compute_operational_domain(
-            body_sites=sites,
-            input_stimuli=[([S(0, -6)], [S(0, -2)])],
-            output_pairs=[pairs[-1]],
-            outputs=[TruthTable(1, 0b10)],
-            x_values=(5.6,),
-            y_values=(5.0,),
+            self._wire(), x_values=(5.6,), y_values=(5.0,)
         )
         assert domain.coverage == 1.0
 
     def test_extreme_screening_breaks_the_wire(self):
-        sites, pairs = self._wire()
         domain = compute_operational_domain(
-            body_sites=sites,
-            input_stimuli=[([S(0, -6)], [S(0, -2)])],
-            output_pairs=[pairs[-1]],
-            outputs=[TruthTable(1, 0b10)],
+            self._wire(),
             x_values=(5.6,),
             y_values=(0.5,),  # lambda_TF = 0.5 nm: interactions vanish
         )
         assert domain.coverage == 0.0
 
     def test_domain_sweep_and_ascii(self):
-        sites, pairs = self._wire()
         domain = compute_operational_domain(
-            body_sites=sites,
-            input_stimuli=[([S(0, -6)], [S(0, -2)])],
-            output_pairs=[pairs[-1]],
-            outputs=[TruthTable(1, 0b10)],
-            x_values=(5.1, 5.6),
-            y_values=(4.0, 5.0),
+            self._wire(), x_values=(5.1, 5.6), y_values=(4.0, 5.0)
         )
         assert len(domain.points) == 4
         art = domain.to_ascii()
         assert "|" in art and len(art.splitlines()) == 3
 
     def test_parameter_validation(self):
-        sites, pairs = self._wire()
         with pytest.raises(ValueError):
             compute_operational_domain(
-                sites, [([S(0, -6)], [S(0, -2)])], [pairs[-1]],
-                [TruthTable(1, 0b10)],
+                self._wire(),
                 x_parameter="epsilon_r", y_parameter="epsilon_r",
             )
 

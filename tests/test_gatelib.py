@@ -21,7 +21,7 @@ from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.exhaustive import exhaustive_ground_state
-from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -214,16 +214,17 @@ class TestPhysicsValidation:
         sites.append(S(0, orow + 2 + params["gout"]))
         from repro.sidb.bdl import BdlPair
 
-        report = check_operational(
-            body_sites=sites,
+        gate = GateUnderTest(
+            body=sites,
             input_stimuli=[
                 ([S(-(dx2 + 2 * dx1), -6)], [S(-(dx2 + 2 * dx1), -2)]),
                 ([S(dx2 + 2 * dx1, -6)], [S(dx2 + 2 * dx1, -2)]),
             ],
             output_pairs=[BdlPair(S(0, orow), S(0, orow + 2))],
-            spec=GateFunctionSpec((TruthTable(2, 0b1110),)),
-            parameters=SiDBSimulationParameters.bestagon(),
-            engine="exhaustive",
+            outputs=[TruthTable(2, 0b1110)],
+        )
+        report = check_operational(
+            gate, SiDBSimulationParameters.bestagon(), engine="exhaustive"
         )
         assert report.operational
 

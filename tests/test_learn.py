@@ -271,9 +271,7 @@ def test_hooks_default_disabled():
     assert learn_hooks.COLLECTOR is None
     # Disabled hooks are no-ops, not errors.
     learn_hooks.record_canvas(None, None, 0, 0)
-    learn_hooks.record_operational(
-        (), (), (), (), None, (), 0, 0
-    )
+    learn_hooks.record_operational(None, None, (), 0, 0)
 
 
 # --- store blobs ---------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.defects import DefectType, SidbDefect, SurfaceDefects
 from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
 from repro.networks import benchmark_verilog
 from repro.gatelib.library import BestagonLibrary
-from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.operational import check_operational
 from repro.sidb.parallel import run_tasks
 from repro.sidb.simanneal import SimAnnealParameters
 
@@ -125,15 +125,8 @@ class TestRunTasksCapture:
 
 class TestParallelAnnealTelemetry:
     def test_counter_totals_match_serial_exactly(self):
-        design = BestagonLibrary().design("or_SE")
         kwargs = dict(
-            body_sites=list(design.sites) + list(design.output_perturbers),
-            input_stimuli=[
-                (list(far), list(close))
-                for far, close in design.input_stimuli
-            ],
-            output_pairs=list(design.output_pairs),
-            spec=GateFunctionSpec(design.functions),
+            gate=BestagonLibrary().design("or_SE").under_test,
             engine="simanneal",
             schedule=SCHEDULE,
         )

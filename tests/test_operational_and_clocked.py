@@ -8,7 +8,7 @@ from repro.gatelib.designer import CanvasSearchProblem, score_design, search_can
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
 from repro.sidb.clocked import ClockedWire
-from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
@@ -27,53 +27,61 @@ def wire_fixture(npairs=3):
     return sites, stimuli, pairs
 
 
+def wire_gate(table=TruthTable(1, 0b10)):
+    sites, stimuli, pairs = wire_fixture()
+    return GateUnderTest(sites, stimuli, [pairs[-1]], [table])
+
+
 class TestOperationalCheck:
     def test_wire_is_operational(self):
-        sites, stimuli, pairs = wire_fixture()
-        report = check_operational(
-            body_sites=sites,
-            input_stimuli=stimuli,
-            output_pairs=[pairs[-1]],
-            spec=GateFunctionSpec((TruthTable(1, 0b10),)),
-            parameters=P32,
-        )
+        report = check_operational(wire_gate(), parameters=P32)
         assert report.operational
         assert len(report.patterns) == 2
 
     def test_wire_as_inverter_fails(self):
-        sites, stimuli, pairs = wire_fixture()
         report = check_operational(
-            body_sites=sites,
-            input_stimuli=stimuli,
-            output_pairs=[pairs[-1]],
-            spec=GateFunctionSpec((TruthTable(1, 0b01),)),
-            parameters=P32,
+            wire_gate(TruthTable(1, 0b01)), parameters=P32
         )
         assert not report.operational
 
     def test_arity_mismatch_rejected(self):
         sites, stimuli, pairs = wire_fixture()
         with pytest.raises(ValueError):
-            check_operational(
-                sites, stimuli, [pairs[-1]],
-                GateFunctionSpec((TruthTable(2, 0b0110),)), P32,
+            GateUnderTest(
+                sites, stimuli, [pairs[-1]], [TruthTable(2, 0b0110)]
+            )
+
+    def test_missing_truth_table_rejected(self):
+        sites, stimuli, pairs = wire_fixture()
+        with pytest.raises(ValueError, match="2 output pairs"):
+            GateUnderTest(
+                sites, stimuli, [pairs[1], pairs[2]], [TruthTable(1, 0b10)]
+            )
+
+    def test_second_table_arity_checked(self):
+        sites, stimuli, pairs = wire_fixture()
+        with pytest.raises(ValueError, match="truth table 1"):
+            GateUnderTest(
+                sites,
+                stimuli,
+                [pairs[1], pairs[2]],
+                [TruthTable(1, 0b10), TruthTable(2, 0b0110)],
+            )
+
+    def test_output_pair_outside_body_rejected(self):
+        sites, stimuli, pairs = wire_fixture()
+        with pytest.raises(ValueError, match="output pair 0"):
+            GateUnderTest(
+                sites, stimuli, [BdlPair(S(5, 0), S(5, 2))],
+                [TruthTable(1, 0b10)],
             )
 
     def test_simanneal_engine_agrees(self):
-        sites, stimuli, pairs = wire_fixture()
-        report = check_operational(
-            sites, stimuli, [pairs[-1]],
-            GateFunctionSpec((TruthTable(1, 0b10),)), P32,
-            engine="simanneal",
-        )
+        report = check_operational(wire_gate(), P32, engine="simanneal")
         assert report.operational
 
     def test_pattern_energies_recorded(self):
-        sites, stimuli, pairs = wire_fixture()
-        report = check_operational(
-            sites, stimuli, [pairs[-1]],
-            GateFunctionSpec((TruthTable(1, 0b10),)), P32,
-        )
+        report = check_operational(wire_gate(), P32)
         for pattern in report.patterns:
             assert pattern.ground_energy < 0
 

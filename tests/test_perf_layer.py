@@ -18,7 +18,7 @@ from repro.sidb.energy import (
     geometry_cache_stats,
 )
 from repro.sidb.exhaustive import exhaustive_ground_state
-from repro.sidb.operational import GateFunctionSpec, check_operational
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.sidb.parallel import resolve_workers, run_tasks
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
@@ -100,7 +100,7 @@ def _wire_gate():
         sites += [S(0, 6 * k), S(0, 6 * k + 2)]
         pairs.append(BdlPair(S(0, 6 * k), S(0, 6 * k + 2)))
     sites.append(S(0, 18))
-    return (
+    return GateUnderTest(
         sites,
         [([S(0, -6)], [S(0, -2)])],
         [pairs[-1]],
@@ -110,10 +110,9 @@ def _wire_gate():
 
 class TestParallelSweeps:
     def test_check_operational_workers_identical(self):
-        sites, stimuli, pairs, outputs = _wire_gate()
-        spec = GateFunctionSpec(tuple(outputs))
-        serial = check_operational(sites, stimuli, pairs, spec)
-        parallel = check_operational(sites, stimuli, pairs, spec, workers=2)
+        gate = _wire_gate()
+        serial = check_operational(gate)
+        parallel = check_operational(gate, workers=2)
         assert serial.operational and parallel.operational
         assert [
             (p.pattern, p.expected, p.observed, p.ground_energy, p.correct)
@@ -124,16 +123,12 @@ class TestParallelSweeps:
         ]
 
     def test_domain_sweep_workers_identical(self):
-        sites, stimuli, pairs, outputs = _wire_gate()
+        gate = _wire_gate()
         kwargs = dict(
             x_values=(5.1, 5.6), y_values=(4.0, 5.0),
         )
-        serial = compute_operational_domain(
-            sites, stimuli, pairs, outputs, **kwargs
-        )
-        parallel = compute_operational_domain(
-            sites, stimuli, pairs, outputs, workers=2, **kwargs
-        )
+        serial = compute_operational_domain(gate, **kwargs)
+        parallel = compute_operational_domain(gate, workers=2, **kwargs)
         assert serial.points == parallel.points
         assert len(serial.points) == 4
 

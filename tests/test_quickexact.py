@@ -30,7 +30,6 @@ from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import (
     ENGINES,
     QUICKEXACT_AUTO_MAX_SITES,
-    GateFunctionSpec,
     _ground_state,
     check_operational,
 )
@@ -264,16 +263,8 @@ class TestEngineSelection:
 
     def test_check_operational_exhaustive_matches_default(self):
         library = BestagonLibrary()
-        design = library.design("wire_NW_SE")
         kwargs = dict(
-            body_sites=list(design.sites) + list(design.output_perturbers),
-            input_stimuli=[
-                (list(far), list(close))
-                for far, close in design.input_stimuli
-            ],
-            output_pairs=list(design.output_pairs),
-            spec=GateFunctionSpec(design.functions),
-            parameters=P32,
+            gate=library.design("wire_NW_SE").under_test, parameters=P32
         )
         default = check_operational(**kwargs)
         reference = check_operational(**kwargs, engine="exhaustive")
