@@ -17,6 +17,21 @@ PYTHONPATH=src python scripts/check_learn_schema.py
 echo "== design service smoke =="
 PYTHONPATH=src python scripts/service_smoke.py
 
+echo "== package data =="
+# An installed repro builds its tiles from gatelib/found_designs.json,
+# so a plain setuptools build (no wheel, nothing downloaded) must ship it.
+build_dir=$(mktemp -d)
+trap 'rm -rf "$build_dir"' EXIT
+cp -r src pyproject.toml setup.py README.md "$build_dir"
+build_log=$(cd "$build_dir" && python setup.py -q build 2>&1) \
+    || { printf '%s\n' "$build_log"; exit 1; }
+if [ -z "$(find "$build_dir/build" -path '*/repro/gatelib/found_designs.json')" ]
+then
+    echo "setup.py build left out repro/gatelib/found_designs.json"
+    exit 1
+fi
+rm -rf "$build_dir"
+
 # A traced benchmark pass patches engine entry points and reads their
 # counters.  run.py fails on an unfaithful pass; traced_run then checks
 # trace.determinism_mismatches = 0 and every name=value pin it is given,
@@ -48,10 +63,12 @@ traced_run table1 place_route.conflicts=135 \
 
 echo "== benchmark physics hooks (traced tile_library run) =="
 # Patches repro.sidb.operational.quickexact_ground_state and SimAnneal
-# and reads QuickExactStatistics fields.
-traced_run tile_library quickexact.calls=56 quickexact.nodes_visited=149464 \
-    quickexact.leaves_evaluated=21668 quickexact.cuts=53120 \
-    simanneal.calls=32 geometry.hits=8 geometry.misses=80 \
+# and reads QuickExactStatistics fields.  QuickExact runs once per
+# isometry class of the 56 patterns of up to 30 sites (25 classes), on
+# the class's canonical form; a memo hit builds no geometry.
+traced_run tile_library quickexact.calls=25 quickexact.nodes_visited=70226 \
+    quickexact.leaves_evaluated=11605 quickexact.cuts=23533 \
+    simanneal.calls=32 geometry.hits=0 geometry.misses=57 \
     validate.patterns=88
 
 echo "== benchmark imports =="

@@ -21,7 +21,7 @@ positions for the electrostatics engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable, Sequence
 
 from repro.tech.constants import (
     LATTICE_A_NM,
@@ -94,3 +94,65 @@ class SurfaceLattice:
         """(width, height) of the physical bounding box in nanometers."""
         min_x, min_y, max_x, max_y = SurfaceLattice.bounding_box_nm(sites)
         return max_x - min_x, max_y - min_y
+
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    """A system of sites moved to its isometry class's representative.
+
+    ``sites[j]`` is the image of input site ``order[j]``; ``marks[j]``
+    is the image of input mark ``mark_order[j]``.
+    """
+
+    sites: tuple[LatticeSite, ...]
+    order: tuple[int, ...]
+    marks: tuple[tuple[LatticeSite, Hashable], ...]
+    mark_order: tuple[int, ...]
+
+
+def canonical_form(
+    sites: Sequence[LatticeSite],
+    marks: Sequence[tuple[LatticeSite, Hashable]] = (),
+) -> CanonicalForm:
+    """The representative of ``sites`` under the lattice's isometries.
+
+    Every pairwise distance, and so every screened-Coulomb energy, is
+    unchanged by a whole-dimer shift (any ``dn``, any ``dm``) and by the
+    mirror ``n -> -n``.  A shift by an odd number of rows is not an
+    isometry (``l=0`` and ``l=1`` sites would move by different
+    distances), nor is a mirror in y (``c != b - c``).  The
+    representative is the lexicographically smaller of the sorted
+    system and its mirror, each shifted to ``min n = 0`` and
+    ``min m = 0`` over ``sites``.  ``marks`` are ``(site, label)`` pairs
+    with orderable labels, such as fixed charges; they move with the
+    sites and take part in the comparison, so two systems get the same
+    form exactly when one is an isometric image of the other.
+    """
+    best = None
+    for sign in (1, -1):
+        dn = -min((sign * site.n for site in sites), default=0)
+        dm = -min((site.m for site in sites), default=0)
+
+        def move(site: LatticeSite) -> LatticeSite:
+            return LatticeSite(sign * site.n + dn, site.m + dm, site.l)
+
+        image = sorted(
+            (move(site), index) for index, site in enumerate(sites)
+        )
+        mark_image = sorted(
+            (move(site), label, index)
+            for index, (site, label) in enumerate(marks)
+        )
+        key = (
+            tuple(site for site, _ in image),
+            tuple((site, label) for site, label, _ in mark_image),
+        )
+        if best is None or key < best[0]:
+            best = (key, image, mark_image)
+    (moved, moved_marks), image, mark_image = best
+    return CanonicalForm(
+        sites=moved,
+        order=tuple(index for _, index in image),
+        marks=moved_marks,
+        mark_order=tuple(index for _, _, index in mark_image),
+    )

@@ -46,6 +46,7 @@ from repro.physical_design.heuristic import (
     HeuristicStatistics,
 )
 from repro.sidb.charge import SidbLayout
+from repro.sidb.energy import clear_geometry_cache
 from repro.sqd.sqd import write_sqd
 from repro.synthesis.database import NpnDatabase
 from repro.synthesis.mapping import map_to_bestagon
@@ -302,6 +303,10 @@ def design_sidb_circuit(
     """Run the complete flow on a Verilog string or an XAG."""
     config = configuration or FlowConfiguration()
     start = time.time()
+    # Start the physics cold, as a fresh process does: a ground state
+    # memoised by an earlier design would drop this design's engine
+    # spans, and its trace should depend only on its own inputs.
+    clear_geometry_cache()
 
     with obs.capture(
         "design_flow", enable=True if config.trace else None

@@ -40,11 +40,14 @@ S = LatticeSite.from_row
 _JSON_PATH = os.path.join(os.path.dirname(__file__), "found_designs.json")
 
 
-def _load_found() -> dict:
-    if os.path.exists(_JSON_PATH):
-        with open(_JSON_PATH, encoding="utf-8") as handle:
-            return json.load(handle)
-    return {}
+def _load_found(path: str = _JSON_PATH) -> dict:
+    """The scanned motif parameters.
+
+    A missing file raises ``FileNotFoundError`` naming ``path``: without
+    it 15 of the 29 built-in tiles would silently get other dots.
+    """
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 FOUND = _load_found()

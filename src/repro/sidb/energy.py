@@ -20,7 +20,9 @@ site set and shared through a process-wide LRU cache
 (:class:`GeometryCache`).  A parameter point then only pays the cheap
 ``exp(-d/lambda_TF)/d * 1/eps_r`` rescale -- which is what makes
 operational-domain sweeps over (eps_r, lambda_TF, mu_minus) grids
-affordable.
+affordable.  The exact ground states solved from that geometry are
+memoised beside it (:data:`GROUND_STATE_MEMO`), and
+:func:`clear_geometry_cache` empties both.
 """
 
 from __future__ import annotations
@@ -40,27 +42,20 @@ if TYPE_CHECKING:  # avoid a runtime repro.defects <-> repro.sidb cycle
     from repro.defects.model import SidbDefect
 
 
-class GeometryCache:
-    """LRU cache of pairwise distance matrices, keyed on the site tuple.
+class LruCache:
+    """Bounded LRU map with ``hits``/``misses`` counters.
 
-    One entry per distinct (ordered) site set; the stored matrices are
-    marked read-only so every :class:`EnergyModel` sharing an entry sees
-    the same immutable array.  ``hits``/``misses`` counters let tests
-    (and benchmarks) verify that a sweep reuses the geometry instead of
-    rebuilding it at every parameter point.
+    The caches are process-wide and concurrent design flows may run in
+    sibling threads (the design service does); the lock keeps the
+    get/move-to-end/evict sequence atomic.  The value itself is built
+    outside the lock, between :meth:`lookup` and :meth:`store`.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[
-            tuple[LatticeSite, ...], tuple[np.ndarray, float]
-        ] = OrderedDict()
-        # The cache is process-wide and concurrent design flows may run
-        # in sibling threads (the design service does); the lock keeps
-        # the get/move-to-end/evict sequence atomic.  Uncontended cost
-        # is negligible next to the matrix build it guards.
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -72,22 +67,43 @@ class GeometryCache:
             self.hits = 0
             self.misses = 0
 
+    def lookup(self, key):
+        """The entry under ``key`` (counted as a hit), or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return entry
+
+    def store(self, key, entry):
+        """Insert ``entry``, evicting the least recently used; returns it."""
+        with self._lock:
+            self._entries[key] = entry
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        return entry
+
+
+class GeometryCache(LruCache):
+    """LRU cache of pairwise distance matrices, keyed on the site tuple.
+
+    One entry per distinct (ordered) site set; the stored matrices are
+    marked read-only so every :class:`EnergyModel` sharing an entry sees
+    the same immutable array.  ``hits``/``misses`` counters let tests
+    (and benchmarks) verify that a sweep reuses the geometry instead of
+    rebuilding it at every parameter point.
+    """
+
     def distance_matrix(
         self, sites: tuple[LatticeSite, ...]
     ) -> tuple[np.ndarray, float]:
         """(distance matrix, minimal pair distance) of a site set."""
-        with self._lock:
-            entry = self._entries.get(sites)
-            if entry is not None:
-                self.hits += 1
-                self._entries.move_to_end(sites)
-                return entry
-            self.misses += 1
-        entry = self._compute(sites)
-        with self._lock:
-            self._entries[sites] = entry
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+        entry = self.lookup(sites)
+        if entry is None:
+            entry = self.store(sites, self._compute(sites))
         return entry
 
     @staticmethod
@@ -115,6 +131,11 @@ class GeometryCache:
 #: Process-wide geometry cache shared by every :class:`EnergyModel`.
 GEOMETRY_CACHE = GeometryCache()
 
+#: Exact ground states solved from that geometry, one per isometry
+#: class of system and parameter point; filled by
+#: :mod:`repro.sidb.operational`.
+GROUND_STATE_MEMO = LruCache()
+
 
 def geometry_cache_stats() -> dict[str, int]:
     """Hit/miss/size counters of the shared geometry cache."""
@@ -126,8 +147,9 @@ def geometry_cache_stats() -> dict[str, int]:
 
 
 def clear_geometry_cache() -> None:
-    """Drop all cached distance matrices and reset the counters."""
+    """Drop all cached distance matrices and memoised ground states."""
     GEOMETRY_CACHE.clear()
+    GROUND_STATE_MEMO.clear()
 
 
 def external_potential_vector(

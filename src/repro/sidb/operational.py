@@ -17,20 +17,27 @@ Each input pattern is an independent ground-state simulation, so the
 check optionally fans the patterns out over worker processes
 (``workers > 1``); per-pattern layouts share their pairwise geometry
 through the :mod:`repro.sidb.energy` cache, so a parameter sweep only
-pays the O(n^2) distance matrix once per distinct site set.
+pays the O(n^2) distance matrix once per distinct site set.  An exact
+ground state depends only on the system's geometry, so each is solved
+once per lattice isometry class (whole-dimer shifts and the mirror
+``n -> -n``, see :func:`repro.coords.lattice.canonical_form`): mirrored
+tiles and repeated patterns reuse it from a memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.coords.lattice import LatticeSite
+import numpy as np
+
+from repro import obs
+from repro.coords.lattice import LatticeSite, canonical_form
 from repro.learn import hooks as _learn_hooks
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
-from repro.sidb.energy import EnergyModel
-from repro.sidb.exhaustive import exhaustive_ground_state
+from repro.sidb.energy import GROUND_STATE_MEMO, EnergyModel
+from repro.sidb.exhaustive import GroundStateResult, exhaustive_ground_state
 from repro.sidb.parallel import run_tasks
 from repro.sidb.quickexact import quickexact_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
@@ -268,14 +275,86 @@ def _ground_state(
     engine: str,
     schedule: SimAnnealParameters | None,
     defects=(),
-):
+) -> GroundStateResult:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    model = EnergyModel(layout, parameters, defects) if defects else None
-    if engine == "exhaustive":
-        return exhaustive_ground_state(layout, parameters, model=model)
-    if engine == "quickexact" or (
-        engine == "auto" and len(layout) <= QUICKEXACT_AUTO_MAX_SITES
+    if engine == "simanneal" or (
+        engine == "auto" and len(layout) > QUICKEXACT_AUTO_MAX_SITES
     ):
-        return quickexact_ground_state(layout, parameters, model=model)
-    return SimAnneal(layout, parameters, schedule, model=model).run()
+        # An annealed state depends on the site order and the seed, so
+        # SimAnneal always runs on the layout exactly as given.
+        model = EnergyModel(layout, parameters, defects) if defects else None
+        return SimAnneal(layout, parameters, schedule, model=model).run()
+    if engine == "auto":
+        engine = "quickexact"
+    return _exact_ground_state(layout, parameters, engine, defects)
+
+
+def _exact_ground_state(
+    layout: SidbLayout,
+    parameters: SiDBSimulationParameters,
+    engine: str,
+    defects,
+) -> GroundStateResult:
+    """An exact ground state, solved once per lattice isometry class.
+
+    The engine always runs on the canonical form of the system (charged
+    defects included), so the result does not depend on the memo's
+    state or on which member of the class came first.  Each caller gets
+    fresh ground-state arrays in its own site order; a memo hit carries
+    ``stats=None``.
+    """
+    charged = [defect for defect in defects if defect.charge]
+    form = canonical_form(
+        layout.sites(),
+        [(defect.site, _defect_label(defect, parameters)) for defect in charged],
+    )
+    key = (form.sites, form.marks, parameters, engine)
+    canonical = GROUND_STATE_MEMO.lookup(key)
+    stats = None
+    if canonical is None:
+        canonical_layout = SidbLayout(form.sites)
+        canonical_defects = [
+            replace(charged[index], site=site)
+            for (site, _), index in zip(form.marks, form.mark_order)
+        ]
+        model = (
+            EnergyModel(canonical_layout, parameters, canonical_defects)
+            if canonical_defects
+            else None
+        )
+        solve = (
+            exhaustive_ground_state
+            if engine == "exhaustive"
+            else quickexact_ground_state
+        )
+        canonical = solve(canonical_layout, parameters, model=model)
+        for state in canonical.ground_states:
+            state.setflags(write=False)
+        GROUND_STATE_MEMO.store(key, canonical)
+        stats = canonical.stats
+    else:
+        obs.add("sidb.ground_state_memo_hits")
+    order = np.asarray(form.order, dtype=np.intp)
+    ground_states = []
+    for state in canonical.ground_states:
+        mapped = np.empty_like(state)
+        mapped[order] = state
+        ground_states.append(mapped)
+    return GroundStateResult(
+        layout,
+        ground_states=ground_states,
+        ground_energy=canonical.ground_energy,
+        valid_count=canonical.valid_count,
+        total_count=canonical.total_count,
+        stats=stats,
+    )
+
+
+def _defect_label(defect, parameters: SiDBSimulationParameters) -> tuple:
+    """What a charged defect contributes to the energy model, site aside."""
+    return (
+        defect.charge,
+        parameters.epsilon_r if defect.epsilon_r is None else defect.epsilon_r,
+        parameters.lambda_tf if defect.lambda_tf is None else defect.lambda_tf,
+    )

@@ -88,8 +88,12 @@ def run_tasks(
     ``parallel.task`` span (workers ship theirs back with the result),
     and all of them merge as children of one ``parallel`` span with
     ``index``/``worker`` attribution.  The merged tree's *structure*
-    depends only on the tasks, never on the worker count.  Each
-    completed task also ticks ``obs.progress(label, ...)``.
+    depends only on the tasks and the parent's ground-state memo
+    (:mod:`repro.sidb.operational`), never on the worker count --
+    except that an exact ground state a worker solves stays in that
+    worker's memo, so a later task of the same isometry class that
+    would hit it serially solves it again.  Each completed task also
+    ticks ``obs.progress(label, ...)``.
     """
     workers = resolve_workers(workers)
     serial = workers <= 1 or len(tasks) <= 1

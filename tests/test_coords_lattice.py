@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.coords.lattice import LatticeSite, SurfaceLattice
+from repro.coords.lattice import LatticeSite, SurfaceLattice, canonical_form
 from repro.tech.constants import LATTICE_A_NM, LATTICE_B_NM, LATTICE_C_NM
 
 
@@ -72,3 +72,55 @@ class TestSurfaceLattice:
         width, height = SurfaceLattice.extent_nm(sites)
         assert width == pytest.approx(10 * LATTICE_A_NM)
         assert height == 0.0
+
+
+SITE_LISTS = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(-40, 40)),
+    min_size=1,
+    max_size=12,
+    unique=True,
+).map(lambda cells: [LatticeSite.from_row(n, row) for n, row in cells])
+
+
+class TestCanonicalForm:
+    @given(
+        SITE_LISTS, st.integers(-30, 30), st.integers(-15, 15), st.booleans()
+    )
+    def test_isometric_images_share_the_form(self, sites, dn, dm, mirror):
+        def move(site):
+            n = -site.n if mirror else site.n
+            return LatticeSite(n + dn, site.m + dm, site.l)
+
+        form = canonical_form(sites)
+        assert canonical_form(sites[::-1]).sites == form.sites
+        assert canonical_form([move(site) for site in sites]).sites == form.sites
+
+    @given(SITE_LISTS)
+    def test_order_maps_every_site_to_its_image(self, sites):
+        form = canonical_form(sites)
+        assert sorted(form.order) == list(range(len(sites)))
+        assert min(site.n for site in form.sites) == 0
+        assert min(site.m for site in form.sites) == 0
+        for a in range(len(sites)):
+            for b in range(a):
+                assert SurfaceLattice.distance_nm(
+                    form.sites[a], form.sites[b]
+                ) == pytest.approx(
+                    SurfaceLattice.distance_nm(
+                        sites[form.order[a]], sites[form.order[b]]
+                    )
+                )
+
+    def test_odd_row_shift_is_another_form(self):
+        sites = [LatticeSite(0, 0, 0), LatticeSite(3, 1, 1)]
+        shifted = [site.translated(0, 1) for site in sites]
+        assert canonical_form(shifted).sites != canonical_form(sites).sites
+
+    def test_marks_move_with_the_sites(self):
+        symmetric = [LatticeSite(0, 0), LatticeSite(4, 0)]
+        left = canonical_form(symmetric, [(LatticeSite(-2, 0), -1)])
+        right = canonical_form(symmetric, [(LatticeSite(6, 0), -1)])
+        assert (left.sites, left.marks) == (right.sites, right.marks)
+        other_charge = canonical_form(symmetric, [(LatticeSite(6, 0), 1)])
+        assert other_charge.marks != right.marks
+        assert canonical_form(symmetric).marks == ()

@@ -1,12 +1,14 @@
 """Tests for the Bestagon gate library: geometry, designs, lookup,
 application and physics validation of the core tiles."""
 
+import re
+
 import pytest
 
 from repro.coords.hexagonal import HexCoord, HexDirection
 from repro.gatelib import BestagonLibrary, TileGeometry, apply_library
 from repro.gatelib.designer import score_design
-from repro.gatelib.designs import builtin_designs, core_parameters
+from repro.gatelib.designs import _load_found, builtin_designs, core_parameters
 from repro.gatelib.tile import CANVAS_FIRST_ROW, CANVAS_LAST_ROW, Port
 from repro.layout.gate_layout import (
     GateLevelLayout,
@@ -98,6 +100,11 @@ class TestDesigns:
     def test_sidb_counts_reasonable(self):
         for name, design in builtin_designs().items():
             assert 4 <= design.num_sidbs <= 60, name
+
+    def test_missing_parameter_file_is_an_error(self, tmp_path):
+        missing = tmp_path / "found_designs.json"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            _load_found(str(missing))
 
 
 class TestLibraryLookup:
