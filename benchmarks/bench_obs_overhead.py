@@ -33,6 +33,7 @@ from repro.networks.truth_table import TruthTable
 from repro.obs import _NOOP
 from repro.obs import log as obs_log
 from repro.sidb.bdl import BdlPair
+from repro.sidb.energy import clear_geometry_cache
 from repro.sidb.operational import GateUnderTest, check_operational
 from repro.synthesis.database import NpnDatabase
 from repro.tech.parameters import SiDBSimulationParameters
@@ -289,7 +290,9 @@ def run_learn_hook_overhead_benchmark() -> dict:
     ``COLLECTOR is not None`` hook after their physics; with no
     collector installed that must stay one attribute check, mirroring
     the obs contract.  This times a small ``check_operational`` (a
-    3-pair wire, exact engine).
+    3-pair wire, exact engine).  Every call starts cold: clearing the
+    geometry cache also empties the exact ground-state memo, so each call
+    simulates its patterns instead of looking them up.
     """
     S = LatticeSite.from_row
     gate = GateUnderTest(
@@ -301,6 +304,7 @@ def run_learn_hook_overhead_benchmark() -> dict:
     parameters = SiDBSimulationParameters(mu_minus=-0.32)
 
     def run_check(variant: str) -> None:
+        clear_geometry_cache()
         check_operational(gate, parameters=parameters)
 
     record = measure_overhead(

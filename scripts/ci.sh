@@ -63,12 +63,15 @@ traced_run table1 place_route.conflicts=135 \
 
 echo "== benchmark physics hooks (traced tile_library run) =="
 # Patches repro.sidb.operational.quickexact_ground_state and SimAnneal
-# and reads QuickExactStatistics fields.  QuickExact runs once per
-# isometry class of the 56 patterns of up to 30 sites (25 classes), on
-# the class's canonical form; a memo hit builds no geometry.
-traced_run tile_library quickexact.calls=25 quickexact.nodes_visited=70226 \
-    quickexact.leaves_evaluated=11605 quickexact.cuts=23533 \
-    simanneal.calls=32 geometry.hits=0 geometry.misses=57 \
+# and reads QuickExactStatistics fields.  Engine auto solves every
+# pattern of up to 32 sites exactly, so QuickExact runs once per
+# isometry class of 84 patterns (48 classes), on the class's canonical
+# form, and SimAnneal only on half_adder's 4 patterns of 52 sites; a
+# memo hit builds no geometry.  The node, leaf and cut counts include
+# the configuration-stability (hop) witness's pruning.
+traced_run tile_library quickexact.calls=48 quickexact.nodes_visited=33874 \
+    quickexact.leaves_evaluated=1927 quickexact.cuts=15058 \
+    simanneal.calls=4 geometry.hits=0 geometry.misses=52 \
     validate.patterns=88
 
 echo "== benchmark imports =="

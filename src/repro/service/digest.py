@@ -45,8 +45,11 @@ from repro.tech.design_rules import DesignRules
 #: performs side-effectful collection a cached hit would silently
 #: skip, so the two must not share a digest).  Version 5 dropped
 #: ``exact_engine`` (QuickExact is the one exact engine, so the key no
-#: longer selected anything).
-DIGEST_VERSION = 5
+#: longer selected anything).  Version 6: the defect recheck and its
+#: pristine baseline judge tiles of 31-32 sites exactly instead of by
+#: annealing, which can change a persisted defect report, as in
+#: version 2.
+DIGEST_VERSION = 6
 
 
 class UncacheableConfigurationError(ValueError):

@@ -39,20 +39,16 @@ from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import GROUND_STATE_MEMO, EnergyModel
 from repro.sidb.exhaustive import GroundStateResult, exhaustive_ground_state
 from repro.sidb.parallel import run_tasks
-from repro.sidb.quickexact import quickexact_ground_state
+from repro.sidb.quickexact import MAX_QUICKEXACT_SITES, quickexact_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
 #: Ground-state engine selectors accepted by the operational checks:
-#: ``"auto"`` solves systems of up to :data:`QUICKEXACT_AUTO_MAX_SITES`
+#: ``"auto"`` solves systems of up to :data:`MAX_QUICKEXACT_SITES`
 #: exactly with QuickExact and anneals larger ones; ``"quickexact"``,
 #: ``"exhaustive"`` (ExGS, the reference the tests compare against) and
 #: ``"simanneal"`` name a specific solver.
 ENGINES = ("auto", "quickexact", "exhaustive", "simanneal")
-
-#: Largest system ``engine="auto"`` still solves exactly; SimAnneal
-#: takes over beyond.
-QUICKEXACT_AUTO_MAX_SITES = 30
 
 
 @dataclass(frozen=True)
@@ -279,7 +275,7 @@ def _ground_state(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "simanneal" or (
-        engine == "auto" and len(layout) > QUICKEXACT_AUTO_MAX_SITES
+        engine == "auto" and len(layout) > MAX_QUICKEXACT_SITES
     ):
         # An annealed state depends on the site order and the seed, so
         # SimAnneal always runs on the layout exactly as given.

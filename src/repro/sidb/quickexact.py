@@ -20,6 +20,16 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   completion of the subtree is population stable -- the subtree is cut
   without losing a single stable configuration.
 
+* **Configuration-stability (hop) witness.**  When configuration
+  stability is required, a decided negative site *i* and a decided
+  neutral site *j* bound the energy change of the hop i -> j over all
+  completions: ``v_j - v_i - V_ij <= (w_j - w_i) + sum_k max(0, V_jk -
+  V_ik) - V_ij`` with *k* over the undecided sites and ``w = base + mu
+  + external potential``.  A bound below the stability tolerance means
+  the hop lowers the energy in every completion, so none is
+  metastable.  The visiting order is fixed, so the sums depend only on
+  the depth and are tabulated once per search.
+
 * **Branch-and-bound energy pruning.**  The incumbent is the best
   exact leaf energy found so far (or a caller-supplied upper bound).
   The search branches the likelier ground-state value first, so its
@@ -114,6 +124,7 @@ class QuickExactStatistics:
     configurations_enumerated: int = 0
     cut_witness_occupied: int = 0
     cut_witness_empty: int = 0
+    cut_witness_hop: int = 0
     cut_energy_bound: int = 0
     incumbent_energy: float = float("inf")
 
@@ -129,6 +140,7 @@ class QuickExactStatistics:
         return {
             "witness_occupied": self.cut_witness_occupied,
             "witness_empty": self.cut_witness_empty,
+            "witness_hop": self.cut_witness_hop,
             "energy_bound": self.cut_energy_bound,
         }
 
@@ -219,6 +231,7 @@ def quickexact_ground_state(
         span.add("quickexact.configs", stats.configurations_enumerated)
         span.add("quickexact.cut.witness_occupied", stats.cut_witness_occupied)
         span.add("quickexact.cut.witness_empty", stats.cut_witness_empty)
+        span.add("quickexact.cut.witness_hop", stats.cut_witness_hop)
         span.add("quickexact.cut.energy_bound", stats.cut_energy_bound)
         span.set("enumerated_fraction", round(stats.enumerated_fraction, 6))
     return result
@@ -263,10 +276,14 @@ class _QuickExactSearch:
             else None
         )
 
-        # Mutable DFS state (permuted space).
+        # Mutable DFS state (permuted space).  The hop witness reads
+        # the charge states as masks: 0 on the decided negatives (hop
+        # sources) and neutrals (hop targets) respectively, inf elsewhere.
         self.occupied = np.zeros(n, dtype=bool)
         self.base = np.zeros(n)
         self.rem = self.matrix.sum(axis=1)
+        self.source_mask = np.full(n, np.inf)
+        self.target_mask = np.full(n, np.inf)
 
         # Every leaf sits at the same depth, so everything that depends
         # on the suffix patterns alone is computed once per search.
@@ -293,6 +310,18 @@ class _QuickExactSearch:
             self.matrix[depth:, depth:],
             suffix_float,
         )
+        # hop_bounds[d, i, j] = sum_{k >= d} max(0, V_jk - V_ik) - V_ij;
+        # plus w_j - w_i it bounds the energy of the hop i -> j from
+        # above over every completion of a depth-d assignment.
+        self.hop_bounds = None
+        if require_configuration_stability:
+            gains = np.maximum(
+                0.0, self.matrix[None, :, :] - self.matrix[:, None, :]
+            )
+            suffix_gains = np.cumsum(gains[:, :, ::-1], axis=2)[:, :, ::-1]
+            self.hop_bounds = np.ascontiguousarray(
+                suffix_gains[:, :, : depth + 1].transpose(2, 0, 1)
+            ) - self.matrix
 
         self.valid_count = 0
         self.best_energy = float("inf")
@@ -327,6 +356,8 @@ class _QuickExactSearch:
         base = self.base
         rem = self.rem
         occupied = self.occupied
+        source_mask = self.source_mask
+        target_mask = self.target_mask
         column = self.matrix[site]
         stats = self.stats
         # Branch the likelier ground-state value first so the incumbent
@@ -338,9 +369,13 @@ class _QuickExactSearch:
             if value:
                 child_energy = energy_decided + onsite + base.item(site)
                 occupied[site] = True
+                source_mask[site] = 0.0
+                target_mask[site] = np.inf
                 base += column
             else:
                 child_energy = energy_decided
+                source_mask[site] = np.inf
+                target_mask[site] = 0.0
             rem -= column
             if not self._cut(site + 1, value, child_energy):
                 self._descend(site + 1, child_energy)
@@ -358,11 +393,9 @@ class _QuickExactSearch:
         # potentials (base), so only the occupied-side criterion can
         # newly fail; assigning a neutral only *lowers* the attainable
         # maximum (base + rem), so only the empty-side criterion can.
+        w = base[:decided] + onsite[:decided]
         if value:
-            minimum_w = base[:decided] + onsite[:decided]
-            if (
-                minimum_w[self.occupied[:decided]] > POPULATION_TOLERANCE
-            ).any():
+            if (w[self.occupied[:decided]] > POPULATION_TOLERANCE).any():
                 stats.cut_witness_occupied += 1
                 return True
         else:
@@ -371,6 +404,21 @@ class _QuickExactSearch:
                 maximum_w[~self.occupied[:decided]] < -POPULATION_TOLERANCE
             ).any():
                 stats.cut_witness_empty += 1
+                return True
+        # Hop witness.  Every decided site's w moves and every pair
+        # loses an undecided site from its sum, so the whole decided
+        # block is rechecked; the masks leave only negative -> neutral
+        # pairs finite.
+        if self.hop_bounds is not None:
+            hops = self.hop_bounds[decided, :decided, :decided] + (
+                w + self.target_mask[:decided]
+            )
+            hops += (self.source_mask[:decided] - w)[:, None]
+            if (
+                np.minimum.reduce(hops, axis=None)
+                < -POPULATION_TOLERANCE - _DECOMPOSITION_SLACK
+            ):
+                stats.cut_witness_hop += 1
                 return True
         # Branch-and-bound: undecided negatives each contribute at
         # least min(0, mu + ext + base); cross-terms among them are

@@ -27,13 +27,12 @@ from repro.sidb.energy import (
 )
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import (
-    QUICKEXACT_AUTO_MAX_SITES,
     GateUnderTest,
     PatternTask,
     check_operational,
     simulate_pattern,
 )
-from repro.sidb.quickexact import quickexact_ground_state
+from repro.sidb.quickexact import MAX_QUICKEXACT_SITES, quickexact_ground_state
 from repro.tech.parameters import SiDBSimulationParameters
 
 PARAMETERS = SiDBSimulationParameters.bestagon()
@@ -180,16 +179,14 @@ def test_library_verdicts_match_quickexact_on_the_layouts_as_given():
     for name in library.names():
         gate = library.design(name).under_test
         patterns = range(1 << gate.num_inputs)
-        if any(
-            len(gate.layout(p)) > QUICKEXACT_AUTO_MAX_SITES for p in patterns
-        ):
+        if any(len(gate.layout(p)) > MAX_QUICKEXACT_SITES for p in patterns):
             continue
         report = library.validate(name, PARAMETERS)
         assert [result.correct for result in report.patterns] == [
             _direct_verdict(gate, pattern) for pattern in patterns
         ], name
         checked += 1
-    assert checked == 21
+    assert checked == 28
 
 
 def test_threads_share_the_memo_without_lost_updates():

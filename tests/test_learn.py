@@ -538,7 +538,7 @@ def test_verdict_equality_with_collection(tmp_path):
 
 
 def test_digest_learn_participation():
-    assert DIGEST_VERSION == 5
+    assert DIGEST_VERSION == 6
     verilog = benchmark_verilog("xor2")
     base = design_digest(verilog, "xor2", FlowConfiguration())
     learned = design_digest(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.coords.lattice import LatticeSite
 from repro.defects.model import DefectType, SidbDefect
@@ -29,7 +29,6 @@ from repro.sidb.energy import EnergyModel
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import (
     ENGINES,
-    QUICKEXACT_AUTO_MAX_SITES,
     _ground_state,
     check_operational,
 )
@@ -38,6 +37,7 @@ from repro.sidb.quickexact import (
     QuickExactStatistics,
     quickexact_ground_state,
 )
+from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.sidb.stability import is_metastable
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -138,6 +138,61 @@ class TestCrossValidation:
         if not energy_pruning:
             assert quick.valid_count == exgs.valid_count
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 16), st.integers(0, 24)),
+            min_size=5,
+            max_size=14,
+            unique=True,
+        ),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    # Two single-electron states one zero-energy hop apart.
+    @example([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], False, False, True, 1)
+    # A hop towards the defects that only their potential keeps uphill.
+    @example([(0, 0), (0, 1), (0, 6), (1, 0), (9, 0)], True, True, True, 1)
+    def test_property_witnesses_keep_every_stable_state(
+        self, pairs, mirrored, with_defects, require_stability, leaf_bits
+    ):
+        """Without energy pruning the search counts what ExGS counts.
+
+        The witnesses may cut only subtrees without a single stable
+        configuration, so ``valid_count`` must equal the exhaustive
+        count.  Mirror-symmetric layouts (``n -> -n``) have hops of
+        exactly zero energy, which the hop witness's tolerance must
+        keep; charged defects make the external potential differ from
+        site to site; small ``leaf_bits`` give the witnesses a deep
+        prefix to cut.  The ground energies may differ in the last ulp
+        with defects (the two engines batch their energy sums
+        differently), so the ground sets are compared instead.
+        """
+        if mirrored:
+            pairs = pairs[:7] + [(-n, row) for n, row in pairs[:7] if n]
+        layout = SidbLayout(S(n, r) for n, r in pairs)
+        model = EnergyModel(
+            layout, P32, defects=CHARGED_DEFECTS if with_defects else ()
+        )
+        exgs = exhaustive_ground_state(
+            layout,
+            P32,
+            model=model,
+            require_configuration_stability=require_stability,
+        )
+        quick = quickexact_ground_state(
+            layout,
+            P32,
+            model=model,
+            require_configuration_stability=require_stability,
+            leaf_bits=leaf_bits,
+            energy_pruning=False,
+        )
+        assert quick.valid_count == exgs.valid_count
+        assert ground_set(quick) == ground_set(exgs)
+
     @pytest.mark.parametrize("num_sites", [6, 10, 14, 18])
     def test_with_charged_defects(self, num_sites):
         rng = np.random.default_rng(100 + num_sites)
@@ -184,6 +239,30 @@ class TestGateLibrary:
                 checked += 1
         assert checked >= 20  # wires, inverters, pi/po tiles
 
+    def test_at_or_below_simanneal_on_31_to_32_sites(self):
+        """The xor, xnor, nand and ``double_wire`` patterns.
+
+        QuickExact's ground states are metastable and never above the
+        state SimAnneal finds at the Fig. 5 schedule, which misses the
+        ground state on a few of these patterns.
+        """
+        library = BestagonLibrary()
+        schedule = SimAnnealParameters(instances=12, sweeps=250, seed=1)
+        checked = 0
+        for name in library.names():
+            for _, layout in pattern_layouts(library.design(name)):
+                if not 31 <= len(layout) <= MAX_QUICKEXACT_SITES:
+                    continue
+                model = EnergyModel(layout, P32)
+                exact = quickexact_ground_state(layout, P32, model=model)
+                annealed = SimAnneal(layout, P32, schedule).run()
+                assert exact.ground_energy <= annealed.ground_energy + 1e-9
+                assert exact.ground_states
+                for state in exact.ground_states:
+                    assert is_metastable(model, state)
+                checked += 1
+        assert checked == 28
+
 
 class TestScalingAndStatistics:
     def test_beyond_the_exhaustive_ceiling(self):
@@ -208,9 +287,20 @@ class TestScalingAndStatistics:
         assert set(histogram) == {
             "witness_occupied",
             "witness_empty",
+            "witness_hop",
             "energy_bound",
         }
         assert sum(histogram.values()) > 0
+
+    def test_hop_witness_cuts_only_under_configuration_stability(self):
+        design = BestagonLibrary().design("xor_SE")
+        _, layout = next(pattern_layouts(design))
+        stable = quickexact_ground_state(layout, P32).stats
+        assert stable.cut_witness_hop > 0
+        population_only = quickexact_ground_state(
+            layout, P32, require_configuration_stability=False
+        ).stats
+        assert population_only.cut_witness_hop == 0
 
     def test_site_ceiling_enforced(self):
         layout = SidbLayout(
@@ -238,14 +328,14 @@ class TestScalingAndStatistics:
 
 
 class TestEngineSelection:
-    def test_auto_uses_quickexact_up_to_30_sites(self):
+    def test_auto_uses_quickexact_up_to_32_sites(self):
         assert ENGINES == ("auto", "quickexact", "exhaustive", "simanneal")
-        layout = scaling_layout(QUICKEXACT_AUTO_MAX_SITES)
+        layout = scaling_layout(MAX_QUICKEXACT_SITES)
         result = _ground_state(layout, P32, "auto", None)
         assert isinstance(result.stats, QuickExactStatistics)
         # Two sites past the ceiling SimAnneal takes over (it reports
         # no search statistics and counts only the states it returns).
-        larger = scaling_layout(QUICKEXACT_AUTO_MAX_SITES + 2)
+        larger = scaling_layout(MAX_QUICKEXACT_SITES + 2)
         annealed = _ground_state(larger, P32, "auto", None)
         assert annealed.stats is None
         assert annealed.valid_count == annealed.degeneracy
