@@ -4,9 +4,8 @@ The paper validates its gate tiles with SimAnneal at mu = -0.32 eV and
 shows the resulting charge configurations for select gates.  This bench
 runs the operational check (all input patterns, ground-state readout of
 the output BDL pairs) over the library and reports, per tile design,
-whether it computes its Boolean function -- separating designs whose
-every motif was exhaustively validated from assemblies that still await
-tile-level validation (see EXPERIMENTS.md).
+whether it computes its Boolean function.  The core tiles must pass;
+the assembled ones are reported (see EXPERIMENTS.md).
 """
 
 import pytest
@@ -74,8 +73,8 @@ def test_fig5_assembled_tiles_report(benchmark, name, bestagon_library):
     design = bestagon_library.design(name)
     print(
         f"\n  {name:14s}: {correct}/{len(report.patterns)} patterns, "
-        f"{design.num_sidbs} SiDBs, motifs "
-        f"{'validated' if design.validated_motifs else 'assembled'}"
+        f"{design.num_sidbs} SiDBs, "
+        + ("operational" if report.operational else "NOT operational")
     )
     # Report-only: the assertion documents that the simulation ran on
     # every pattern, not that every assembly already passes.

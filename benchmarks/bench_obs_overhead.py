@@ -7,9 +7,10 @@ that instrumentation deleted) against the real no-op fast path
 (recording disabled, logging unconfigured, no learn collector):
 
 * the full ``par_check`` flow, also with full trace recording;
-* a process-parallel operational check (``check_operational`` of the
-  2-input ``or_SE`` tile with ``workers=2``), which adds the
-  worker-side span capture and progress plumbing;
+* a process-parallel operational-domain sweep
+  (``compute_operational_domain`` of the 2-input ``or_SE`` tile over
+  two grid points with ``workers=2``), which adds the worker-side span
+  capture and progress plumbing;
 * a small ``check_operational`` call, which carries the learn hook.
 
 Each disabled overhead must stay below :data:`DISABLED_OVERHEAD_LIMIT`
@@ -35,6 +36,7 @@ from repro.obs import log as obs_log
 from repro.sidb.bdl import BdlPair
 from repro.sidb.energy import clear_geometry_cache
 from repro.sidb.operational import GateUnderTest, check_operational
+from repro.sidb.operational_domain import compute_operational_domain
 from repro.synthesis.database import NpnDatabase
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -265,7 +267,9 @@ def run_worker_overhead_benchmark() -> dict:
     gate = BestagonLibrary().design("or_SE").under_test
 
     def run_parallel(variant: str) -> None:
-        check_operational(gate, workers=2)
+        compute_operational_domain(
+            gate, x_values=(5.1, 5.6), y_values=(5.0,), workers=2
+        )
 
     record = measure_overhead(
         run_parallel,
@@ -276,7 +280,7 @@ def run_worker_overhead_benchmark() -> dict:
         clock=time.perf_counter,
     )
     return {
-        "benchmark": "check_operational(or_SE, workers=2)",
+        "benchmark": "compute_operational_domain(or_SE, 2 points, workers=2)",
         "workers": 2,
         **record,
     }

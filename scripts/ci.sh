@@ -74,6 +74,16 @@ traced_run tile_library quickexact.calls=48 quickexact.nodes_visited=33874 \
     simanneal.calls=4 geometry.hits=0 geometry.misses=52 \
     validate.patterns=88
 
+echo "== design scripts load =="
+# Runs only the top level of the offline design scripts (imports and
+# constants): no stage runs and nothing is written, but an API they
+# import that moved or vanished fails here.
+PYTHONPATH=src python -c '
+import runpy
+for script in ("scripts/design_gates.py", "scripts/tune_gate_tiles.py"):
+    runpy.run_path(script, run_name="ci")
+'
+
 echo "== benchmark imports =="
 # Collects (imports) every benchmark without running it.
 PYTHONPATH=src python -m pytest benchmarks --collect-only -q

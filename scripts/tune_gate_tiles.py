@@ -6,16 +6,15 @@ that compute AND/OR with bare stimulus perturbers; embedded in a full
 tile, the funnel wire charges shift the electrostatic balance.  This
 script re-scans the core knobs (junction gap ``og``, convergence ``dx2``,
 optional hold dots) *in the assembled-tile context*, using the library's
-own operational check (SimAnneal engine) as the oracle, and stores the
-winners under ``two_input_tile`` in ``found_designs.json``.
+own operational check as the oracle, and stores the winners under
+``two_input_tile`` in ``found_designs.json``.
 
-Caveat (documented in EXPERIMENTS.md): full tiles exceed the exhaustive
-engine's reach (> 2^27 configurations), and the SimAnneal oracle at
-small schedules is noisy enough that its "winners" may regress under
-the deterministic default validation -- review scores with
-``python -m repro.cli validate`` before trusting an update.  This is the
-same difficulty that led the paper to pair its RL agent with manual
-review and editing.
+The assembled 2-input tiles have 29-31 sites, within QuickExact's
+32-site ceiling, so engine ``auto`` judges every candidate exactly,
+with no annealing noise; ``SCHEDULE`` only matters for a candidate
+above the ceiling, which is annealed.  Run with ``PYTHONPATH=src``;
+``REPRO_WORKERS=N`` scores candidates over N processes and
+``--collect DIR`` records every check as a training example.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import json
 import os
 import sys
 
-from repro.gatelib import designs as D
+from repro.gatelib.designs import GateDesign, gate2_design
 from repro.gatelib.library import BestagonLibrary
 from repro.gatelib.tile import Port
 from repro.sidb.parallel import run_tasks, workers_from_env
@@ -40,20 +39,20 @@ SCHEDULE = SimAnnealParameters(instances=10, sweeps=200, seed=5)
 WORKERS = workers_from_env()
 
 
+def candidate_tile(kind: str, core: dict) -> GateDesign:
+    """The SE-variant tile of ``kind`` built around ``core``."""
+    return gate2_design(kind, Port.SE, core)
+
+
 def evaluate(kind: str, core: dict) -> int:
-    """Correct patterns of the SE-variant tile built from ``core``."""
-    original = dict(D._TWO_INPUT)
-    D._TWO_INPUT[kind] = [core]
+    """Correct patterns of the candidate tile built from ``core``."""
     try:
-        design = D.gate2_design(kind, Port.SE)
+        design = candidate_tile(kind, core)
         library = BestagonLibrary({design.name: design})
         report = library.validate(design.name, engine="auto", schedule=SCHEDULE)
         return sum(p.correct for p in report.patterns)
     except Exception:
         return -1
-    finally:
-        D._TWO_INPUT.clear()
-        D._TWO_INPUT.update(original)
 
 
 def evaluate_candidate(task):

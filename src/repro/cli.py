@@ -26,8 +26,7 @@ generates a random defective surface for defect-aware runs (``synth
 --defects surface.json``); ``trace export`` converts a ``--trace-json``
 file to Chrome trace-event JSON (Perfetto) or Prometheus text
 exposition.  ``--progress`` on any flow command streams live
-single-line progress to stderr, and ``--workers N`` fans the
-parallelizable steps out over processes.
+single-line progress to stderr.
 
 ``serve`` starts the design service (artifact store + job scheduler +
 JSON HTTP API, versioned under ``/v1``); ``submit`` and ``jobs`` are
@@ -88,7 +87,6 @@ def _configuration(args: argparse.Namespace) -> api.FlowConfiguration:
             exact_time_limit_seconds=args.time_limit,
             timing=getattr(args, "timing", False),
             defects=defects,
-            workers=getattr(args, "workers", 1),
             learn=getattr(args, "learn", False),
         )
     except ValueError as error:
@@ -242,11 +240,9 @@ def cmd_library(args: argparse.Namespace) -> int:
     library = api.BestagonLibrary()
     for name in library.names():
         design = library.design(name)
-        status = "motifs-validated" if design.validated_motifs else "assembled"
         print(f"{name:16s} {design.num_sidbs:3d} SiDBs  "
               f"in:{','.join(p.value for p in design.input_ports) or '-':6s}"
-              f" out:{','.join(p.value for p in design.output_ports) or '-':6s}"
-              f"  [{status}]")
+              f" out:{','.join(p.value for p in design.output_ports) or '-'}")
     return 0
 
 
@@ -663,9 +659,6 @@ def _engine_options() -> argparse.ArgumentParser:
     group.add_argument("--defects", metavar="PATH",
                        help="design around the surface defects in PATH "
                             "(JSON, see 'defects sample')")
-    group.add_argument("--workers", type=int, default=1,
-                       help="worker processes for parallelizable steps "
-                            "(results are identical across counts)")
     group.add_argument("--learn", action="store_true",
                        help="collect surrogate training examples from "
                             "this run's physics evaluations (see "

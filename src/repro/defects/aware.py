@@ -149,7 +149,6 @@ def recheck_layout_against_defects(
     defects: SurfaceDefects,
     library: BestagonLibrary | None = None,
     influence_radius_nm: float = DEFECT_INFLUENCE_RADIUS_NM,
-    workers: int = 1,
 ) -> DefectAwareReport:
     """Re-validate every placed tile against the defects under it.
 
@@ -208,9 +207,7 @@ def recheck_layout_against_defects(
         if clobbered:
             check.operational = False
         elif nearby:
-            tile_report = check_operational(
-                gate, parameters, workers=workers, defects=nearby
-            )
+            tile_report = check_operational(gate, parameters, defects=nearby)
             baseline = library.validate(design.name, parameters)
             check.operational = not any(
                 base.correct and not with_defects.correct

@@ -116,11 +116,6 @@ class FlowConfiguration:
     #: Surface defects to design around; ``None`` or an empty
     #: collection leaves every step bit-identical to the pristine flow.
     defects: SurfaceDefects | None = None
-    #: Worker processes for the flow's parallelizable work (today: the
-    #: per-tile defect recheck's simulations).  ``1`` is serial; results
-    #: are bit-identical across worker counts, and traces are
-    #: structurally identical modulo timings and worker attribution.
-    workers: int = 1
     #: Record an observability trace for this run (force-enables the
     #: :mod:`repro.obs` recorder for the duration).  With ``False`` the
     #: flow still records when the recorder is enabled globally.
@@ -419,10 +414,7 @@ def design_sidb_circuit(
         if config.defects:
             with obs.span("flow.defects") as span:
                 defect_report = recheck_layout_against_defects(
-                    layout,
-                    config.defects,
-                    library=library,
-                    workers=config.workers,
+                    layout, config.defects, library=library
                 )
                 span.set("defects", defect_report.defects_total)
                 span.set("tiles", len(defect_report.tiles))

@@ -21,7 +21,7 @@ from repro.coords.lattice import LatticeSite
 from repro.learn import hooks as _learn_hooks
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
-from repro.sidb.operational import GateUnderTest, PatternTask, simulate_pattern
+from repro.sidb.operational import GateUnderTest, simulate_pattern
 from repro.tech.parameters import SiDBSimulationParameters
 
 
@@ -74,9 +74,7 @@ def score_design(
             _learn_hooks.record_canvas(problem, canvas, 0, total)
         return 0, total
     correct = sum(
-        simulate_pattern(
-            PatternTask(gate, pattern, problem.parameters, "quickexact")
-        ).correct
+        simulate_pattern(gate, pattern, problem.parameters, "quickexact").correct
         for pattern in range(total)
     )
     if _learn_hooks.COLLECTOR is not None:

@@ -18,9 +18,9 @@ values from those scans):
 
 Tile-local coordinates: columns 0..59, rows 0..45; the W ports sit at
 column 15 and the E ports at column 45 (see ``repro.gatelib.tile``).
-Designs assembled from motifs at parameters *between* scanned points are
-marked ``validated=False`` until the SimAnneal tile check passes them
-(see ``BestagonLibrary.validate`` and the Figure-5 bench).
+Whether an assembled tile computes its function is decided by simulating
+it over all input patterns (``BestagonLibrary.validate`` and the
+Figure-5 bench), not by how it was assembled.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ FOUND = _load_found()
 
 # Last-known-good motif parameters from the design scans.
 WIRE_PITCH = 6
-STEEP_PITCH = 7
 INTRA_ROWS = 2
 CLOSE_GAP = 2   # close (logic-1) input perturber rows above the wire
 FAR_GAP = 6     # far (logic-0) input perturber rows above the wire
@@ -127,7 +126,6 @@ class GateDesign:
     input_stimuli: tuple[tuple[tuple[LatticeSite, ...], tuple[LatticeSite, ...]], ...]
     output_perturbers: tuple[LatticeSite, ...]
     functions: tuple[TruthTable, ...]
-    validated_motifs: bool = True
 
     @property
     def num_sidbs(self) -> int:
@@ -154,7 +152,6 @@ class _Assembler:
     def __init__(self) -> None:
         self.sites: list[LatticeSite] = []
         self.pairs: list[BdlPair] = []
-        self.all_validated = True
 
     def pair(self, col: int, top_row: int) -> BdlPair:
         pair = BdlPair(S(col, top_row), S(col, top_row + INTRA_ROWS))
@@ -173,28 +170,15 @@ class _Assembler:
         """A chain of pairs routed from one column to another.
 
         The lateral delta is distributed as evenly as possible across the
-        gaps; steps beyond the validated envelope mark the design as
-        needing tile-level validation.
+        gaps.
         """
         gaps = len(tops) - 1
         delta = col_to - col_from
-        pairs = []
         columns = [
             col_from + round(delta * index / gaps) if gaps else col_from
             for index in range(len(tops))
         ]
-        pitch = tops[1] - tops[0] if gaps else WIRE_PITCH
-        for (column, top), previous in zip(
-            zip(columns, tops), [None] + columns[:-1]
-        ):
-            if previous is not None:
-                step = abs(column - previous)
-                if pitch == WIRE_PITCH and step > 4:
-                    self.all_validated = False
-                if pitch == STEEP_PITCH and step > 6:
-                    self.all_validated = False
-            pairs.append(self.pair(column, top))
-        return pairs
+        return [self.pair(column, top) for column, top in zip(columns, tops)]
 
 
 def _input_stimulus(first_pair: BdlPair, dx: int = 0):
@@ -234,7 +218,6 @@ def wire_design(in_port: Port, out_port: Port) -> GateDesign:
         input_stimuli=(stimulus,),
         output_perturbers=(_output_perturber(chain[-1], dxn),),
         functions=(TruthTable(1, 0b10),),
-        validated_motifs=assembler.all_validated,
     )
 
 
@@ -258,7 +241,6 @@ def double_wire_design() -> GateDesign:
             _output_perturber(right[-1]),
         ),
         functions=identity,
-        validated_motifs=assembler.all_validated,
     )
 
 
@@ -283,10 +265,6 @@ def cross_design() -> GateDesign:
     right_pairs = [assembler.pair(c, t) for c, t in zip(right_cols, tops)]
     left_out = assembler.pair(E_COL, 37)
     right_out = assembler.pair(W_COL, 37)
-    for step in (left_cols, right_cols):
-        if max(abs(b - a) for a, b in zip(step, step[1:])) > 6:
-            assembler.all_validated = False
-    assembler.all_validated = False  # crossing needs tile-level validation
     identity = TruthTable.variable(0, 2), TruthTable.variable(1, 2)
     return GateDesign(
         name="cross",
@@ -305,7 +283,6 @@ def cross_design() -> GateDesign:
             _output_perturber(right_out),
         ),
         functions=identity,
-        validated_motifs=False,
     )
 
 
@@ -334,8 +311,6 @@ def inverter_design(in_port: Port, out_port: Port) -> GateDesign:
         range(first_tail, 40, WIRE_PITCH)
     )
     tail = assembler.chain(dog_col, col_out, rest_tops)
-    if abs(col_out - dog_col) > 4 * (len(rest_tops) - 1):
-        assembler.all_validated = False
     stimulus = _input_stimulus(top_chain[0])
     return GateDesign(
         name=f"inv_{in_port.value}_{out_port.value}",
@@ -348,7 +323,6 @@ def inverter_design(in_port: Port, out_port: Port) -> GateDesign:
         input_stimuli=(stimulus,),
         output_perturbers=(_output_perturber(tail[-1]),),
         functions=(TruthTable(1, 0b01),),
-        validated_motifs=assembler.all_validated,
     )
 
 
@@ -369,7 +343,6 @@ def fanout_design(in_port: Port) -> GateDesign:
     right_tail = assembler.chain(
         mid + dxo, E_COL, (branch_top + 7, branch_top + 14)
     )
-    assembler.all_validated = False  # mixed-pitch assembly
     identity = TruthTable.variable(0, 1)
     return GateDesign(
         name=f"fanout_{in_port.value}",
@@ -387,36 +360,28 @@ def fanout_design(in_port: Port) -> GateDesign:
             _output_perturber(right_tail[-1]),
         ),
         functions=(identity, identity),
-        validated_motifs=False,
     )
 
 
-def gate2_design(kind: str, out_port: Port) -> GateDesign:
+def gate2_design(kind: str, out_port: Port, core: dict | None) -> GateDesign:
     """A two-input Y-shaped gate (AND/OR/NAND/NOR/XOR/XNOR).
 
-    Assembled from the scanned junction core where available.  Inverted
-    flavors without a scanned core fall back to the base core followed by
-    an inverting dogleg; XOR/XNOR without a scanned core embed the best
-    canvas-search result and are flagged unvalidated.
+    Assembled around ``core``, the junction core of ``kind`` (see
+    :func:`core_parameters`).  Without one, inverted flavors fall back
+    to the base kind's core followed by an inverting dogleg, and
+    XOR/XNOR embed the best canvas-search result.
     """
     base = {"nand": "and", "nor": "or", "xnor": "xor"}.get(kind, kind)
-    invert_output = kind != base and core_parameters(kind) is None
-    core_kind = kind if core_parameters(kind) else base
-    core = core_parameters(core_kind)
+    invert_output = kind != base and core is None
+    if core is None:
+        core = core_parameters(base)
     canvas_dots: list[tuple[int, int]] = []
-    validated = core is not None and not invert_output
-    if core is None and base == "xor":
-        xor_entry = FOUND.get("xor_canvas")
-        core = (xor_entry or {}).get(
+    if core is None:  # only XOR lacks a default core
+        xor_entry = FOUND.get("xor_canvas") or {}
+        core = xor_entry.get(
             "template", {"dx1": 4, "dx2": 4, "og": 8, "gout": 4}
         )
-        canvas_dots = [tuple(d) for d in (xor_entry or {}).get("canvas", [])]
-        validated = bool(xor_entry) and xor_entry.get("correct") == xor_entry.get(
-            "total"
-        )
-        invert_output = kind == "xnor"
-    if core is None:
-        core = _CORE_DEFAULTS["and" if base in ("and", "xor") else "or"]
+        canvas_dots = [tuple(d) for d in xor_entry.get("canvas", [])]
 
     dx1, dx2, og = core["dx1"], core["dx2"], core["og"]
     assembler = _Assembler()
@@ -438,33 +403,10 @@ def gate2_design(kind: str, out_port: Port) -> GateDesign:
     for col, row in core.get("extra", []):
         assembler.dot(junction_col + col, r0 + row)
 
-    # Funnel wires from the ports to the core's first input pairs:
-    # steep pitch-7 hops first, a gentle pitch-6 hop onto the core.
-    def funnel(col_from: int, col_to: int) -> list[BdlPair]:
-        tops = (1, 8, 15)
-        caps = (6, 6, 6)
-        delta = col_to - col_from
-        columns = [col_from]
-        remaining = delta
-        for gap_index, cap in enumerate(caps):
-            gaps_left = len(caps) - gap_index
-            step = max(-cap, min(cap, round(remaining / gaps_left)))
-            columns.append(columns[-1] + step)
-            remaining -= step
-        if remaining != 0:
-            assembler.all_validated = False
-            columns[-1] += remaining
-        pairs = [
-            assembler.pair(column, top)
-            for column, top in zip(columns, tops + (None,))
-            if top is not None
-        ]
-        return pairs
-
-    # The funnel's last pair must land one pitch above the core's first
-    # pair; funnel() produces pairs at rows 1, 8, 15 and the core first
-    # pair at r0 = 25 is 10 rows below row 15 -- bridged by one more
-    # pair at row 19 (pitch 6 to the core).
+    # Funnel wires from the ports to the core's first input pairs, which
+    # must land one pitch above the core's first pair: steep pitch-7
+    # hops at rows 1, 8, 15, and for r0 = 25 (10 rows below row 15) one
+    # more pair at row 19, pitch 6 to the core.
     def approach(col_from: int, target_col: int) -> list[BdlPair]:
         if r0 >= 25:
             tops = (1, 8, 15, 19)
@@ -485,10 +427,8 @@ def gate2_design(kind: str, out_port: Port) -> GateDesign:
         out_pair = assembler.pair(
             junction_col, dogleg.site0.row + _INVERTER["orow_off"]
         )
-        validated = False
     else:
         out_pair = junction
-    assembler.all_validated = validated and assembler.all_validated
 
     table = _GATE_TABLES[kind]
     return GateDesign(
@@ -509,7 +449,6 @@ def gate2_design(kind: str, out_port: Port) -> GateDesign:
         ),
         output_perturbers=(_output_perturber(out_pair),),
         functions=(table,),
-        validated_motifs=assembler.all_validated,
     )
 
 
@@ -529,7 +468,6 @@ def pi_design(out_port: Port) -> GateDesign:
         input_stimuli=(_input_stimulus(chain[0]),),
         output_perturbers=(_output_perturber(chain[-1]),),
         functions=(TruthTable(1, 0b10),),
-        validated_motifs=True,
     )
 
 
@@ -549,7 +487,6 @@ def po_design(in_port: Port) -> GateDesign:
         input_stimuli=(_input_stimulus(chain[0]),),
         output_perturbers=(_output_perturber(chain[-1]),),
         functions=(TruthTable(1, 0b10),),
-        validated_motifs=True,
     )
 
 
@@ -560,8 +497,8 @@ def half_adder_design() -> GateDesign:
     fan-out pairs; an optional/extension tile of the library (the paper
     lists single-tile half adders among its templates).
     """
-    xor = gate2_design("xor", Port.SW)
-    and_gate = gate2_design("and", Port.SE)
+    xor = gate2_design("xor", Port.SW, core_parameters("xor"))
+    and_gate = gate2_design("and", Port.SE, core_parameters("and"))
     # Merge naively: keep XOR dots, add AND dots shifted to avoid clashes.
     assembler = _Assembler()
     seen = set()
@@ -587,7 +524,6 @@ def half_adder_design() -> GateDesign:
             and_gate.output_perturbers[0],
         ),
         functions=(_GATE_TABLES["xor"], _GATE_TABLES["and"]),
-        validated_motifs=False,
     )
 
 
@@ -607,7 +543,7 @@ def builtin_designs() -> dict[str, GateDesign]:
     for out_port in (Port.SW, Port.SE):
         register(pi_design(out_port))
         for kind in ("and", "or", "nand", "nor", "xor", "xnor"):
-            register(gate2_design(kind, out_port))
+            register(gate2_design(kind, out_port, core_parameters(kind)))
     register(double_wire_design())
     register(cross_design())
     register(half_adder_design())

@@ -60,8 +60,7 @@ def normalize_configuration(configuration: FlowConfiguration) -> dict:
     """The JSON-ready canonical form of a flow configuration.
 
     Includes every knob that can change the produced artifacts and
-    *excludes* the ones that provably cannot (``workers`` -- results
-    are bit-identical across worker counts -- and ``trace``).  The
+    *excludes* the one that provably cannot (``trace``).  The
     normalized dictionary round-trips through
     :func:`configuration_from_normalized`, which is how service worker
     processes receive their job configuration.

@@ -273,7 +273,7 @@ class EnergyModel:
             n.sum()
         )
         if self.external_potential is not None:
-            total += float(self.external_potential @ n)
+            total += float(self._external_energies(n))
         return total
 
     def batched_energies(self, occupations: np.ndarray) -> np.ndarray:
@@ -284,8 +284,17 @@ class EnergyModel:
         )
         total = interaction + self.parameters.mu_minus * n.sum(axis=1)
         if self.external_potential is not None:
-            total = total + n @ self.external_potential
+            total = total + self._external_energies(n)
         return total
+
+    def _external_energies(self, n: np.ndarray) -> np.ndarray:
+        """sum_i n_i * external_i over the last axis, row by row.
+
+        A matrix-vector product's last bit depends on how many rows the
+        batch has; this elementwise sum gives a configuration the same
+        bits alone, in any batch, and in :meth:`energy`.
+        """
+        return (n * self.external_potential).sum(axis=-1)
 
     def batched_local_potentials(self, occupations: np.ndarray) -> np.ndarray:
         """Local potentials of many configurations (rows = configs)."""

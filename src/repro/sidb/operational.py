@@ -13,15 +13,15 @@ logic wires" (Section 4.1).  A :class:`GateUnderTest` therefore
 records, per input, one SiDB set for logic 0 and one for logic 1, and
 is the one description of a gate that every check below takes.
 
-Each input pattern is an independent ground-state simulation, so the
-check optionally fans the patterns out over worker processes
-(``workers > 1``); per-pattern layouts share their pairwise geometry
-through the :mod:`repro.sidb.energy` cache, so a parameter sweep only
-pays the O(n^2) distance matrix once per distinct site set.  An exact
-ground state depends only on the system's geometry, so each is solved
-once per lattice isometry class (whole-dimer shifts and the mirror
-``n -> -n``, see :func:`repro.coords.lattice.canonical_form`): mirrored
-tiles and repeated patterns reuse it from a memo.
+Each input pattern is an independent ground-state simulation, run one
+after another in the calling process.  Per-pattern layouts share their
+pairwise geometry through the :mod:`repro.sidb.energy` cache, so a
+parameter sweep only pays the O(n^2) distance matrix once per distinct
+site set.  An exact ground state depends only on the system's
+geometry, so each is solved once per lattice isometry class
+(whole-dimer shifts and the mirror ``n -> -n``, see
+:func:`repro.coords.lattice.canonical_form`): mirrored tiles and
+repeated patterns reuse it from a memo.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import GROUND_STATE_MEMO, EnergyModel
 from repro.sidb.exhaustive import GroundStateResult, exhaustive_ground_state
-from repro.sidb.parallel import run_tasks
 from repro.sidb.quickexact import MAX_QUICKEXACT_SITES, quickexact_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
@@ -154,39 +153,23 @@ class OperationalReport:
         return [p.observed for p in self.patterns]
 
 
-@dataclass(frozen=True)
-class PatternTask:
-    """One input pattern of an operational check, ready to ship.
+def simulate_pattern(
+    gate: GateUnderTest,
+    pattern: int,
+    parameters: SiDBSimulationParameters,
+    engine: str = "auto",
+    schedule: SimAnnealParameters | None = None,
+    defects=(),
+) -> PatternResult:
+    """Ground-state simulation of one input pattern of ``gate``.
 
-    ``defects`` carries the fixed charged defects (as picklable
-    :class:`~repro.defects.model.SidbDefect` records) to fold into the
+    ``defects`` lists the fixed charged defects
+    (:class:`~repro.defects.model.SidbDefect`) folded into the
     pattern's energy model; empty on pristine surfaces.
     """
-
-    gate: GateUnderTest
-    pattern: int
-    parameters: SiDBSimulationParameters
-    engine: str = "auto"
-    schedule: SimAnnealParameters | None = None
-    defects: tuple = ()
-
-
-def simulate_pattern(task: PatternTask) -> PatternResult:
-    """Ground-state simulation of one input pattern (worker-safe).
-
-    Module-level so :func:`repro.sidb.parallel.run_tasks` can ship it to
-    a ``ProcessPoolExecutor`` by reference.
-    """
-    gate = task.gate
-    layout = gate.layout(task.pattern)
-    expected = gate.expected(task.pattern)
-    result = _ground_state(
-        layout,
-        task.parameters,
-        task.engine,
-        task.schedule,
-        task.defects,
-    )
+    layout = gate.layout(pattern)
+    expected = gate.expected(pattern)
+    result = _ground_state(layout, parameters, engine, schedule, defects)
     if result.ground_states:
         occupation = result.occupation()
         observed = tuple(
@@ -210,7 +193,7 @@ def simulate_pattern(task: PatternTask) -> PatternResult:
                 correct = False
                 break
     return PatternResult(
-        pattern=task.pattern,
+        pattern=pattern,
         expected=expected,
         observed=observed,
         ground_energy=result.ground_energy,
@@ -223,16 +206,13 @@ def check_operational(
     parameters: SiDBSimulationParameters | None = None,
     engine: str = "auto",
     schedule: SimAnnealParameters | None = None,
-    workers: int = 1,
     defects=(),
 ) -> OperationalReport:
     """Simulate a gate over all of its input patterns.
 
     ``engine`` selects the ground state finder (see :data:`ENGINES`);
     with the default ``"auto"`` QuickExact handles systems up to its
-    ceiling and SimAnneal the rest.  ``workers > 1`` fans the
-    per-pattern simulations out over processes; results are
-    bit-identical to the serial default.  ``defects`` optionally lists
+    ceiling and SimAnneal the rest.  ``defects`` optionally lists
     charged surface defects (:class:`~repro.defects.model.SidbDefect`)
     folded into every pattern's energy model as fixed point charges;
     with none the check is bit-identical to the pristine-surface result.
@@ -241,13 +221,15 @@ def check_operational(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     defects = tuple(defects)
-    tasks = [
-        PatternTask(gate, pattern, parameters, engine, schedule, defects)
-        for pattern in range(1 << gate.num_inputs)
-    ]
-    results = run_tasks(
-        simulate_pattern, tasks, workers, label="operational.patterns"
-    )
+    total = 1 << gate.num_inputs
+    results = []
+    for pattern in range(total):
+        results.append(
+            simulate_pattern(
+                gate, pattern, parameters, engine, schedule, defects
+            )
+        )
+        obs.progress("operational.patterns", pattern + 1, total)
     # Learn-hook: contribute this physics-labeled geometry as a
     # training example.  Disabled path is one attribute check; the
     # hook never influences the verdict below.

@@ -1,12 +1,14 @@
-"""Process-parallel execution of SiDB simulations.
+"""Process-parallel execution of independent simulation tasks.
 
-Every ground-state simulation of an operational-domain sweep is
-independent of every other one -- across input patterns and across
-parameter grid points -- so the sweep is embarrassingly parallel.  This
-module provides the plumbing: an ordered ``ProcessPoolExecutor`` map
-that degrades to a plain loop for ``workers <= 1`` (the default,
-keeping CI deterministic and fork-free).  The picklable task records
-live with the functions that consume them.
+The parameter grid points of an operational-domain sweep, and the
+candidate geometries of the design scripts' scans, are independent of
+each other, so they fan out over processes.  This module provides the
+plumbing: an ordered ``ProcessPoolExecutor`` map that degrades to a
+plain loop for ``workers <= 1`` (the default, keeping CI deterministic
+and fork-free).  The input patterns of one gate are not fanned out: an
+exact pattern is a few tens of milliseconds and memoised per isometry
+class, so :func:`repro.sidb.operational.check_operational` runs them in
+the calling process.
 """
 
 from __future__ import annotations
@@ -89,11 +91,11 @@ def run_tasks(
     and all of them merge as children of one ``parallel`` span with
     ``index``/``worker`` attribution.  The merged tree's *structure*
     depends only on the tasks and the parent's ground-state memo
-    (:mod:`repro.sidb.operational`), never on the worker count --
-    except that an exact ground state a worker solves stays in that
-    worker's memo, so a later task of the same isometry class that
-    would hit it serially solves it again.  Each completed task also
-    ticks ``obs.progress(label, ...)``.
+    (:mod:`repro.sidb.operational`), never on the worker count, as
+    long as no two tasks share a memo entry: an exact ground state a
+    worker solves stays in that worker's memo.  The grid points of a
+    domain sweep never do, since each has its own parameters.  Each
+    completed task also ticks ``obs.progress(label, ...)``.
     """
     workers = resolve_workers(workers)
     serial = workers <= 1 or len(tasks) <= 1

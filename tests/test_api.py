@@ -144,6 +144,19 @@ def test_cli_rejects_unknown_benchmark_at_argparse_level(capsys):
     assert "mux21" in capsys.readouterr().err
 
 
+def test_cli_flow_commands_have_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "xor2", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    parser = build_parser()
+    for command in (["bench"], ["timing", "report", "xor2"],
+                    ["submit", "xor2"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + ["--workers", "2"])
+    assert parser.parse_args(["serve", "--workers", "3"]).workers == 3
+
+
 def test_cli_shared_options_on_all_flow_commands():
     parser = build_parser()
     for command in (["synth", "xor2"], ["bench"]):

@@ -2,10 +2,13 @@
 application and physics validation of the core tiles."""
 
 import re
+import runpy
+from pathlib import Path
 
 import pytest
 
 from repro.coords.hexagonal import HexCoord, HexDirection
+from repro.coords.lattice import LatticeSite
 from repro.gatelib import BestagonLibrary, TileGeometry, apply_library
 from repro.gatelib.designer import score_design
 from repro.gatelib.designs import _load_found, builtin_designs, core_parameters
@@ -96,6 +99,21 @@ class TestDesigns:
     def test_scanned_cores_available(self):
         assert core_parameters("and") is not None
         assert core_parameters("or") is not None
+
+    def test_tile_tuning_scores_the_candidate_core(self):
+        """The tile scored for a candidate core is built around it."""
+        script = Path(__file__).parent.parent / "scripts" / "tune_gate_tiles.py"
+        candidate_tile = runpy.run_path(str(script), run_name="test")[
+            "candidate_tile"
+        ]
+        core = {"dx1": 3, "dx2": 3, "og": 6, "gout": 4,
+                "extra": [[-2, 18], [2, 18]]}
+        tile = candidate_tile("or", core)
+        # The SE junction sits at column 45 below a core starting at row 25.
+        extra = {LatticeSite.from_row(45 + col, 25 + row)
+                 for col, row in core["extra"]}
+        assert extra <= set(tile.sites)
+        assert tile.sites != builtin_designs()["or_SE"].sites
 
     def test_sidb_counts_reasonable(self):
         for name, design in builtin_designs().items():

@@ -28,7 +28,6 @@ from repro.sidb.energy import (
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import (
     GateUnderTest,
-    PatternTask,
     check_operational,
     simulate_pattern,
 )
@@ -81,15 +80,12 @@ def test_moved_system_gets_the_exgs_ground_states(cells, defect, dn, dm, mirror)
     gate = GateUnderTest(sites, (), (), ())
     clear_geometry_cache()
     # The pristine system first: a charged defect must not share it.
-    simulate_pattern(PatternTask(gate, 0, PARAMETERS, "quickexact"))
-    simulate_pattern(
-        PatternTask(gate, 0, PARAMETERS, "quickexact", defects=defects)
-    )
+    simulate_pattern(gate, 0, PARAMETERS, "quickexact")
+    simulate_pattern(gate, 0, PARAMETERS, "quickexact", defects=defects)
     hits = GROUND_STATE_MEMO.hits
     moved_gate = GateUnderTest(moved_layout.sites(), (), (), ())
     result = simulate_pattern(
-        PatternTask(moved_gate, 0, PARAMETERS, "quickexact",
-                    defects=moved_defects)
+        moved_gate, 0, PARAMETERS, "quickexact", defects=moved_defects
     )
     assert GROUND_STATE_MEMO.hits == hits + 1  # the moved system shares
     states = operational._ground_state(
@@ -109,10 +105,10 @@ def test_moved_system_gets_the_exgs_ground_states(cells, defect, dn, dm, mirror)
 def test_odd_row_shift_does_not_share_an_entry():
     gate = _or_se()
     clear_geometry_cache()
-    simulate_pattern(PatternTask(gate, 0, PARAMETERS))
-    simulate_pattern(PatternTask(gate.translated(7, 2), 0, PARAMETERS))
+    simulate_pattern(gate, 0, PARAMETERS)
+    simulate_pattern(gate.translated(7, 2), 0, PARAMETERS)
     assert _memo_counts() == (1, 1)
-    simulate_pattern(PatternTask(gate.translated(0, 1), 0, PARAMETERS))
+    simulate_pattern(gate.translated(0, 1), 0, PARAMETERS)
     assert _memo_counts() == (1, 2)
 
 

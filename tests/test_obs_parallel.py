@@ -1,8 +1,8 @@
 """Cross-process telemetry: worker span capture, merge, and progress.
 
-The contract under test: a ``run_tasks`` fan-out (and everything built
-on it, up to the defect-aware flow) produces the *same* merged trace
-tree regardless of the worker count -- same span structure, same
+The contract under test: a ``run_tasks`` fan-out (and the operational
+domain sweep built on it) produces the *same* merged trace tree
+regardless of the worker count -- same span structure, same
 attributes, same counter and histogram totals -- differing only in
 timings and in which ``worker`` executed each task.
 """
@@ -12,13 +12,16 @@ import os
 import pytest
 
 from repro import obs
-from repro.defects import DefectType, SidbDefect, SurfaceDefects
-from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
-from repro.networks import benchmark_verilog
-from repro.gatelib.library import BestagonLibrary
-from repro.sidb.operational import check_operational
+from repro.coords.lattice import LatticeSite
+from repro.networks.truth_table import TruthTable
+from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import GateUnderTest
+from repro.sidb.operational_domain import compute_operational_domain
 from repro.sidb.parallel import run_tasks
+from repro.sidb.quickexact import MAX_QUICKEXACT_SITES
 from repro.sidb.simanneal import SimAnnealParameters
+
+S = LatticeSite.from_row
 
 
 @pytest.fixture(autouse=True)
@@ -58,8 +61,6 @@ def _traced_square(task: int) -> int:
 
 
 COUNTER_KEYS = ("sweeps", "moves.proposed", "moves.accepted", "finalists")
-
-SCHEDULE = SimAnnealParameters(instances=16, sweeps=100, seed=1)
 
 
 class TestRunTasksCapture:
@@ -123,91 +124,40 @@ class TestRunTasksCapture:
         assert ticks == [("sq", 1, 3), ("sq", 2, 3), ("sq", 3, 3)]
 
 
+def _annealed_wire() -> GateUnderTest:
+    """A 16-pair BDL wire of 34 sites, which engine ``auto`` anneals."""
+    sites, pairs = [], []
+    for k in range(16):
+        pair = BdlPair(S(0, 6 * k), S(0, 6 * k + 2))
+        sites += [pair.site0, pair.site1]
+        pairs.append(pair)
+    sites.append(S(0, 6 * 16 + 2))
+    return GateUnderTest(
+        sites, [([S(0, -6)], [S(0, -2)])], [pairs[-1]], [TruthTable(1, 0b10)]
+    )
+
+
 class TestParallelAnnealTelemetry:
     def test_counter_totals_match_serial_exactly(self):
-        kwargs = dict(
-            gate=BestagonLibrary().design("or_SE").under_test,
-            engine="simanneal",
-            schedule=SCHEDULE,
-        )
+        # A domain sweep fans its grid points out over run_tasks; every
+        # point anneals both patterns of a wire above QuickExact's
+        # ceiling, so the annealer's telemetry crosses processes.
+        gate = _annealed_wire()
+        assert len(gate.layout(0)) > MAX_QUICKEXACT_SITES
+        grid = dict(x_values=(5.6,), y_values=(4.0, 5.0))
         obs.enable()
         with obs.span("serial") as serial_root:
-            serial = check_operational(**kwargs)
+            serial = compute_operational_domain(gate, **grid)
         with obs.span("parallel") as parallel_root:
-            parallel = check_operational(**kwargs, workers=2)
-        assert [
-            (p.pattern, p.observed, p.correct, p.ground_energy)
-            for p in parallel.patterns
-        ] == [
-            (p.pattern, p.observed, p.correct, p.ground_energy)
-            for p in serial.patterns
-        ]
-        assert serial_root.total("sweeps") == 4 * 16 * 100
+            parallel = compute_operational_domain(gate, workers=2, **grid)
+        assert parallel.points == serial.points
+        schedule = SimAnnealParameters()
+        assert serial_root.total("sweeps") == (
+            2 * 2 * schedule.instances * schedule.sweeps
+        )
         for key in COUNTER_KEYS:
             assert parallel_root.total(key) == serial_root.total(key), key
         serial_energy = serial_root.histogram_total("simanneal.energy")
         parallel_energy = parallel_root.histogram_total("simanneal.energy")
         assert parallel_energy.count == serial_energy.count
         assert parallel_energy.sum == pytest.approx(serial_energy.sum)
-
-
-class TestFlowTraceAcrossWorkers:
-    @staticmethod
-    def influential_defect(pristine) -> SurfaceDefects:
-        """A charged defect in the 10--25 nm ring left of the layout.
-
-        Too far to blacklist any tile (the P&R stays bit-identical to
-        the pristine flow) but close enough that the defect-aware
-        recheck must re-simulate the adjacent tile.
-        """
-        from repro.coords.lattice import LatticeSite
-        from repro.defects import blocked_tiles
-        from repro.defects.exclusion import defects_near_tile
-        from repro.gatelib.tile import TileGeometry
-        from repro.tech.constants import DEFECT_INFLUENCE_RADIUS_NM
-
-        geometry = TileGeometry()
-        occupied = [coord for coord, _ in pristine.layout.occupied()]
-        left = min(occupied, key=lambda coord: coord.x)
-        _, row0 = geometry.origin_of(left)
-        mid = row0 + geometry.height_rows // 2
-        for columns_left in range(1, 120):
-            site = LatticeSite(-columns_left, mid // 2, mid % 2)
-            surface = SurfaceDefects([SidbDefect(site, DefectType.DB)])
-            if blocked_tiles(32, 32, surface):
-                continue
-            if defects_near_tile(
-                left, surface, DEFECT_INFLUENCE_RADIUS_NM, geometry
-            ):
-                return surface
-        raise AssertionError("no site in the influence-only ring found")
-
-    def flow_result(self, defects, workers: int):
-        return design_sidb_circuit(
-            benchmark_verilog("xor2"),
-            "xor2",
-            FlowConfiguration(defects=defects, workers=workers),
-        )
-
-    def test_defect_flow_trace_equal_across_worker_counts(self):
-        # The acceptance contract, on the tier-1 budget: a defect-aware
-        # flow (the only parallelizable flow step) traced with
-        # workers=4 merges per-worker spans into a tree equal to the
-        # workers=1 run modulo timings/worker ids -- counter totals
-        # (sweeps, SAT conflicts) included.
-        pristine = design_sidb_circuit(benchmark_verilog("xor2"), "xor2")
-        defects = self.influential_defect(pristine)
-        serial = self.flow_result(defects, 1)
-        parallel = self.flow_result(defects, 4)
-        assert serial.defect_report.tiles_checked >= 1
-        assert serial.sqd == parallel.sqd  # bit-identical designs
-        assert normalized(serial.trace) == normalized(parallel.trace)
-        assert parallel.trace.find("parallel") is not None
-        workers_seen = {
-            span.attributes["worker"]
-            for span in parallel.trace.walk()
-            if span.name == "parallel.task"
-        }
-        assert len(workers_seen) > 1
-        for key in ("sweeps", "sat.conflicts", "defects.checked"):
-            assert parallel.trace.total(key) == serial.trace.total(key), key

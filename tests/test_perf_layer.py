@@ -18,7 +18,7 @@ from repro.sidb.energy import (
     geometry_cache_stats,
 )
 from repro.sidb.exhaustive import exhaustive_ground_state
-from repro.sidb.operational import GateUnderTest, check_operational
+from repro.sidb.operational import GateUnderTest
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.sidb.parallel import resolve_workers, run_tasks
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
@@ -109,19 +109,6 @@ def _wire_gate():
 
 
 class TestParallelSweeps:
-    def test_check_operational_workers_identical(self):
-        gate = _wire_gate()
-        serial = check_operational(gate)
-        parallel = check_operational(gate, workers=2)
-        assert serial.operational and parallel.operational
-        assert [
-            (p.pattern, p.expected, p.observed, p.ground_energy, p.correct)
-            for p in serial.patterns
-        ] == [
-            (p.pattern, p.expected, p.observed, p.ground_energy, p.correct)
-            for p in parallel.patterns
-        ]
-
     def test_domain_sweep_workers_identical(self):
         gate = _wire_gate()
         kwargs = dict(

@@ -155,6 +155,12 @@ class TestCrossValidation:
     @example([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)], False, False, True, 1)
     # A hop towards the defects that only their potential keeps uphill.
     @example([(0, 0), (0, 1), (0, 6), (1, 0), (9, 0)], True, True, True, 1)
+    # A defect term that once summed to different bits in the two
+    # engines' batches.
+    @example(
+        [(0, 0), (0, 1), (0, 2), (3, 17), (10, 12), (1, 0), (2, 9)],
+        True, True, False, 1,
+    )
     def test_property_witnesses_keep_every_stable_state(
         self, pairs, mirrored, with_defects, require_stability, leaf_bits
     ):
@@ -166,9 +172,7 @@ class TestCrossValidation:
         exactly zero energy, which the hop witness's tolerance must
         keep; charged defects make the external potential differ from
         site to site; small ``leaf_bits`` give the witnesses a deep
-        prefix to cut.  The ground energies may differ in the last ulp
-        with defects (the two engines batch their energy sums
-        differently), so the ground sets are compared instead.
+        prefix to cut.
         """
         if mirrored:
             pairs = pairs[:7] + [(-n, row) for n, row in pairs[:7] if n]
@@ -191,7 +195,32 @@ class TestCrossValidation:
             energy_pruning=False,
         )
         assert quick.valid_count == exgs.valid_count
+        assert quick.ground_energy == exgs.ground_energy
         assert ground_set(quick) == ground_set(exgs)
+
+    def test_defect_energy_independent_of_batch_size(self):
+        """A configuration scores the same bits alone and in a batch.
+
+        QuickExact and ExGS score the same ground state in batches of
+        different sizes, so their energies agree only if no row's bits
+        depend on the rows beside it.
+        """
+        pairs = [(0, 0), (0, 1), (0, 2), (3, 17), (10, 12), (1, 0), (2, 9)]
+        pairs += [(-n, row) for n, row in pairs if n]
+        layout = SidbLayout(S(n, r) for n, r in pairs)
+        model = EnergyModel(layout, P32, defects=CHARGED_DEFECTS)
+        ground = exhaustive_ground_state(layout, P32, model=model)
+        rng = np.random.default_rng(5)
+        batch = rng.integers(-1, 1, size=(64, len(layout))).astype(float)
+        batch[3] = ground.ground_states[0]
+        energies = model.batched_energies(batch)
+        for size in (1, 2, 5, 17):
+            for start in range(0, len(batch) - size + 1, size):
+                assert np.array_equal(
+                    model.batched_energies(batch[start:start + size]),
+                    energies[start:start + size],
+                )
+        assert energies[3] == ground.ground_energy
 
     @pytest.mark.parametrize("num_sites", [6, 10, 14, 18])
     def test_with_charged_defects(self, num_sites):

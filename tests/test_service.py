@@ -57,13 +57,11 @@ def test_digest_varies_with_inputs():
     )
 
 
-def test_digest_ignores_workers_and_trace():
+def test_digest_ignores_trace():
     verilog = benchmark_verilog("xor2")
     base = design_digest(verilog, "xor2")
     assert (
-        design_digest(
-            verilog, "xor2", api.FlowConfiguration(workers=4, trace=False)
-        )
+        design_digest(verilog, "xor2", api.FlowConfiguration(trace=False))
         == base
     )
 
@@ -410,6 +408,12 @@ def test_http_rejects_bad_requests(service):
         {"specification": "xor2", "options": {"engine": "warp-drive"}},
     )
     assert status == 400 and "warp-drive" in document["error"]
+    # A removed flow knob is refused, not silently ignored.
+    status, document = _post(
+        service.url + "/v1/jobs",
+        {"specification": "xor2", "options": {"workers": 2}},
+    )
+    assert status == 400 and "workers" in document["error"]
 
 
 def test_http_404s(service):
