@@ -4,25 +4,25 @@ The paper recreates Huff et al.'s experimentally demonstrated OR gate in
 SiQAD and simulates it with SimAnneal at mu = -0.28 eV, eps_r = 5.6,
 lambda_TF = 5 nm, showing the output toggling to 1 whenever at least one
 input is 1.  This bench reproduces that simulation on our OR-gate core
-with both the exhaustive engine and SimAnneal.
+with both the exhaustive engine and SimAnneal, through the operational
+check every tile goes through: each input is a perturber at row -2
+(logic 1) or row -6 (logic 0), and the degenerate ground states of a
+pattern must agree on the output.
 """
-
-import pytest
 
 from conftest import print_header
 from repro.coords.lattice import LatticeSite
 from repro.gatelib.designs import core_parameters
 from repro.networks.truth_table import TruthTable
-from repro.sidb.bdl import BdlPair, read_bdl_pair
-from repro.sidb.charge import SidbLayout
-from repro.sidb.exhaustive import exhaustive_ground_state
-from repro.sidb.simanneal import SimAnneal
+from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
+OBSERVED_OR = [(False,), (True,), (True,), (True,)]
 
 
-def _or_gate_fixture():
+def _or_gate() -> GateUnderTest:
     params = core_parameters("or")
     dx1, dx2, og = params["dx1"], params["dx2"], params["og"]
     sites = []
@@ -34,56 +34,54 @@ def _or_gate_fixture():
     for c, r in params.get("extra", []):
         sites.append(S(c, r))
     sites.append(S(0, orow + 2 + params["gout"]))
-    pair = BdlPair(S(0, orow), S(0, orow + 2))
     stim = dx2 + 2 * dx1
-    return sites, pair, stim
+    return GateUnderTest(
+        body=sites,
+        input_stimuli=[
+            ([S(column, -6)], [S(column, -2)]) for column in (-stim, stim)
+        ],
+        output_pairs=[BdlPair(S(0, orow), S(0, orow + 2))],
+        outputs=[TruthTable(2, 0b1110)],
+    )
 
 
-def _simulate(engine: str, parameters: SiDBSimulationParameters):
-    sites, pair, stim = _or_gate_fixture()
-    observed = []
-    for pattern in range(4):
-        layout = SidbLayout(sites)
-        layout.add(S(-stim, -2 if pattern & 1 else -6))
-        layout.add(S(stim, -2 if (pattern >> 1) & 1 else -6))
-        if engine == "exhaustive":
-            result = exhaustive_ground_state(layout, parameters)
-        else:
-            result = SimAnneal(layout, parameters).run()
-        observed.append(read_bdl_pair(layout, result.occupation(), pair))
-    return observed
+def _check(engine: str, parameters: SiDBSimulationParameters):
+    return check_operational(_or_gate(), parameters, engine)
 
 
 def test_fig1c_or_gate_exact(benchmark):
     """Exhaustive ground states reproduce the OR truth table."""
-    observed = benchmark.pedantic(
-        _simulate,
+    report = benchmark.pedantic(
+        _check,
         args=("exhaustive", SiDBSimulationParameters.huff_or_gate()),
         rounds=1, iterations=1,
     )
     print_header(
         "Figure 1c -- OR gate, mu=-0.28 eV, eps_r=5.6, lambda_TF=5 nm (ExGS)"
     )
-    for pattern, value in enumerate(observed):
-        a, b = pattern & 1, pattern >> 1 & 1
-        print(f"  inputs ({a},{b}) -> output {int(bool(value))}")
-    assert observed == [False, True, True, True]
+    for result in report.patterns:
+        a, b = result.pattern & 1, result.pattern >> 1 & 1
+        print(f"  inputs ({a},{b}) -> output {int(bool(result.observed[0]))}")
+    assert report.truth_table_observed() == OBSERVED_OR
+    assert report.operational
 
 
 def test_fig1c_or_gate_simanneal(benchmark):
     """SimAnneal agrees with the exhaustive oracle (the paper's engine)."""
-    observed = benchmark.pedantic(
-        _simulate,
+    report = benchmark.pedantic(
+        _check,
         args=("simanneal", SiDBSimulationParameters.huff_or_gate()),
         rounds=1, iterations=1,
     )
-    assert observed == [False, True, True, True]
+    assert report.truth_table_observed() == OBSERVED_OR
+    assert report.operational
 
 
 def test_fig1c_also_operational_at_bestagon_parameters(benchmark):
-    observed = benchmark.pedantic(
-        _simulate,
+    report = benchmark.pedantic(
+        _check,
         args=("exhaustive", SiDBSimulationParameters.bestagon()),
         rounds=1, iterations=1,
     )
-    assert observed == [False, True, True, True]
+    assert report.truth_table_observed() == OBSERVED_OR
+    assert report.operational

@@ -88,6 +88,13 @@ echo "== benchmark imports =="
 # Collects (imports) every benchmark without running it.
 PYTHONPATH=src python -m pytest benchmarks --collect-only -q
 
+echo "== paper-figure benches (Fig. 1c, Fig. 5) =="
+# Runs the two fast figure benches in full (a few seconds, nothing
+# written): Fig. 1c checks the OR gate at Huff et al.'s parameters
+# under ExGS and SimAnneal, Fig. 5 the library tiles under engine auto.
+PYTHONPATH=src python -m pytest benchmarks/bench_fig1c_or_gate.py \
+    benchmarks/bench_fig5_gate_library.py -q
+
 echo "== examples =="
 # Runs every example from a temporary directory: quickstart.py writes
 # mux21.sqd into its working directory.

@@ -41,13 +41,14 @@ The flow subcommands share their common options through parent parsers
 (:func:`_trace_options`, :func:`_engine_options`), so ``--trace`` and
 the engine knobs spell and behave identically everywhere.  Everything
 the CLI touches comes from the stable :mod:`repro.api` facade, except
-:func:`repro.obs.render_tree`, which renders a failed run's partial
-trace.
+:mod:`repro.obs`, which records ``validate``'s trace and renders it and
+a failed run's partial trace.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import signal
 import sys
@@ -93,6 +94,13 @@ def _configuration(args: argparse.Namespace) -> api.FlowConfiguration:
         raise SystemExit(str(error)) from None
 
 
+def _progress(args: argparse.Namespace):
+    """Live single-line progress on stderr when ``--progress`` is set."""
+    if getattr(args, "progress", False):
+        return api.progress_scope(api.LineProgressReporter())
+    return contextlib.nullcontext()
+
+
 def _design(
     args: argparse.Namespace,
     verilog: str,
@@ -101,12 +109,10 @@ def _design(
 ) -> api.DesignResult:
     """Run the flow, with live progress when ``--progress`` is set."""
     cache = getattr(args, "cache", None)
-    if getattr(args, "progress", False):
-        with api.progress_scope(api.LineProgressReporter()):
-            return api.design(
-                verilog, name=name, configuration=config, cache=cache
-            )
-    return api.design(verilog, name=name, configuration=config, cache=cache)
+    with _progress(args):
+        return api.design(
+            verilog, name=name, configuration=config, cache=cache
+        )
 
 
 def _report_trace(args: argparse.Namespace, result: api.DesignResult) -> None:
@@ -226,13 +232,25 @@ def cmd_validate(args: argparse.Namespace) -> int:
     library = api.BestagonLibrary()
     names = args.names or ["wire_NW_SW", "inv_NW_SW", "and_SE", "or_SE"]
     status = 0
-    for name in names:
-        report = library.validate(name)
-        correct = sum(p.correct for p in report.patterns)
-        verdict = "operational" if report.operational else "NOT operational"
-        print(f"{name:16s} {verdict} ({correct}/{len(report.patterns)} patterns)")
-        if not report.operational:
-            status = 1
+    # The trace has one span per tile and per pattern, naming the engine
+    # that solved the pattern and counting its ground-state memo hits.
+    tracing = args.trace or bool(args.trace_json)
+    with obs.capture("validate", enable=True if tracing else None) as trace:
+        for name in names:
+            with _progress(args), obs.span("validate.tile", tile=name):
+                report = library.validate(name)
+            correct = sum(p.correct for p in report.patterns)
+            verdict = "operational" if report.operational else "NOT operational"
+            print(f"{name:16s} {verdict} ({correct}/{len(report.patterns)} patterns)")
+            if not report.operational:
+                status = 1
+    if args.trace:
+        print()
+        print(obs.render_tree(trace.span))
+    if args.trace_json:
+        with open(args.trace_json, "w", encoding="utf-8") as handle:
+            handle.write(obs.trace_to_json(trace.span))
+        print(f"wrote {args.trace_json}")
     return status
 
 

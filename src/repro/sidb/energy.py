@@ -254,47 +254,22 @@ class EnergyModel:
     def num_sites(self) -> int:
         return len(self.layout)
 
-    def local_potentials(self, occupation: np.ndarray) -> np.ndarray:
-        """v_i = sum_j V_ij n_j (plus any fixed defect potential)."""
-        potentials = self.potential_matrix @ np.asarray(occupation, dtype=float)
-        if self.external_potential is not None:
-            potentials = potentials + self.external_potential
-        return potentials
-
-    def electrostatic_energy(self, occupation: np.ndarray) -> float:
-        """Pairwise repulsion energy sum_{i<j} V_ij n_i n_j (eV)."""
-        n = np.asarray(occupation, dtype=float)
-        return float(0.5 * n @ self.potential_matrix @ n)
-
-    def energy(self, occupation: np.ndarray) -> float:
-        """Full energy functional including the chemical-potential term."""
-        n = np.asarray(occupation, dtype=float)
-        total = self.electrostatic_energy(n) + self.parameters.mu_minus * float(
-            n.sum()
-        )
-        if self.external_potential is not None:
-            total += float(self._external_energies(n))
-        return total
-
     def batched_energies(self, occupations: np.ndarray) -> np.ndarray:
-        """Energies of many configurations at once (rows = configs)."""
+        """Energies of many configurations at once (rows = configs).
+
+        The one energy sum every engine scores its states with; a single
+        state is a 1-row batch.  A row gets the same bits alone and in
+        any batch: the defects' term is an elementwise sum, since a
+        matrix-vector product's last bit depends on the batch size.
+        """
         n = np.asarray(occupations, dtype=float)
         interaction = 0.5 * np.einsum(
             "ki,ij,kj->k", n, self.potential_matrix, n
         )
         total = interaction + self.parameters.mu_minus * n.sum(axis=1)
         if self.external_potential is not None:
-            total = total + self._external_energies(n)
+            total = total + (n * self.external_potential).sum(axis=1)
         return total
-
-    def _external_energies(self, n: np.ndarray) -> np.ndarray:
-        """sum_i n_i * external_i over the last axis, row by row.
-
-        A matrix-vector product's last bit depends on how many rows the
-        batch has; this elementwise sum gives a configuration the same
-        bits alone, in any batch, and in :meth:`energy`.
-        """
-        return (n * self.external_potential).sum(axis=-1)
 
     def batched_local_potentials(self, occupations: np.ndarray) -> np.ndarray:
         """Local potentials of many configurations (rows = configs)."""

@@ -1,10 +1,20 @@
-"""Exhaustive ground-state search (ExGS).
+"""Exhaustive ground-state search (ExGS), and the ground-set rule.
 
 Enumerates all 2^N occupation vectors of an N-site layout, filters for
 population (and optionally configuration) stability, and returns the
 minimum-energy configurations.  Vectorized with numpy and chunked, this
 is practical up to roughly 22 sites and serves as the exact oracle that
-validates the simulated-annealing engine.
+QuickExact and SimAnneal are tested against.
+
+The module also states the one rule by which every engine turns scored
+states into a result: :class:`GroundStateCollector` keeps the lowest
+exact energy offered and every state within :data:`ENERGY_TOLERANCE`
+of it, and :func:`empty_layout_result` answers a layout with no sites.
+ExGS offers each chunk's stable configurations, QuickExact its leaf
+candidates and SimAnneal its finalists, all scored by
+:meth:`~repro.sidb.energy.EnergyModel.batched_energies` -- so the
+engines report the same ground energy, bit for bit, whenever they find
+the same ground set.
 """
 
 from __future__ import annotations
@@ -15,11 +25,12 @@ import numpy as np
 
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import EnergyModel
-from repro.sidb.stability import (
-    POPULATION_TOLERANCE,
-    configuration_stability_mask,
-)
+from repro.sidb.stability import configuration_stable, population_stable
 from repro.tech.parameters import SiDBSimulationParameters
+
+#: States within this energy window of the lowest are reported as
+#: degenerate ground states (eV).
+ENERGY_TOLERANCE = 1e-9
 
 _MAX_EXHAUSTIVE_SITES = 24
 _CHUNK_BITS = 16
@@ -62,11 +73,70 @@ class GroundStateResult:
         return self.ground_states[0]
 
 
+def empty_layout_result(
+    layout: SidbLayout, stats: object | None = None
+) -> GroundStateResult:
+    """The one state of a layout without sites: no charge, energy 0."""
+    return GroundStateResult(
+        layout,
+        ground_states=[np.zeros(0, dtype=np.int8)],
+        ground_energy=0.0,
+        valid_count=1,
+        total_count=1,
+        stats=stats,
+    )
+
+
+class GroundStateCollector:
+    """The degenerate ground set among the states offered so far.
+
+    Keeps the lowest exact energy offered (:attr:`energy`) and every
+    state within :data:`ENERGY_TOLERANCE` of it, in the order offered.
+    A state dropped because it was too far above the lowest energy at
+    the time could never rejoin: the lowest energy only falls.
+    """
+
+    def __init__(self) -> None:
+        self.energy = float("inf")
+        self._kept: list[tuple[np.ndarray, float]] = []
+
+    @property
+    def states(self) -> list[np.ndarray]:
+        return [state for state, _ in self._kept]
+
+    def offer(self, states: np.ndarray, energies: np.ndarray) -> None:
+        """Offer configuration rows with their exact energies."""
+        if not len(energies):
+            return
+        self.energy = min(self.energy, float(energies.min()))
+        ceiling = self.energy + ENERGY_TOLERANCE
+        self._kept = [
+            (state, energy) for state, energy in self._kept
+            if energy <= ceiling
+        ]
+        near = energies <= ceiling
+        self._kept.extend(zip(states[near], energies[near].tolist()))
+
+    def result(
+        self,
+        layout: SidbLayout,
+        valid_count: int,
+        stats: object | None = None,
+    ) -> GroundStateResult:
+        return GroundStateResult(
+            layout,
+            ground_states=self.states,
+            ground_energy=self.energy,
+            valid_count=valid_count,
+            total_count=1 << len(layout),
+            stats=stats,
+        )
+
+
 def exhaustive_ground_state(
     layout: SidbLayout,
     parameters: SiDBSimulationParameters | None = None,
     require_configuration_stability: bool = True,
-    energy_tolerance: float = 1e-9,
     model: EnergyModel | None = None,
 ) -> GroundStateResult:
     """Exact ground state(s) of a small SiDB layout.
@@ -86,17 +156,11 @@ def exhaustive_ground_state(
         raise ValueError(
             f"{n} sites exceed the exhaustive limit of {_MAX_EXHAUSTIVE_SITES}"
         )
-    model = model or EnergyModel(layout, parameters)
-    result = GroundStateResult(layout, total_count=1 << n)
     if n == 0:
-        result.ground_states = [np.zeros(0, dtype=np.int8)]
-        result.ground_energy = 0.0
-        result.valid_count = 1
-        return result
-
+        return empty_layout_result(layout)
+    model = model or EnergyModel(layout, parameters)
     mu = model.parameters.mu_minus
-    best_energy = float("inf")
-    best: list[np.ndarray] = []
+    ground = GroundStateCollector()
     valid_count = 0
 
     chunk = 1 << min(_CHUNK_BITS, n)
@@ -106,45 +170,12 @@ def exhaustive_ground_state(
         configs = ((indices[:, None] >> bits[None, :]) & 1).astype(np.int8)
         potentials = model.batched_local_potentials(configs)
         occupied = configs > 0
-        stable = np.all(
-            np.where(
-                occupied,
-                potentials + mu <= POPULATION_TOLERANCE,
-                potentials + mu >= -POPULATION_TOLERANCE,
-            ),
-            axis=1,
-        )
-        if not stable.any():
-            continue
-        stable_configs = configs[stable]
+        stable = population_stable(potentials + mu, occupied)
         if require_configuration_stability:
-            # One batched array op instead of a per-candidate Python
-            # double loop; also makes valid_count agree with the
-            # docstring (it counts configurations passing *both*
-            # stability filters when both are requested).
-            configuration_stable = configuration_stability_mask(
-                model, stable_configs
+            stable[stable] = configuration_stable(
+                potentials[stable], occupied[stable], model.potential_matrix
             )
-            stable_configs = stable_configs[configuration_stable]
-            valid_count += int(configuration_stable.sum())
-            if not len(stable_configs):
-                continue
-        else:
-            valid_count += int(stable.sum())
-        energies = model.batched_energies(stable_configs)
-        order = np.argsort(energies)
-        for position in order:
-            energy = float(energies[position])
-            if energy > best_energy + energy_tolerance:
-                break
-            config = stable_configs[position]
-            if energy < best_energy - energy_tolerance:
-                best_energy = energy
-                best = [config.copy()]
-            else:
-                best.append(config.copy())
-
-    result.valid_count = valid_count
-    result.ground_energy = best_energy
-    result.ground_states = best
-    return result
+        stable_configs = configs[stable]
+        valid_count += len(stable_configs)
+        ground.offer(stable_configs, model.batched_energies(stable_configs))
+    return ground.result(layout, valid_count)

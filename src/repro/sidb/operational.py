@@ -169,7 +169,8 @@ def simulate_pattern(
     """
     layout = gate.layout(pattern)
     expected = gate.expected(pattern)
-    result = _ground_state(layout, parameters, engine, schedule, defects)
+    with obs.span("operational.pattern", pattern=pattern):
+        result = _ground_state(layout, parameters, engine, schedule, defects)
     if result.ground_states:
         occupation = result.occupation()
         observed = tuple(
@@ -256,15 +257,16 @@ def _ground_state(
 ) -> GroundStateResult:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "simanneal" or (
-        engine == "auto" and len(layout) > MAX_QUICKEXACT_SITES
-    ):
+    if engine == "auto":
+        engine = (
+            "simanneal" if len(layout) > MAX_QUICKEXACT_SITES else "quickexact"
+        )
+    obs.gauge("engine", engine)
+    if engine == "simanneal":
         # An annealed state depends on the site order and the seed, so
         # SimAnneal always runs on the layout exactly as given.
         model = EnergyModel(layout, parameters, defects) if defects else None
         return SimAnneal(layout, parameters, schedule, model=model).run()
-    if engine == "auto":
-        engine = "quickexact"
     return _exact_ground_state(layout, parameters, engine, defects)
 
 

@@ -51,12 +51,13 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   once per search; a leaf screens its rows on the suffix columns
   first and tests the decided prefix only on the rows that survive.
 
-Candidate energies are *recomputed* through the shared
-:meth:`~repro.sidb.energy.EnergyModel.batched_energies` before they are
-compared or reported, so the returned ground energy and degenerate
-state set are bit-identical to the exhaustive engine's (the
-incrementally maintained decomposition is only used for pruning, with
-a small slack guarding against last-ulp drift).
+Leaf candidates are rescored with the shared
+:meth:`~repro.sidb.energy.EnergyModel.batched_energies` and offered to
+the shared :class:`~repro.sidb.exhaustive.GroundStateCollector`, so the
+returned ground energy and degenerate state set are bit-identical to
+the exhaustive engine's (the incrementally maintained decomposition is
+only used for pruning, with a small slack guarding against last-ulp
+drift).
 """
 
 from __future__ import annotations
@@ -68,11 +69,13 @@ import numpy as np
 from repro import obs
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import EnergyModel
-from repro.sidb.exhaustive import GroundStateResult
-from repro.sidb.stability import (
-    POPULATION_TOLERANCE,
-    batched_configuration_stable,
+from repro.sidb.exhaustive import (
+    ENERGY_TOLERANCE,
+    GroundStateCollector,
+    GroundStateResult,
+    empty_layout_result,
 )
+from repro.sidb.stability import POPULATION_TOLERANCE, configuration_stable
 from repro.tech.parameters import SiDBSimulationParameters
 
 #: Hard site ceiling of the pruned engine.  Beyond this even the pruned
@@ -165,7 +168,6 @@ def quickexact_ground_state(
     layout: SidbLayout,
     parameters: SiDBSimulationParameters | None = None,
     require_configuration_stability: bool = True,
-    energy_tolerance: float = 1e-9,
     model: EnergyModel | None = None,
     leaf_bits: int = DEFAULT_LEAF_BITS,
     energy_pruning: bool = True,
@@ -198,14 +200,10 @@ def quickexact_ground_state(
         )
     if not 1 <= leaf_bits <= 16:
         raise ValueError(f"leaf_bits must be in [1, 16], got {leaf_bits}")
-    model = model or EnergyModel(layout, parameters)
     stats = QuickExactStatistics(num_sites=n, search_space=1 << n)
-    result = GroundStateResult(layout, total_count=1 << n, stats=stats)
     if n == 0:
-        result.ground_states = [np.zeros(0, dtype=np.int8)]
-        result.ground_energy = 0.0
-        result.valid_count = 1
-        return result
+        return empty_layout_result(layout, stats)
+    model = model or EnergyModel(layout, parameters)
 
     with obs.span("quickexact.run") as span:
         span.set("sites", n)
@@ -213,7 +211,6 @@ def quickexact_ground_state(
             model=model,
             order=_site_order(layout),
             require_configuration_stability=require_configuration_stability,
-            energy_tolerance=energy_tolerance,
             leaf_bits=min(leaf_bits, n),
             energy_pruning=energy_pruning,
             incumbent_energy=(
@@ -222,10 +219,6 @@ def quickexact_ground_state(
             stats=stats,
         )
         search.run()
-
-        result.valid_count = search.valid_count
-        result.ground_energy = search.best_energy
-        result.ground_states = search.ground_states()
         span.add("quickexact.nodes", stats.nodes_visited)
         span.add("quickexact.leaves", stats.leaves_evaluated)
         span.add("quickexact.configs", stats.configurations_enumerated)
@@ -234,7 +227,7 @@ def quickexact_ground_state(
         span.add("quickexact.cut.witness_hop", stats.cut_witness_hop)
         span.add("quickexact.cut.energy_bound", stats.cut_energy_bound)
         span.set("enumerated_fraction", round(stats.enumerated_fraction, 6))
-    return result
+    return search.ground.result(layout, search.valid_count, stats)
 
 
 class _QuickExactSearch:
@@ -245,7 +238,6 @@ class _QuickExactSearch:
         model: EnergyModel,
         order: np.ndarray,
         require_configuration_stability: bool,
-        energy_tolerance: float,
         leaf_bits: int,
         energy_pruning: bool,
         incumbent_energy: float,
@@ -254,7 +246,6 @@ class _QuickExactSearch:
         self.model = model
         self.order = order
         self.require_configuration_stability = require_configuration_stability
-        self.tolerance = energy_tolerance
         self.energy_pruning = energy_pruning
         self.stats = stats
         self._set_incumbent(incumbent_energy)
@@ -324,26 +315,12 @@ class _QuickExactSearch:
             ) - self.matrix
 
         self.valid_count = 0
-        self.best_energy = float("inf")
-        #: (original-order int8 config, exact energy) candidates.
-        self.candidates: list[tuple[np.ndarray, float]] = []
+        self.ground = GroundStateCollector()
 
     def _set_incumbent(self, energy: float) -> None:
         self.incumbent_energy = energy
         self.stats.incumbent_energy = energy
-        self.cut_energy = energy + self.tolerance + _DECOMPOSITION_SLACK
-
-    # --- result assembly --------------------------------------------------
-    def ground_states(self) -> list[np.ndarray]:
-        """Degenerate ground set from the collected candidates."""
-        if not self.candidates:
-            return []
-        floor = self.best_energy + self.tolerance
-        return [
-            config
-            for config, energy in self.candidates
-            if energy <= floor
-        ]
+        self.cut_energy = energy + ENERGY_TOLERANCE + _DECOMPOSITION_SLACK
 
     # --- search -----------------------------------------------------------
     def run(self) -> None:
@@ -464,13 +441,13 @@ class _QuickExactSearch:
             externals = (
                 self.external[None, :] if self.external is not None else 0.0
             )
-            configuration_stable = batched_configuration_stable(
+            stable = configuration_stable(
                 base + self.suffix_potentials[rows] + externals,
                 occupied,
                 self.matrix,
             )
-            rows = rows[configuration_stable]
-            occupied = occupied[configuration_stable]
+            rows = rows[stable]
+            occupied = occupied[stable]
         self.valid_count += int(rows.size)
         if not rows.size:
             return
@@ -483,28 +460,16 @@ class _QuickExactSearch:
             + self.suffix_float[rows] @ suffix_onsite
             + self.suffix_pair_energies[rows]
         )
-        window = (
-            self.best_energy + self.tolerance + _DECOMPOSITION_SLACK
+        ground = self.ground
+        near = energies <= (
+            ground.energy + ENERGY_TOLERANCE + _DECOMPOSITION_SLACK
         )
-        near = energies <= window
         if not near.any():
             return
-        # Exact recomputation (identical arithmetic to the exhaustive
-        # engine) for everything that could join the degenerate set.
+        # Exact rescoring (the exhaustive engine's arithmetic) of
+        # everything that could join the degenerate set.
         originals = np.empty((int(near.sum()), self.n), dtype=np.int8)
         originals[:, self.order] = occupied[near]
-        exact = self.model.batched_energies(originals)
-        for position in np.argsort(exact, kind="stable"):
-            energy = float(exact[position])
-            if energy > self.best_energy + self.tolerance:
-                break
-            if energy < self.best_energy - self.tolerance:
-                self.best_energy = energy
-                self.candidates = [(originals[position].copy(), energy)]
-            else:
-                self.best_energy = min(self.best_energy, energy)
-                self.candidates.append(
-                    (originals[position].copy(), energy)
-                )
-        if self.best_energy < self.incumbent_energy:
-            self._set_incumbent(self.best_energy)
+        ground.offer(originals, self.model.batched_energies(originals))
+        if ground.energy < self.incumbent_energy:
+            self._set_incumbent(ground.energy)

@@ -3,8 +3,12 @@
 The engine of [Ng TNANO'20] used by the paper to validate the Bestagon
 gates (Figures 1c and 5): multiple annealing instances explore the
 occupation space with single-electron add/remove and hop moves under a
-geometric cooling schedule; the best *population-stable* configurations
-encountered are reported.  The exhaustive engine certifies its results
+geometric cooling schedule.  Each instance's best population-stable
+state (its last state if it met none) is greedy-descended to the bottom
+of its basin.  The metastable finalists are scored by the shared energy
+sum and collected by the exact engines' ground-set rule
+(:class:`~repro.sidb.exhaustive.GroundStateCollector`), each distinct
+state once, in byte order.  The exhaustive engine certifies the results
 on small systems (see the cross-validation tests).
 
 All instances run in lockstep as NumPy arrays -- occupation matrix
@@ -27,17 +31,13 @@ import numpy as np
 from repro import obs
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import EnergyModel
-from repro.sidb.exhaustive import GroundStateResult
-from repro.sidb.stability import (
-    POPULATION_TOLERANCE,
-    is_metastable,
-    is_population_stable,
+from repro.sidb.exhaustive import (
+    GroundStateCollector,
+    GroundStateResult,
+    empty_layout_result,
 )
+from repro.sidb.stability import metastable, population_stable
 from repro.tech.parameters import SiDBSimulationParameters
-
-#: Configurations within this energy window of the minimum are reported
-#: as degenerate ground states (matches the exhaustive engine).
-ENERGY_TOLERANCE = 1e-9
 
 #: Vectorized resolution rounds per sweep in the batch engine.  Each
 #: round finalizes every instance's proposal prefix up to (and
@@ -85,20 +85,20 @@ class SimAnneal:
 
     # --- public API -------------------------------------------------------
     def run(self) -> GroundStateResult:
-        """Anneal; returns the best stable configuration(s) found."""
-        return self._collect_result(self._run_instances())
-
-    def _run_instances(self) -> list[tuple[np.ndarray, float]]:
-        """Run all instances; returns (occupation, energy) finalists.
+        """Anneal; returns the lowest metastable configuration(s) found.
 
         Every finalist is greedy-descended to the bottom of its basin
-        and carries an *exactly recomputed* energy (no accumulated
-        floating-point drift).
+        and scored exactly by ``batched_energies`` (no accumulated
+        floating-point drift); ``valid_count`` is the number of
+        distinct ground states reported.
         """
         n = len(self.layout)
+        if n == 0:
+            return empty_layout_result(self.layout)
+        ground = GroundStateCollector()
         indices = list(range(self.schedule.instances))
-        if n == 0 or not indices:
-            return []
+        if not indices:
+            return ground.result(self.layout, 0)
         with obs.span("simanneal.run") as span:
             span.set("batch_shape", [len(indices), n])
             self._proposals = 0
@@ -114,57 +114,19 @@ class SimAnneal:
                     "acceptance_rate",
                     round(self._accepted / self._proposals, 4),
                 )
-
-            finalists: list[tuple[np.ndarray, float]] = []
-            for candidate in candidates:
-                descended = self._greedy_descent(candidate)
-                if not is_population_stable(self.model, descended):
-                    continue
-                energy = self.model.energy(descended)
-                finalists.append((descended, energy))
-                span.observe("simanneal.energy", energy)
+            descended = np.array(
+                [self._greedy_descent(candidate) for candidate in candidates]
+            )
+            finalists = descended[metastable(self.model, descended)]
+            energies = self.model.batched_energies(finalists)
+            for energy in energies:
+                span.observe("simanneal.energy", float(energy))
             span.add("finalists", len(finalists))
-        return finalists
-
-    def _collect_result(
-        self, finalists: list[tuple[np.ndarray, float]]
-    ) -> GroundStateResult:
-        """Merge finalists into a result with degenerate-state collection.
-
-        All distinct metastable configurations within
-        :data:`ENERGY_TOLERANCE` of the best energy are reported, so
-        degeneracy-agreement checks fire for this engine exactly as they
-        do for the exhaustive one.
-        """
-        n = len(self.layout)
-        result = GroundStateResult(self.layout, total_count=1 << n)
-        if n == 0:
-            result.ground_states = [np.zeros(0, dtype=np.int8)]
-            result.ground_energy = 0.0
-            result.valid_count = 1
-            return result
-        if not finalists:
-            return result
-
-        best_energy = min(energy for _, energy in finalists)
-        tied: dict[bytes, np.ndarray] = {}
-        for occupation, energy in finalists:
-            if energy > best_energy + ENERGY_TOLERANCE:
-                continue
-            key = occupation.astype(np.int8).tobytes()
-            if key in tied:
-                continue
-            if not is_metastable(self.model, occupation):
-                continue
-            tied[key] = occupation.astype(np.int8)
-        if not tied:
-            return result
-        result.ground_states = [tied[key] for key in sorted(tied)]
-        result.ground_energy = min(
-            self.model.energy(state) for state in result.ground_states
-        )
-        result.valid_count = len(result.ground_states)
-        return result
+        # Each distinct finalist once, in byte order (rows of 0/1 sort
+        # lexicographically exactly as their bytes do).
+        distinct, first = np.unique(finalists, axis=0, return_index=True)
+        ground.offer(distinct, energies[first])
+        return ground.result(self.layout, len(ground.states))
 
     def instance_seeds(self) -> list[np.random.SeedSequence]:
         """Independent per-instance seed sequences (order-invariant)."""
@@ -317,12 +279,7 @@ class SimAnneal:
             occ_real = occupation[:, :n]
             potentials = occ_real.astype(float) @ matrix
             w[:, :n] = potentials + onsite
-            slack = w[:, :n]
-            occupied_mask = occ_real
-            stable = ~(
-                (occupied_mask & (slack > POPULATION_TOLERANCE))
-                | (~occupied_mask & (slack < -POPULATION_TOLERANCE))
-            ).any(axis=1)
+            stable = population_stable(w[:, :n], occ_real)
             if stable.any():
                 stable_rows = np.flatnonzero(stable)
                 energies = model.batched_energies(occ_real[stable_rows])
@@ -356,7 +313,7 @@ class SimAnneal:
         mu = model.parameters.mu_minus
         matrix = model.potential_matrix
         occupation = occupation.copy()
-        potentials = model.local_potentials(occupation)
+        potentials = model.batched_local_potentials(occupation[None])[0]
         improved = True
         while improved:
             improved = False

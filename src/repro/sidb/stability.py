@@ -5,6 +5,13 @@ or lose an electron, and *configuration stable* when no single electron
 hop to an empty site lowers the energy.  Configurations satisfying both
 are the physically meaningful (meta)stable states among which the ground
 state is selected -- the same notion SiQAD's engines use.
+
+Both tests work row-wise on a batch of configurations, and every engine
+goes through them: ExGS applies both to each chunk's potentials,
+SimAnneal :func:`population_stable` to the ``w`` it holds at the end of
+a sweep and :func:`metastable` (both tests, from scratch) to its
+finalists, and QuickExact :func:`configuration_stable` to the leaf rows
+that pass its own two-stage population screen.
 """
 
 from __future__ import annotations
@@ -16,66 +23,40 @@ from repro.sidb.energy import EnergyModel
 # Numerical tolerance for the stability inequalities (eV).
 POPULATION_TOLERANCE = 1e-9
 
-
-def is_population_stable(
-    model: EnergyModel, occupation: np.ndarray, tolerance: float = POPULATION_TOLERANCE
-) -> bool:
-    """No site can lower the energy by gaining/losing one electron."""
-    n = np.asarray(occupation, dtype=float)
-    potentials = model.local_potentials(n)
-    mu = model.parameters.mu_minus
-    occupied = n > 0.5
-    # Occupied sites must be happy to keep their electron...
-    if np.any(potentials[occupied] + mu > tolerance):
-        return False
-    # ...and empty sites must not want one.
-    if np.any(potentials[~occupied] + mu < -tolerance):
-        return False
-    return True
-
-
-def is_configuration_stable(
-    model: EnergyModel, occupation: np.ndarray, tolerance: float = POPULATION_TOLERANCE
-) -> bool:
-    """No single electron hop to an empty site lowers the energy.
-
-    The hop energies are evaluated as one outer-difference array:
-    ``delta[s, t] = v[t] - v[s] - V[s, t]`` for every (source, target)
-    pair at once, masked down to occupied sources and empty targets --
-    no Python-level pair loop.
-    """
-    n = np.asarray(occupation, dtype=float)
-    potentials = model.local_potentials(n)
-    occupied = n > 0.5
-    deltas = (
-        potentials[None, :] - potentials[:, None] - model.potential_matrix
-    )
-    relevant = occupied[:, None] & ~occupied[None, :]
-    return not bool(np.any(relevant & (deltas < -tolerance)))
-
-
 #: Upper bound on ``configs * n * n`` elements materialized per slice of
-#: the batched configuration-stability check (keeps peak memory low even
-#: for very large stable sets).
+#: the configuration-stability check (keeps peak memory low even for
+#: very large stable sets).
 _CONFIGURATION_BATCH_ELEMENTS = 1 << 22
 
 
-def batched_configuration_stable(
-    potentials: np.ndarray,
-    occupations: np.ndarray,
-    matrix: np.ndarray,
-    tolerance: float = POPULATION_TOLERANCE,
-) -> np.ndarray:
-    """Configuration stability of many configurations at once.
+def population_stable(w: np.ndarray, occupied: np.ndarray) -> np.ndarray:
+    """No site can lower the energy by gaining or losing one electron.
 
-    ``potentials`` are the per-configuration local potentials (rows =
-    configs, including any fixed external contribution) and ``matrix``
-    the pairwise interaction matrix.  Returns a boolean mask: ``True``
-    where no single electron hop lowers the energy.  The check is
-    sliced internally so peak memory stays bounded regardless of how
-    many configurations are passed.
+    ``w`` is each site's local potential plus its on-site term
+    (``mu_minus`` and any fixed defect potential), row by row; the
+    last axis runs over the sites.  Occupied sites must keep
+    ``w <= 0`` and empty ones ``w >= 0``, both within
+    :data:`POPULATION_TOLERANCE`.
     """
-    occupied = np.asarray(occupations) > 0.5
+    return ~(
+        (occupied & (w > POPULATION_TOLERANCE))
+        | (~occupied & (w < -POPULATION_TOLERANCE))
+    ).any(axis=-1)
+
+
+def configuration_stable(
+    potentials: np.ndarray, occupied: np.ndarray, matrix: np.ndarray
+) -> np.ndarray:
+    """No single electron hop to an empty site lowers the energy.
+
+    ``potentials`` are the local potentials of each configuration row
+    (including any fixed external contribution) and ``matrix`` the
+    pairwise interaction matrix.  The hop energies are one
+    outer-difference array, ``delta[c, s, t] = v_c[t] - v_c[s] -
+    V[s, t]``, masked down to occupied sources and empty targets; it
+    is sliced internally so peak memory stays bounded regardless of
+    how many configurations are passed.
+    """
     count, n = occupied.shape
     stable = np.empty(count, dtype=bool)
     step = max(1, _CONFIGURATION_BATCH_ELEMENTS // max(1, n * n))
@@ -83,47 +64,19 @@ def batched_configuration_stable(
         stop = min(start + step, count)
         occ = occupied[start:stop]
         pot = potentials[start:stop]
-        # delta[c, s, t] = v_c[t] - v_c[s] - V[s, t]
         deltas = pot[:, None, :] - pot[:, :, None] - matrix[None, :, :]
         relevant = occ[:, :, None] & ~occ[:, None, :]
         stable[start:stop] = ~np.any(
-            relevant & (deltas < -tolerance), axis=(1, 2)
+            relevant & (deltas < -POPULATION_TOLERANCE), axis=(1, 2)
         )
     return stable
 
 
-def configuration_stability_mask(
-    model: EnergyModel,
-    occupations: np.ndarray,
-    tolerance: float = POPULATION_TOLERANCE,
-) -> np.ndarray:
-    """Batched :func:`is_configuration_stable` over configuration rows.
-
-    One array op replaces the per-candidate Python calls of the
-    exhaustive engine's filter loop.
-    """
+def metastable(model: EnergyModel, occupations: np.ndarray) -> np.ndarray:
+    """Population and configuration stability of occupation rows."""
     occupations = np.asarray(occupations)
-    if occupations.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
+    occupied = occupations > 0
     potentials = model.batched_local_potentials(occupations)
-    return batched_configuration_stable(
-        potentials, occupations, model.potential_matrix, tolerance
-    )
-
-
-def is_metastable(model: EnergyModel, occupation: np.ndarray) -> bool:
-    """Population and configuration stability combined."""
-    return is_population_stable(model, occupation) and is_configuration_stable(
-        model, occupation
-    )
-
-
-def population_stability_margin(
-    model: EnergyModel, occupation: np.ndarray
-) -> float:
-    """Smallest slack of the population criteria (negative = violated)."""
-    n = np.asarray(occupation, dtype=float)
-    potentials = model.local_potentials(n)
-    mu = model.parameters.mu_minus
-    margins = np.where(n > 0.5, -(potentials + mu), potentials + mu)
-    return float(margins.min()) if margins.size else float("inf")
+    return population_stable(
+        potentials + model.parameters.mu_minus, occupied
+    ) & configuration_stable(potentials, occupied, model.potential_matrix)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.coords.hexagonal import HexCoord
@@ -87,8 +88,10 @@ def test_zero_defects_energy_model_bit_identical():
     pristine = EnergyModel(layout, parameters)
     with_empty = EnergyModel(layout, parameters, defects=())
     assert with_empty.external_potential is None
-    for n in ([0, 0], [1, 0], [1, 1]):
-        assert pristine.energy(n) == with_empty.energy(n)
+    states = np.array([[0, 0], [1, 0], [1, 1]])
+    assert np.array_equal(
+        pristine.batched_energies(states), with_empty.batched_energies(states)
+    )
 
 
 def test_charged_defect_shifts_energy():
@@ -99,8 +102,12 @@ def test_charged_defect_shifts_energy():
     pristine = EnergyModel(layout, parameters)
     # A negative defect repels DB- electrons: occupied states get
     # strictly more positive energy; the empty state is unchanged.
-    assert model.energy([0, 0]) == pristine.energy([0, 0])
-    assert model.energy([1, 1]) > pristine.energy([1, 1])
+    empty, full = model.batched_energies(np.array([[0, 0], [1, 1]]))
+    pristine_empty, pristine_full = pristine.batched_energies(
+        np.array([[0, 0], [1, 1]])
+    )
+    assert empty == pristine_empty
+    assert full > pristine_full
 
 
 def test_structural_defect_has_no_potential():

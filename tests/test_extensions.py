@@ -1,6 +1,7 @@
 """Tests for the extension modules: operational domain, BDDs, AIGs,
 layout serialization and the CLI."""
 
+import json
 import random
 
 import pytest
@@ -236,3 +237,32 @@ class TestCli:
 
         assert main(["validate", "wire_NW_SW"]) == 0
         assert "operational" in capsys.readouterr().out
+
+    def test_validate_trace_tree(self, capsys):
+        from repro.cli import main
+
+        assert main(["validate", "wire_NW_SW", "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert "validate.tile" in out and "[tile=wire_NW_SW]" in out
+        assert out.count("engine=quickexact") == 2
+
+    def test_validate_trace_json(self, capsys, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "validate.json"
+        assert main(["validate", "wire_NW_SW", "--trace-json", str(path)]) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        trace = json.loads(path.read_text())
+        assert trace["name"] == "validate"
+        [tile] = trace["children"]
+        assert tile["attributes"] == {"tile": "wire_NW_SW"}
+        assert [child["attributes"] for child in tile["children"]] == [
+            {"pattern": 0, "engine": "quickexact"},
+            {"pattern": 1, "engine": "quickexact"},
+        ]
+
+    def test_validate_progress(self, capsys):
+        from repro.cli import main
+
+        assert main(["validate", "wire_NW_SW", "--progress"]) == 0
+        assert "operational.patterns 2/2" in capsys.readouterr().err

@@ -38,7 +38,7 @@ from repro.sidb.quickexact import (
     quickexact_ground_state,
 )
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
-from repro.sidb.stability import is_metastable
+from repro.sidb.stability import metastable
 from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
@@ -48,6 +48,12 @@ CHARGED_DEFECTS = (
     SidbDefect(LatticeSite(18, 4, 0), DefectType.DB),
     SidbDefect(LatticeSite(18, 20, 0), DefectType.ARSENIC),
 )
+#: A mirror-symmetric 18-site layout whose two degenerate ground states
+#: lie in different 2^16-configuration ExGS chunks and score one ulp
+#: apart: ExGS must report the lower energy, not the first it meets.
+_HALF = [(1, 3), (1, 9), (1, 13), (2, 5), (2, 13), (2, 27), (3, 20), (5, 27),
+         (8, 25)]
+MIRRORED_18 = _HALF + [(-n, row) for n, row in _HALF]
 
 
 def ground_set(result):
@@ -94,6 +100,7 @@ class TestCrossValidation:
         ),
         st.booleans(),
     )
+    @example(MIRRORED_18, True)
     def test_property_matches_exgs(self, pairs, require_stability):
         layout = SidbLayout(S(n, r) for n, r in pairs)
         assert_bit_exact(
@@ -251,8 +258,7 @@ class TestCrossValidation:
         model = EnergyModel(layout, P32)
         result = quickexact_ground_state(layout, P32, model=model)
         assert result.ground_states
-        for state in result.ground_states:
-            assert is_metastable(model, state)
+        assert metastable(model, np.array(result.ground_states)).all()
 
 
 class TestGateLibrary:
@@ -287,8 +293,7 @@ class TestGateLibrary:
                 annealed = SimAnneal(layout, P32, schedule).run()
                 assert exact.ground_energy <= annealed.ground_energy + 1e-9
                 assert exact.ground_states
-                for state in exact.ground_states:
-                    assert is_metastable(model, state)
+                assert metastable(model, np.array(exact.ground_states)).all()
                 checked += 1
         assert checked == 28
 

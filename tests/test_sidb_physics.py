@@ -12,16 +12,36 @@ from repro.sidb.energy import EnergyModel
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.sidb.stability import (
-    is_configuration_stable,
-    is_metastable,
-    is_population_stable,
-    population_stability_margin,
+    configuration_stable,
+    metastable,
+    population_stable,
 )
 from repro.tech.constants import COULOMB_CONSTANT_EV_NM
 from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
 P32 = SiDBSimulationParameters(mu_minus=-0.32)
+
+
+def energy(model, occupation):
+    """Energy of one configuration, scored as a 1-row batch."""
+    return model.batched_energies(np.array([occupation]))[0]
+
+
+def population_stable_state(model, occupation):
+    occupation = np.array([occupation])
+    w = model.batched_local_potentials(occupation) + model.parameters.mu_minus
+    return bool(population_stable(w, occupation > 0)[0])
+
+
+def configuration_stable_state(model, occupation):
+    occupation = np.array([occupation])
+    potentials = model.batched_local_potentials(occupation)
+    return bool(
+        configuration_stable(
+            potentials, occupation > 0, model.potential_matrix
+        )[0]
+    )
 
 
 def random_layouts(max_sites=8):
@@ -60,21 +80,26 @@ class TestEnergyModel:
     def test_energy_of_empty_configuration(self):
         layout = SidbLayout([S(0, 0), S(0, 6)])
         model = EnergyModel(layout, P32)
-        assert model.energy(np.zeros(2)) == 0.0
+        assert energy(model, np.zeros(2)) == 0.0
 
     def test_single_electron_energy_is_mu(self):
         layout = SidbLayout([S(0, 0), S(0, 6)])
         model = EnergyModel(layout, P32)
-        assert model.energy(np.array([1, 0])) == pytest.approx(-0.32)
+        assert energy(model, np.array([1, 0])) == pytest.approx(-0.32)
 
     @settings(deadline=None, max_examples=25)
     @given(random_layouts(6), st.integers(0, 63))
     def test_batched_matches_scalar(self, layout, bits):
+        """The batched sum equals the functional written out pair by pair."""
         model = EnergyModel(layout, P32)
         n = len(layout)
-        occupation = np.array([(bits >> i) & 1 for i in range(n)])
-        batch = model.batched_energies(occupation[None, :])
-        assert batch[0] == pytest.approx(model.energy(occupation))
+        occupation = [(bits >> i) & 1 for i in range(n)]
+        expected = P32.mu_minus * sum(occupation) + sum(
+            model.potential_matrix[i, j] * occupation[i] * occupation[j]
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        assert energy(model, occupation) == pytest.approx(expected)
 
     def test_coincident_sites_rejected(self):
         layout = SidbLayout([S(0, 0)])
@@ -87,20 +112,20 @@ class TestStability:
     def test_isolated_db_wants_electron(self):
         layout = SidbLayout([S(0, 0)])
         model = EnergyModel(layout, P32)
-        assert is_population_stable(model, np.array([1]))
-        assert not is_population_stable(model, np.array([0]))
+        assert population_stable_state(model, np.array([1]))
+        assert not population_stable_state(model, np.array([0]))
 
     def test_close_pair_holds_single_electron(self):
         # 0.543 nm apart: V ~ 0.43 eV > |mu| -> exactly one electron.
         layout = SidbLayout([S(0, 1), S(0, 2)])
         model = EnergyModel(layout, P32)
-        assert not is_population_stable(model, np.array([1, 1]))
-        assert is_population_stable(model, np.array([1, 0]))
+        assert not population_stable_state(model, np.array([1, 1]))
+        assert population_stable_state(model, np.array([1, 0]))
 
     def test_far_pair_holds_two_electrons(self):
         layout = SidbLayout([S(0, 0), S(0, 20)])
         model = EnergyModel(layout, P32)
-        assert is_population_stable(model, np.array([1, 1]))
+        assert population_stable_state(model, np.array([1, 1]))
 
     def test_configuration_stability_hop(self):
         # Three sites in a row with charges pushed together is unstable.
@@ -108,14 +133,8 @@ class TestStability:
         model = EnergyModel(layout, P32)
         squeezed = np.array([1, 1, 0])
         relaxed = np.array([1, 0, 1])
-        assert not is_configuration_stable(model, squeezed)
-        assert is_configuration_stable(model, relaxed)
-
-    def test_margin_sign(self):
-        layout = SidbLayout([S(0, 0)])
-        model = EnergyModel(layout, P32)
-        assert population_stability_margin(model, np.array([1])) > 0
-        assert population_stability_margin(model, np.array([0])) < 0
+        assert not configuration_stable_state(model, squeezed)
+        assert configuration_stable_state(model, relaxed)
 
 
 class TestExhaustive:
@@ -124,9 +143,11 @@ class TestExhaustive:
         result = exhaustive_ground_state(layout, P32)
         assert result.ground_states
         model = EnergyModel(layout, P32)
-        for gs in result.ground_states:
-            assert is_metastable(model, gs)
-            assert model.energy(gs) == pytest.approx(result.ground_energy)
+        states = np.array(result.ground_states)
+        assert metastable(model, states).all()
+        energies = model.batched_energies(states)
+        assert energies.min() == result.ground_energy
+        assert energies.max() == pytest.approx(result.ground_energy)
 
     def test_symmetric_pair_is_degenerate(self):
         # 0.543 nm separation: V > |mu|, so the pair holds one electron
