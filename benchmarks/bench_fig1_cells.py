@@ -2,40 +2,52 @@
 
 Reproduces the quantitative content behind the illustration: the BDL
 bit encoding (one electron per dot pair, position = logic value) and the
-surface-lattice geometry SiDBs are fabricated on.
+surface-lattice geometry SiDBs are fabricated on.  The driven cell is
+judged by the operational check every library tile goes through.
 """
 
 import pytest
 
 from conftest import print_header
 from repro.coords.lattice import LatticeSite, SurfaceLattice
-from repro.sidb.bdl import BdlPair, read_bdl_pair
-from repro.sidb.charge import SidbLayout
-from repro.sidb.exhaustive import exhaustive_ground_state
+from repro.networks.truth_table import TruthTable
+from repro.sidb.bdl import BdlPair
+from repro.sidb.energy import clear_geometry_cache
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.tech.constants import LATTICE_A_NM, LATTICE_B_NM, LATTICE_C_NM
 from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
+# The driven pair, a hold dot below it, and a driver far above it for
+# logic 0 or close above it for logic 1.
+CELL = GateUnderTest(
+    body=[S(0, 0), S(0, 2), S(0, 6)],
+    input_stimuli=[([S(0, -6)], [S(0, -2)])],
+    output_pairs=[BdlPair(S(0, 0), S(0, 2))],
+    outputs=[TruthTable(1, 0b10)],
+)
 
 
 def _bdl_cell_states():
-    """Ground states of a driven BDL pair for both driver positions."""
-    parameters = SiDBSimulationParameters.bestagon()
-    results = {}
-    for bit, gap in ((0, 6), (1, 2)):
-        layout = SidbLayout([S(0, 0), S(0, 2), S(0, -gap), S(0, 6)])
-        pair = BdlPair(S(0, 0), S(0, 2))
-        ground = exhaustive_ground_state(layout, parameters)
-        results[bit] = read_bdl_pair(layout, ground.occupation(), pair)
-    return results
+    """The operational check of the driven pair, simulated afresh.
+
+    Clearing the caches first makes each timed call simulate both
+    driver positions instead of returning a memo hit.
+    """
+    clear_geometry_cache()
+    return check_operational(CELL, SiDBSimulationParameters.bestagon())
 
 
 def test_fig1a_bdl_encoding(benchmark):
-    states = benchmark(_bdl_cell_states)
+    report = benchmark(_bdl_cell_states)
     print_header("Figure 1a -- BDL cell: driver distance sets the bit")
-    for bit, value in states.items():
-        print(f"  driver {'close' if bit else 'far '} -> pair reads {value}")
-    assert states[0] is False and states[1] is True
+    for result in report.patterns:
+        print(
+            f"  driver {'close' if result.pattern else 'far '} "
+            f"-> pair reads {result.observed[0]}"
+        )
+    assert report.truth_table_observed() == [(False,), (True,)]
+    assert report.operational
 
 
 def test_fig1b_lattice_geometry(benchmark):

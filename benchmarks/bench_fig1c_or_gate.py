@@ -10,38 +10,22 @@ check every tile goes through: each input is a perturber at row -2
 pattern must agree on the output.
 """
 
+from dataclasses import replace
+
 from conftest import print_header
-from repro.coords.lattice import LatticeSite
-from repro.gatelib.designs import core_parameters
+from repro.gatelib.designs import core_parameters, two_input_core
 from repro.networks.truth_table import TruthTable
-from repro.sidb.bdl import BdlPair
 from repro.sidb.operational import GateUnderTest, check_operational
 from repro.tech.parameters import SiDBSimulationParameters
 
-S = LatticeSite.from_row
 OBSERVED_OR = [(False,), (True,), (True,), (True,)]
 
 
 def _or_gate() -> GateUnderTest:
-    params = core_parameters("or")
-    dx1, dx2, og = params["dx1"], params["dx2"], params["og"]
-    sites = []
-    for sign in (-1, 1):
-        c0, c1 = sign * (dx2 + dx1), sign * dx2
-        sites += [S(c0, 0), S(c0, 2), S(c1, 6), S(c1, 8)]
-    orow = 8 + og
-    sites += [S(0, orow), S(0, orow + 2)]
-    for c, r in params.get("extra", []):
-        sites.append(S(c, r))
-    sites.append(S(0, orow + 2 + params["gout"]))
-    stim = dx2 + 2 * dx1
-    return GateUnderTest(
-        body=sites,
-        input_stimuli=[
-            ([S(column, -6)], [S(column, -2)]) for column in (-stim, stim)
-        ],
-        output_pairs=[BdlPair(S(0, orow), S(0, orow + 2))],
-        outputs=[TruthTable(2, 0b1110)],
+    """The scanned OR core, read at its junction pair only."""
+    core = two_input_core(core_parameters("or"), TruthTable(2, 0b1110))
+    return replace(
+        core, output_pairs=core.output_pairs[-1:], outputs=core.outputs[-1:]
     )
 
 

@@ -7,11 +7,13 @@ calibrated point (5.6, 5 nm) and printing the domain maps with their
 coverage figures.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import print_header
 from repro.coords.lattice import LatticeSite
-from repro.gatelib.designs import core_parameters
+from repro.gatelib.designs import core_parameters, two_input_core
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
 from repro.sidb.operational import GateUnderTest
@@ -43,26 +45,10 @@ def _wire_fixture():
 
 
 def _or_fixture():
-    core = core_parameters("or")
-    dx1, dx2, og = core["dx1"], core["dx2"], core["og"]
-    sites = []
-    for sign in (-1, 1):
-        c0, c1 = sign * (dx2 + dx1), sign * dx2
-        sites += [S(c0, 0), S(c0, 2), S(c1, 6), S(c1, 8)]
-    orow = 8 + og
-    sites += [S(0, orow), S(0, orow + 2)]
-    for c, r in core.get("extra", []):
-        sites.append(S(c, r))
-    sites.append(S(0, orow + 2 + core["gout"]))
-    stim = dx2 + 2 * dx1
-    return GateUnderTest(
-        sites,
-        [
-            ([S(-stim, -6)], [S(-stim, -2)]),
-            ([S(stim, -6)], [S(stim, -2)]),
-        ],
-        [BdlPair(S(0, orow), S(0, orow + 2))],
-        [TruthTable(2, 0b1110)],
+    """The scanned OR core, read at its junction pair only."""
+    core = two_input_core(core_parameters("or"), TruthTable(2, 0b1110))
+    return replace(
+        core, output_pairs=core.output_pairs[-1:], outputs=core.outputs[-1:]
     )
 
 

@@ -4,8 +4,8 @@
 Demonstrates the paper's gate-design methodology (Section 4.1) with our
 automated substitute for its RL agent:
 
-1. build a BDL wire and watch both logic values propagate through the
-   exhaustive ground-state engine;
+1. build a BDL wire and watch both logic values propagate through it,
+   judged by the operational check every library tile goes through;
 2. simulate the Y-shaped OR-gate core over all input patterns using the
    paper's close/far input-perturber refinement;
 3. let the stochastic canvas designer re-discover a missing dot of a
@@ -18,48 +18,33 @@ from repro import api
 
 S = api.LatticeSite.from_row
 PARAMS = api.SiDBSimulationParameters.bestagon()
+IDENTITY = api.TruthTable(1, 0b10)
+OR = api.TruthTable(2, 0b1110)
 
 
 def wire_demo() -> None:
     print("=== 1. BDL wire (3 pairs, pitch 6 rows) ===")
-    sites, pairs = [], []
-    for k in range(3):
-        sites += [S(0, 6 * k), S(0, 6 * k + 2)]
-        pairs.append(api.BdlPair(S(0, 6 * k), S(0, 6 * k + 2)))
-    for bit, gap in ((0, 6), (1, 2)):
-        layout = api.SidbLayout(sites + [S(0, -gap), S(0, 18)])
-        ground = api.exhaustive_ground_state(layout, PARAMS)
-        values = [
-            api.read_bdl_pair(layout, ground.occupation(), p) for p in pairs
-        ]
+    pairs = [api.BdlPair(S(0, 6 * k), S(0, 6 * k + 2)) for k in range(3)]
+    wire = api.GateUnderTest(
+        body=[site for p in pairs for site in (p.site0, p.site1)] + [S(0, 18)],
+        input_stimuli=[([S(0, -6)], [S(0, -2)])],
+        output_pairs=pairs,
+        outputs=[IDENTITY] * len(pairs),
+    )
+    for result in api.check_operational(wire, PARAMS).patterns:
+        bit = result.pattern
         print(f"  input {bit} (perturber {'close' if bit else 'far'}) "
-              f"-> pairs read {[int(bool(v)) for v in values]}  "
-              f"E = {ground.ground_energy:.4f} eV")
+              f"-> pairs read {[int(bool(v)) for v in result.observed]}  "
+              f"E = {result.ground_energy:.4f} eV")
 
 
 def or_gate_demo() -> None:
     print("\n=== 2. Y-shaped OR-gate core, all input patterns ===")
-    core = api.core_parameters("or")
-    dx1, dx2, og = core["dx1"], core["dx2"], core["og"]
-    sites = []
-    for sign in (-1, 1):
-        c0, c1 = sign * (dx2 + dx1), sign * dx2
-        sites += [S(c0, 0), S(c0, 2), S(c1, 6), S(c1, 8)]
-    orow = 8 + og
-    sites += [S(0, orow), S(0, orow + 2)]
-    for c, r in core.get("extra", []):
-        sites.append(S(c, r))
-    sites.append(S(0, orow + 2 + core["gout"]))
-    pair = api.BdlPair(S(0, orow), S(0, orow + 2))
-    stim = dx2 + 2 * dx1
-    for pattern in range(4):
-        layout = api.SidbLayout(sites)
-        layout.add(S(-stim, -2 if pattern & 1 else -6))
-        layout.add(S(stim, -2 if (pattern >> 1) & 1 else -6))
-        ground = api.exhaustive_ground_state(layout, PARAMS)
-        value = api.read_bdl_pair(layout, ground.occupation(), pair)
-        a, b = pattern & 1, (pattern >> 1) & 1
-        print(f"  ({a} OR {b}) -> {int(bool(value))}")
+    core = api.two_input_core(api.core_parameters("or"), OR)
+    for result in api.check_operational(core, PARAMS).patterns:
+        a, b = result.pattern & 1, result.pattern >> 1 & 1
+        # The last output pair is the junction; the others hold the inputs.
+        print(f"  ({a} OR {b}) -> {int(bool(result.observed[-1]))}")
 
 
 def designer_demo() -> None:
@@ -73,7 +58,7 @@ def designer_demo() -> None:
         candidate_sites=[S(c, r) for c in (-2, 0, 2) for r in (16, 18, 20)],
         input_stimuli=[([S(0, -6)], [S(0, -2)])],
         output_pairs=[pairs[-1]],
-        outputs=[api.TruthTable(1, 0b10)],
+        outputs=[IDENTITY],
         parameters=PARAMS,
     )
     result = api.search_canvas_design(problem, max_dots=2, iterations=80, seed=2)

@@ -74,25 +74,27 @@ traced_run tile_library quickexact.calls=48 quickexact.nodes_visited=33874 \
     simanneal.calls=4 geometry.hits=0 geometry.misses=52 \
     validate.patterns=88
 
-echo "== design scripts load =="
-# Runs only the top level of the offline design scripts (imports and
-# constants): no stage runs and nothing is written, but an API they
-# import that moved or vanished fails here.
+echo "== design script load =="
+# Runs only the top level of the offline design scans (imports and
+# constants): no stage runs and nothing is written, but an API the
+# script imports that moved or vanished fails here.  The tier-1 tests
+# run its fast stages.
 PYTHONPATH=src python -c '
 import runpy
-for script in ("scripts/design_gates.py", "scripts/tune_gate_tiles.py"):
-    runpy.run_path(script, run_name="ci")
+runpy.run_path("scripts/design_gates.py", run_name="ci")
 '
 
 echo "== benchmark imports =="
 # Collects (imports) every benchmark without running it.
 PYTHONPATH=src python -m pytest benchmarks --collect-only -q
 
-echo "== paper-figure benches (Fig. 1c, Fig. 5) =="
-# Runs the two fast figure benches in full (a few seconds, nothing
-# written): Fig. 1c checks the OR gate at Huff et al.'s parameters
-# under ExGS and SimAnneal, Fig. 5 the library tiles under engine auto.
-PYTHONPATH=src python -m pytest benchmarks/bench_fig1c_or_gate.py \
+echo "== paper-figure benches (Fig. 1a, 1c, 2, 5) =="
+# Runs the fast figure benches in full (a few seconds, nothing
+# written): Fig. 1a checks a driven BDL pair, Fig. 1c the OR gate at
+# Huff et al.'s parameters under ExGS and SimAnneal, Fig. 2 the clocked
+# wire, Fig. 5 the library tiles under engine auto.
+PYTHONPATH=src python -m pytest benchmarks/bench_fig1_cells.py \
+    benchmarks/bench_fig1c_or_gate.py benchmarks/bench_fig2_clocking.py \
     benchmarks/bench_fig5_gate_library.py -q
 
 echo "== examples =="

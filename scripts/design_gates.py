@@ -1,11 +1,29 @@
 #!/usr/bin/env python3
 """Offline design-space exploration for the Bestagon library.
 
-Scans geometric parameter spaces (and runs the canvas designer) with the
-exhaustive ground-state oracle at the Bestagon parameter set
-(mu = -0.32 eV), writing every validated motif to
+Scans geometric parameter spaces (and runs the canvas designer) at the
+Bestagon parameter set (mu = -0.32 eV), writing every validated motif to
 ``src/repro/gatelib/found_designs.json``.  The library builders in
 ``repro.gatelib.designs`` read that file.
+
+Every candidate is a :class:`~repro.sidb.operational.GateUnderTest`
+judged by :func:`~repro.sidb.operational.check_operational`, the check
+every library tile goes through: a candidate is kept only when, for
+each input pattern, every degenerate ground state shows the expected
+value on every checked pair.  Candidates whose dots collide are
+rejected.
+
+    PYTHONPATH=src python scripts/design_gates.py [stage ...] [--collect DIR]
+
+Stages (default: all but ``two_input_tile``): ``wires``, ``inverter``,
+``fanout``, ``crossing`` (wire motifs), ``two_input`` (isolated
+Y-junction cores, see :func:`~repro.gatelib.designs.two_input_core`),
+``xor`` (canvas search on the XOR template) and ``two_input_tile``
+(cores re-tuned inside the assembled tile; this one changes the
+library's two-input tiles, so it runs only when named).
+``REPRO_WORKERS=N`` scores the ``two_input`` and ``two_input_tile``
+candidates over N processes with the same scan order and results.
+``--collect DIR`` records every check as a training example.
 """
 
 from __future__ import annotations
@@ -16,17 +34,32 @@ import sys
 import time
 
 from repro.coords.lattice import LatticeSite
+from repro.gatelib.designs import (
+    CLOSE_GAP,
+    FAR_GAP,
+    GATE_TABLES,
+    GateDesign,
+    gate2_design,
+    two_input_core,
+)
+from repro.gatelib.tile import Port
 from repro.networks.truth_table import TruthTable
-from repro.sidb.bdl import BdlPair, read_bdl_pair
-from repro.sidb.charge import SidbLayout
-from repro.sidb.exhaustive import exhaustive_ground_state
+from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import GateUnderTest, check_operational
 from repro.sidb.parallel import run_tasks, workers_from_env
+from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
 S = LatticeSite.from_row
 P32 = SiDBSimulationParameters(mu_minus=-0.32)
-# Candidate classification fans out over this many worker processes
-# (the scan order and results are identical to the serial default).
+IDENTITY = TruthTable(1, 0b10)
+NOT = TruthTable(1, 0b01)
+# Annealing schedule of a tile candidate above QuickExact's 32-site
+# ceiling; the assembled two-input tiles have 29-31 sites, so engine
+# auto judges almost every candidate exactly.
+SCHEDULE = SimAnnealParameters(instances=10, sweeps=200, seed=5)
+# Candidate scoring fans out over this many worker processes (the scan
+# order and results are identical to the serial default).
 WORKERS = workers_from_env()
 OUT = os.path.join(
     os.path.dirname(__file__), "..", "src", "repro", "gatelib",
@@ -45,60 +78,41 @@ def save() -> None:
     print("saved", flush=True)
 
 
-def ground_reads(body, perturbers, pairs):
+def operational(gate: GateUnderTest) -> bool:
+    """Whether ``gate`` passes the operational check (False on collision)."""
     try:
-        layout = SidbLayout(body + perturbers)
+        return check_operational(gate, P32).operational
     except ValueError:
-        return None  # colliding candidate geometry
-    result = exhaustive_ground_state(layout, P32)
-    if not result.ground_states:
-        return None
-    reads = [
-        tuple(read_bdl_pair(layout, gs, p) for p in pairs)
-        for gs in result.ground_states
-    ]
-    if any(r != reads[0] for r in reads):
-        return None
-    return reads[0]
+        return False
 
 
-def chain(col0, row0, dxs, intra=2, pitch=6):
-    sites, pairs, col, row = [], [], col0, row0
-    positions = [(col0, row0)]
-    for dx in dxs:
-        col += dx
-        row += pitch
-        positions.append((col, row))
-    sites, pairs = [], []
-    for c, r in positions:
-        sites += [S(c, r), S(c, r + intra)]
-        pairs.append(BdlPair(S(c, r), S(c, r + intra)))
-    return sites, pairs, positions
+def pair(col: int, row: int) -> BdlPair:
+    """A vertical BDL pair whose top dot is at ``(col, row)``."""
+    return BdlPair(S(col, row), S(col, row + 2))
 
 
-def wire_ok(dxs, pitch, g1=2, g0=6, gout=4, intra=2):
-    sites, pairs, positions = chain(0, 0, dxs, intra, pitch)
-    first_c, first_r = positions[0]
-    last_c, last_r = positions[-1]
-    dx0 = dxs[0] if dxs else 0
-    dxn = dxs[-1] if dxs else 0
-    for bit, g in ((0, g0), (1, g1)):
-        reads = ground_reads(
-            sites,
-            [S(first_c - dx0, first_r - g), S(last_c + dxn, last_r + intra + gout)],
-            pairs,
-        )
-        if reads is None or any(v != bool(bit) for v in reads):
-            return False
-    return True
+def dots(pairs: list[BdlPair]) -> list[LatticeSite]:
+    return [site for p in pairs for site in (p.site0, p.site1)]
+
+
+def stimulus(col: int) -> tuple[list[LatticeSite], list[LatticeSite]]:
+    """Far (logic 0) and close (logic 1) perturbers above row 0."""
+    return [S(col, -FAR_GAP)], [S(col, -CLOSE_GAP)]
 
 
 def stage_steep_wires():
-    """Which per-step lateral displacements does a pitch-6 chain tolerate?"""
+    """Which per-step lateral displacements does a chain tolerate?"""
     found = []
     for dx in range(0, 9):
         for pitch in (5, 6, 7):
-            if wire_ok([dx] * 4, pitch):
+            pairs = [pair(dx * k, pitch * k) for k in range(5)]
+            wire = GateUnderTest(
+                body=dots(pairs) + [S(5 * dx, pairs[-1].site1.row + 4)],
+                input_stimuli=[stimulus(-dx)],
+                output_pairs=pairs,
+                outputs=[IDENTITY] * len(pairs),
+            )
+            if operational(wire):
                 found.append({"dx": dx, "pitch": pitch})
                 print("wire ok:", dx, pitch, flush=True)
     RESULTS["wires"] = found
@@ -108,37 +122,20 @@ def stage_steep_wires():
 def stage_inverter():
     """1-in-1-out inverting doglegs: input chain, offset pair, output."""
     found = []
-    spec1 = TruthTable(1, 0b01)  # NOT
     for bx in range(2, 8):
         for brow in range(8, 18, 2):
             for orow_off in range(4, 10, 2):
                 for gout in (3, 4, 5):
-                    body = [S(0, 0), S(0, 2), S(0, 6), S(0, 8)]
-                    in_pairs = [
-                        BdlPair(S(0, 0), S(0, 2)),
-                        BdlPair(S(0, 6), S(0, 8)),
-                    ]
-                    body += [S(bx, brow), S(bx, brow + 2)]
-                    orow = brow + orow_off
-                    body += [S(bx, orow), S(bx, orow + 2)]
-                    out_pair = BdlPair(S(bx, orow), S(bx, orow + 2))
-                    ok = True
-                    for bit, g in ((0, 6), (1, 2)):
-                        reads = ground_reads(
-                            body,
-                            [S(0, -g), S(bx, orow + 2 + gout)],
-                            in_pairs + [out_pair],
-                        )
-                        if reads is None:
-                            ok = False
-                            break
-                        if reads[0] != bool(bit) or reads[1] != bool(bit):
-                            ok = False
-                            break
-                        if reads[2] != (not bool(bit)):
-                            ok = False
-                            break
-                    if ok:
+                    chain = [pair(0, 0), pair(0, 6)]
+                    out_pair = pair(bx, brow + orow_off)
+                    inverter = GateUnderTest(
+                        body=dots(chain + [pair(bx, brow), out_pair])
+                        + [S(bx, out_pair.site1.row + gout)],
+                        input_stimuli=[stimulus(0)],
+                        output_pairs=chain + [out_pair],
+                        outputs=[IDENTITY, IDENTITY, NOT],
+                    )
+                    if operational(inverter):
                         entry = {
                             "bx": bx, "brow": brow,
                             "orow_off": orow_off, "gout": gout,
@@ -157,31 +154,20 @@ def stage_fanout():
     for dxo in (3, 4, 5):
         for og in (4, 5, 6):
             for gout in (3, 4, 5):
-                body = [S(0, 0), S(0, 2), S(0, 6), S(0, 8)]
-                in_pairs = [
-                    BdlPair(S(0, 0), S(0, 2)),
-                    BdlPair(S(0, 6), S(0, 8)),
-                ]
                 lrow = 8 + og
-                body += [S(-dxo, lrow), S(-dxo, lrow + 2)]
-                body += [S(+dxo, lrow), S(+dxo, lrow + 2)]
-                left = BdlPair(S(-dxo, lrow), S(-dxo, lrow + 2))
-                right = BdlPair(S(dxo, lrow), S(dxo, lrow + 2))
-                ok = True
-                for bit, g in ((0, 6), (1, 2)):
-                    reads = ground_reads(
-                        body,
-                        [
-                            S(0, -g),
-                            S(-2 * dxo, lrow + 2 + gout),
-                            S(2 * dxo, lrow + 2 + gout),
-                        ],
-                        in_pairs + [left, right],
-                    )
-                    if reads is None or any(v != bool(bit) for v in reads):
-                        ok = False
-                        break
-                if ok:
+                pairs = [
+                    pair(0, 0), pair(0, 6), pair(-dxo, lrow), pair(dxo, lrow),
+                ]
+                fanout = GateUnderTest(
+                    body=dots(pairs) + [
+                        S(-2 * dxo, lrow + 2 + gout),
+                        S(2 * dxo, lrow + 2 + gout),
+                    ],
+                    input_stimuli=[stimulus(0)],
+                    output_pairs=pairs,
+                    outputs=[IDENTITY] * len(pairs),
+                )
+                if operational(fanout):
                     entry = {"dxo": dxo, "og": og, "gout": gout}
                     found.append(entry)
                     print("fanout ok:", entry, flush=True)
@@ -189,78 +175,30 @@ def stage_fanout():
     save()
 
 
-def two_input_core(dx1, dx2, og, extra=()):
-    sites, a_pairs, b_pairs = [], [], []
-    for sign, target in ((-1, a_pairs), (1, b_pairs)):
-        c0, c1 = sign * (dx2 + dx1), sign * dx2
-        sites += [S(c0, 0), S(c0, 2), S(c1, 6), S(c1, 8)]
-        target.extend(
-            [BdlPair(S(c0, 0), S(c0, 2)), BdlPair(S(c1, 6), S(c1, 8))]
-        )
-    orow = 8 + og
-    out_pair = BdlPair(S(0, orow), S(0, orow + 2))
-    sites += [S(0, orow), S(0, orow + 2)]
-    existing = set(sites)
-    for c, r in extra:
-        site = S(c, r)
-        if site in existing:
-            return None
-        sites.append(site)
-        existing.add(site)
-    return sites, a_pairs, b_pairs, out_pair, orow
+def classify_candidate(core: dict) -> str | None:
+    """The first gate kind whose isolated ``core`` passes, if any.
 
-
-def classify_core(dx1, dx2, og, gout, extra=()):
-    core = two_input_core(dx1, dx2, og, extra)
-    if core is None:
-        return None
-    sites, ap, bp, op, orow = core
-    outs = []
-    for pattern in range(4):
-        perturbers = [
-            S(-(dx2 + 2 * dx1), -2 if pattern & 1 else -6),
-            S(+(dx2 + 2 * dx1), -2 if (pattern >> 1) & 1 else -6),
-            S(0, orow + 2 + gout),
-        ]
-        reads = ground_reads(sites, perturbers, ap + bp + [op])
-        if reads is None:
-            return None
-        if any(v != bool(pattern & 1) for v in reads[0:2]):
-            return None
-        if any(v != bool((pattern >> 1) & 1) for v in reads[2:4]):
-            return None
-        outs.append(reads[4])
-    return tuple(outs)
-
-
-def classify_candidate(candidate):
-    """Worker entry: unpack one two-input-core candidate tuple."""
-    dx1, dx2, og, gout, extra = candidate
-    return classify_core(dx1, dx2, og, gout, extra)
-
-
-TT_NAMES = {
-    (False, True, True, True): "or",
-    (False, False, False, True): "and",
-    (True, False, False, False): "nor",
-    (True, True, True, False): "nand",
-    (False, True, True, False): "xor",
-    (True, False, False, True): "xnor",
-}
+    Every kind's check simulates the same pattern layouts, so the
+    checks after the first are served from the ground-state memo.
+    """
+    for kind, function in GATE_TABLES.items():
+        if operational(two_input_core(core, function)):
+            return kind
+    return None
 
 
 def stage_two_input_gates():
     found: dict[str, list] = {}
-    extras = [()]
+    extras = [[]]
     # Canvas decorations: symmetric dot pairs around/below the output pair.
     for h in (2, 3, 4, 5, 6):
         for hr in (10, 12, 14, 16, 18, 20):
-            extras.append(((-h, hr), (h, hr)))
+            extras.append([[-h, hr], [h, hr]])
     for c in (0,):
         for cr in (16, 18, 20, 22):
-            extras.append(((c, cr),))
+            extras.append([[c, cr]])
     candidates = [
-        (dx1, dx2, og, gout, tuple(tuple(e) for e in extra))
+        {"dx1": dx1, "dx2": dx2, "og": og, "gout": gout, "extra": extra}
         for dx1 in (3, 4, 5)
         for dx2 in (2, 3, 4, 5)
         for og in (3, 4, 5, 6, 8)
@@ -273,25 +211,16 @@ def stage_two_input_gates():
     chunk = 240
     for start in range(0, len(candidates), chunk):
         batch = candidates[start:start + chunk]
-        for candidate, tt in zip(
-            batch, run_tasks(
-                classify_candidate,
-                batch,
-                workers=WORKERS,
-                label="design_gates.candidates",
-            )
-        ):
-            if tt is None:
-                continue
-            name = TT_NAMES.get(tt)
-            if name and len(found.get(name, [])) < 8:
-                dx1, dx2, og, gout, extra = candidate
-                entry = {
-                    "dx1": dx1, "dx2": dx2, "og": og,
-                    "gout": gout, "extra": [list(e) for e in extra],
-                }
-                found.setdefault(name, []).append(entry)
-                print(name, "ok:", entry, flush=True)
+        kinds = run_tasks(
+            classify_candidate,
+            batch,
+            workers=WORKERS,
+            label="design_gates.candidates",
+        )
+        for core, kind in zip(batch, kinds):
+            if kind and len(found.get(kind, [])) < 8:
+                found.setdefault(kind, []).append(core)
+                print(kind, "ok:", core, flush=True)
         RESULTS["two_input"] = found
         save()
     print("two-input scan done over", len(candidates), "candidates", flush=True)
@@ -301,51 +230,34 @@ def stage_crossing():
     """Two diagonal chains crossing near the tile center.
 
     Chain L runs NW->SE (left to right), chain R runs NE->SW; they pass
-    each other at a lateral clearance ``sep`` at the crossing row.
+    each other at a lateral clearance ``sep`` at the crossing row 12.
     """
     found = []
     for dx in (3, 4):
         for sep in (4, 6, 8):
-            for g1, g0 in ((2, 6),):
-                # L: columns -2dx-sep/2 .. ; R mirrored; crossing at row 12.
-                l_cols = [-(sep // 2) - 2 * dx, -(sep // 2) - dx, -(sep // 2)]
-                r_cols = [(sep // 2) + 2 * dx, (sep // 2) + dx, (sep // 2)]
-                rows = [0, 6, 12]
-                # After the crossing row they continue to the opposite side.
-                l_cols += [(sep // 2) + dx, (sep // 2) + 2 * dx]
-                r_cols += [-(sep // 2) - dx, -(sep // 2) - 2 * dx]
-                rows += [18, 24]
-                body, lp, rp = [], [], []
-                for c, r in zip(l_cols, rows):
-                    body += [S(c, r), S(c, r + 2)]
-                    lp.append(BdlPair(S(c, r), S(c, r + 2)))
-                for c, r in zip(r_cols, rows):
-                    body += [S(c, r), S(c, r + 2)]
-                    rp.append(BdlPair(S(c, r), S(c, r + 2)))
-                ok = True
-                for pattern in range(4):
-                    la = bool(pattern & 1)
-                    rb = bool((pattern >> 1) & 1)
-                    perturbers = [
-                        S(l_cols[0] - dx, -2 if la else -6),
-                        S(r_cols[0] + dx, -2 if rb else -6),
-                        S(l_cols[-1] + dx, 24 + 2 + 4),
-                        S(r_cols[-1] - dx, 24 + 2 + 4),
-                    ]
-                    reads = ground_reads(body, perturbers, lp + rp)
-                    if reads is None:
-                        ok = False
-                        break
-                    if any(v != la for v in reads[: len(lp)]):
-                        ok = False
-                        break
-                    if any(v != rb for v in reads[len(lp):]):
-                        ok = False
-                        break
-                if ok:
-                    entry = {"dx": dx, "sep": sep}
-                    found.append(entry)
-                    print("cross ok:", entry, flush=True)
+            half = sep // 2
+            l_cols = [
+                -half - 2 * dx, -half - dx, -half, half + dx, half + 2 * dx,
+            ]
+            r_cols = [-col for col in l_cols]
+            rows = [0, 6, 12, 18, 24]
+            left = [pair(c, r) for c, r in zip(l_cols, rows)]
+            right = [pair(c, r) for c, r in zip(r_cols, rows)]
+            crossing = GateUnderTest(
+                body=dots(left + right)
+                + [S(l_cols[-1] + dx, 30), S(r_cols[-1] - dx, 30)],
+                input_stimuli=[
+                    stimulus(l_cols[0] - dx),
+                    stimulus(r_cols[0] + dx),
+                ],
+                output_pairs=left + right,
+                outputs=[TruthTable.variable(0, 2)] * len(left)
+                + [TruthTable.variable(1, 2)] * len(right),
+            )
+            if operational(crossing):
+                entry = {"dx": dx, "sep": sep}
+                found.append(entry)
+                print("cross ok:", entry, flush=True)
     RESULTS["crossing"] = found
     save()
 
@@ -354,26 +266,22 @@ def stage_xor_canvas():
     """Canvas search for XOR on the two-input template."""
     from repro.gatelib.designer import CanvasSearchProblem, search_canvas_design
 
-    dx1, dx2, og, gout = 4, 4, 8, 4
-    sites, ap, bp, op, orow = two_input_core(dx1, dx2, og)
-    candidates = [
-        S(c, r)
-        for c in range(-7, 8)
-        for r in range(10, orow - 1)
-        if (c, r) not in {(0, orow)}
-    ]
+    template = {"dx1": 4, "dx2": 4, "og": 8, "gout": 4}
+    core = two_input_core(template, GATE_TABLES["xor"])
+    *holds, junction = core.output_pairs
     problem = CanvasSearchProblem(
-        fixed_sites=sites
-        + [S(0, orow + 2 + gout)],
-        candidate_sites=candidates,
-        input_stimuli=[
-            ([S(-(dx2 + 2 * dx1), -6)], [S(-(dx2 + 2 * dx1), -2)]),
-            ([S(+(dx2 + 2 * dx1), -6)], [S(+(dx2 + 2 * dx1), -2)]),
+        fixed_sites=list(core.body),
+        candidate_sites=[
+            S(c, r)
+            for c in range(-7, 8)
+            for r in range(10, junction.site0.row - 1)
         ],
-        output_pairs=[op],
-        outputs=[TruthTable(2, 0b0110)],
+        input_stimuli=core.input_stimuli,
+        output_pairs=[junction],
+        outputs=[core.outputs[-1]],
         parameters=P32,
-        input_pairs_to_hold=[(p, 0) for p in ap] + [(p, 1) for p in bp],
+        input_pairs_to_hold=[(p, 0) for p in holds[:2]]
+        + [(p, 1) for p in holds[2:]],
     )
     best = None
     for seed in range(6):
@@ -391,7 +299,7 @@ def stage_xor_canvas():
     if best is not None:
         canvas, correct, total = best
         RESULTS["xor_canvas"] = {
-            "template": {"dx1": dx1, "dx2": dx2, "og": og, "gout": gout},
+            "template": template,
             "canvas": [[s.n, s.row] for s in sorted(canvas)],
             "correct": correct,
             "total": total,
@@ -399,14 +307,90 @@ def stage_xor_canvas():
         save()
 
 
+def candidate_tile(kind: str, core: dict) -> GateDesign:
+    """The SE-variant tile of ``kind`` built around ``core``."""
+    return gate2_design(kind, Port.SE, core)
+
+
+def tile_score(task) -> int:
+    """Correct patterns of the candidate tile of one ``(kind, core)``.
+
+    -1 when the candidate's dots collide.
+    """
+    kind, core = task
+    try:
+        report = check_operational(
+            candidate_tile(kind, core).under_test, P32, schedule=SCHEDULE
+        )
+    except ValueError:
+        return -1
+    return sum(result.correct for result in report.patterns)
+
+
+def tune_tile_core(kind: str) -> dict | None:
+    """The first core whose tile passes every pattern, else the best."""
+    best = None
+    best_score = 0
+    extras = [[]]
+    for h in (2, 3, 4):
+        for hr in (16, 18, 20):
+            extras.append([[-h, hr], [h, hr]])
+    cores = [
+        {"dx1": dx1, "dx2": dx2, "og": og, "gout": gout, "extra": extra}
+        for dx1 in (3, 4)
+        for dx2 in (3, 4, 5)
+        for og in (3, 4, 5, 6)
+        for gout in (4,)
+        for extra in extras
+    ]
+    # Chunked fan-out preserves the serial early exit: chunks are
+    # scored in scan order, and the first perfect core wins.
+    chunk = max(8, 4 * WORKERS)
+    for start in range(0, len(cores), chunk):
+        batch = cores[start:start + chunk]
+        scores = run_tasks(
+            tile_score,
+            [(kind, core) for core in batch],
+            workers=WORKERS,
+            label="design_gates.tile_cores",
+        )
+        for core, score in zip(batch, scores):
+            if score > best_score:
+                best_score = score
+                best = core
+                print(f"{kind}: {score}/4 {core}", flush=True)
+            if score == 4:
+                return best
+    return best
+
+
+def stage_two_input_tile():
+    """Re-tune the two-input cores inside the assembled SE tile.
+
+    Embedded between full-length funnel wires, a core sees other
+    charges than in isolation.  This scans the core knobs (junction gap
+    ``og``, convergence ``dx2``, optional hold dots) in the tile and
+    stores the best core of each kind under ``two_input_tile``, which
+    :func:`~repro.gatelib.designs.core_parameters` prefers.
+    """
+    for kind in ("and", "or", "nand", "xor"):
+        print(f"=== tuning {kind}", flush=True)
+        core = tune_tile_core(kind)
+        if core is not None:
+            RESULTS.setdefault("two_input_tile", {})[kind] = [core]
+            save()
+            print(f"saved {kind}: {core}", flush=True)
+
+
 if __name__ == "__main__":
     start = time.time()
     arguments = sys.argv[1:]
     collector = None
     if "--collect" in arguments:
-        # Buffer every physics-labeled canvas candidate the designer
-        # stages evaluate (the score_design hook covers stage_xor_canvas)
-        # into a training shard under the given directory.
+        # Buffer every physics-labeled check (the check_operational and
+        # score_design learn hooks) into a training shard under the
+        # given directory.  The hooks see only this process, so a
+        # collecting run is serial.
         from repro.learn import hooks as learn_hooks
         from repro.learn.dataset import ExampleCollector
 
@@ -418,6 +402,9 @@ if __name__ == "__main__":
         del arguments[where:where + 2]
         collector = ExampleCollector(collect_dir)
         learn_hooks.set_collector(collector)
+        if WORKERS > 1:
+            print("--collect forces a serial scan (workers=1)", flush=True)
+            WORKERS = 1
     stages = arguments or [
         "wires", "inverter", "fanout", "two_input", "crossing", "xor",
     ]
@@ -428,6 +415,7 @@ if __name__ == "__main__":
         "two_input": stage_two_input_gates,
         "crossing": stage_crossing,
         "xor": stage_xor_canvas,
+        "two_input_tile": stage_two_input_tile,
     }
     for stage in stages:
         print(f"=== stage {stage} ({time.time() - start:.0f}s)", flush=True)
@@ -435,10 +423,7 @@ if __name__ == "__main__":
     if collector is not None:
         shard = collector.flush()
         if shard is None:
-            print(
-                "collected no examples (only the xor stage evaluates "
-                "through the hooked designer)", flush=True,
-            )
+            print("collected no examples", flush=True)
         else:
             print(f"collected examples -> {shard}", flush=True)
     print(f"ALL DONE in {time.time() - start:.0f}s", flush=True)

@@ -67,7 +67,7 @@ from repro.learn import (
 )
 from repro.layout.clocking import SCHEMES as _CLOCKING_SCHEME_REGISTRY
 from repro.layout.clocking import scheme_by_name
-from repro.gatelib.designs import core_parameters
+from repro.gatelib.designs import core_parameters, two_input_core
 from repro.gatelib.library import GATE_LIBRARY_VERSION, BestagonLibrary
 from repro.layout.render import layout_to_ascii, layout_to_svg
 from repro.networks import (
@@ -94,7 +94,7 @@ from repro.obs.tracing import (
     parse_traceparent,
 )
 from repro.physical_design import PhysicalDesignError
-from repro.sidb.bdl import BdlPair, read_bdl_pair
+from repro.sidb.bdl import BdlPair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.clocked import ClockedWire
 from repro.sidb.exhaustive import exhaustive_ground_state
@@ -173,6 +173,7 @@ __all__ = [
     "search_canvas_design",
     "screen_canvas_candidates",
     "core_parameters",
+    "two_input_core",
     "GateUnderTest",
     "check_operational",
     # Learned guidance: featurization, datasets, surrogate, guide.
@@ -201,7 +202,6 @@ __all__ = [
     "exhaustive_ground_state",
     "quickexact_ground_state",
     "BdlPair",
-    "read_bdl_pair",
     "ClockedWire",
     "MIN_METAL_PITCH_NM",
     # Coordinates + specifications.

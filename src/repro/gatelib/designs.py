@@ -1,9 +1,10 @@
 """Dot-accurate Bestagon tile designs.
 
 Every design is assembled from BDL motifs whose parameters were found by
-the exhaustive-oracle scans in ``scripts/design_gates.py`` (stored in
-``found_designs.json``; hard-coded fallbacks are the last-known-good
-values from those scans):
+the scans in ``scripts/design_gates.py``, which keep a candidate motif
+only when the operational check of :mod:`repro.sidb.operational` passes
+it (stored in ``found_designs.json``; hard-coded fallbacks are the
+last-known-good values from those scans):
 
 * **straight wire**: vertical BDL pairs, intra-pair 2 rows (0.768 nm),
   pitch 6 rows; validated to copy both logic values for chain lengths
@@ -11,7 +12,9 @@ values from those scans):
 * **steep diagonal wire**: pitch 7 rows tolerates 5-6 columns per step,
   enough to cross the 30-column port offset of a tile;
 * **Y junction**: two funnel chains converging on a shared pair realize
-  OR or AND depending on the convergence/readout geometry;
+  OR or AND depending on the convergence/readout geometry; the scans
+  judge the isolated core that :func:`two_input_core` builds, and
+  :func:`gate2_design` places the same five pairs in a tile;
 * **inverting dogleg**: a laterally offset pair couples
   anti-ferromagnetically and flips the encoded bit;
 * **fan-out junction**: one chain diverging into two.
@@ -102,7 +105,8 @@ W_COL, E_COL = 15, 45
 STRAIGHT_TOPS = (2, 8, 14, 20, 26, 32, 38)
 STEEP_TOPS = (1, 8, 15, 22, 29, 36, 43)  # 7 pairs, dx=5 per gap
 
-_GATE_TABLES = {
+# Truth table of each two-input gate kind over (input A, input B).
+GATE_TABLES = {
     "and": TruthTable(2, 0b1000),
     "or": TruthTable(2, 0b1110),
     "nand": TruthTable(2, 0b0111),
@@ -117,11 +121,9 @@ class GateDesign:
     """A dot-accurate standard-tile design in tile-local coordinates."""
 
     name: str
-    gate_kind: str  # e.g. "wire", "inv", "and", "cross", "pi", "po"
     input_ports: tuple[Port, ...]
     output_ports: tuple[Port, ...]
     sites: tuple[LatticeSite, ...]
-    input_pairs: tuple[BdlPair, ...]
     output_pairs: tuple[BdlPair, ...]
     input_stimuli: tuple[tuple[tuple[LatticeSite, ...], tuple[LatticeSite, ...]], ...]
     output_perturbers: tuple[LatticeSite, ...]
@@ -209,11 +211,9 @@ def wire_design(in_port: Port, out_port: Port) -> GateDesign:
     stimulus = _input_stimulus(chain[0], dx0)
     return GateDesign(
         name=f"wire_{in_port.value}_{out_port.value}",
-        gate_kind="wire",
         input_ports=(in_port,),
         output_ports=(out_port,),
         sites=tuple(assembler.sites),
-        input_pairs=(chain[0],),
         output_pairs=(chain[-1],),
         input_stimuli=(stimulus,),
         output_perturbers=(_output_perturber(chain[-1], dxn),),
@@ -229,11 +229,9 @@ def double_wire_design() -> GateDesign:
     identity = TruthTable.variable(0, 2), TruthTable.variable(1, 2)
     return GateDesign(
         name="double_wire",
-        gate_kind="double",
         input_ports=(Port.NW, Port.NE),
         output_ports=(Port.SW, Port.SE),
         sites=tuple(assembler.sites),
-        input_pairs=(left[0], right[0]),
         output_pairs=(left[-1], right[-1]),
         input_stimuli=(_input_stimulus(left[0]), _input_stimulus(right[0])),
         output_perturbers=(
@@ -268,11 +266,9 @@ def cross_design() -> GateDesign:
     identity = TruthTable.variable(0, 2), TruthTable.variable(1, 2)
     return GateDesign(
         name="cross",
-        gate_kind="cross",
         input_ports=(Port.NW, Port.NE),
         output_ports=(Port.SE, Port.SW),
         sites=tuple(assembler.sites),
-        input_pairs=(left_pairs[0], right_pairs[0]),
         output_pairs=(left_out, right_out),
         input_stimuli=(
             _input_stimulus(left_pairs[0]),
@@ -314,11 +310,9 @@ def inverter_design(in_port: Port, out_port: Port) -> GateDesign:
     stimulus = _input_stimulus(top_chain[0])
     return GateDesign(
         name=f"inv_{in_port.value}_{out_port.value}",
-        gate_kind="inv",
         input_ports=(in_port,),
         output_ports=(out_port,),
         sites=tuple(assembler.sites),
-        input_pairs=(top_chain[0],),
         output_pairs=(tail[-1],),
         input_stimuli=(stimulus,),
         output_perturbers=(_output_perturber(tail[-1]),),
@@ -346,11 +340,9 @@ def fanout_design(in_port: Port) -> GateDesign:
     identity = TruthTable.variable(0, 1)
     return GateDesign(
         name=f"fanout_{in_port.value}",
-        gate_kind="fanout",
         input_ports=(in_port,),
         output_ports=(Port.SW, Port.SE),
         sites=tuple(assembler.sites),
-        input_pairs=(head[0],),
         output_pairs=(left_tail[-1], right_tail[-1]),
         input_stimuli=(
             _input_stimulus(head[0], head[1].site0.n - head[0].site0.n),
@@ -360,6 +352,52 @@ def fanout_design(in_port: Port) -> GateDesign:
             _output_perturber(right_tail[-1]),
         ),
         functions=(identity, identity),
+    )
+
+
+def _core_pair_tops(core: dict) -> tuple[tuple[int, int], ...]:
+    """(column, row) of the top dot of each of a two-input core's pairs.
+
+    Relative to the junction column and the row of the inputs' first
+    pairs: input A's two pairs, input B's two pairs (their mirror
+    image), then the junction, ``og`` rows below the second pairs.
+    """
+    dx1, dx2, og = core["dx1"], core["dx2"], core["og"]
+    return (
+        (-dx2 - dx1, 0), (-dx2, 6),
+        (dx2 + dx1, 0), (dx2, 6),
+        (0, 8 + og),
+    )
+
+
+def two_input_core(core: dict, function: TruthTable) -> GateUnderTest:
+    """The isolated two-input core ``core`` as the design scans judge it.
+
+    Input A's two pairs and input B's two pairs must each hold their
+    input, and the junction pair must show ``function``.  Each input's
+    far/close stimulus sits ``dx1`` columns further out than its first
+    pair, ``FAR_GAP``/``CLOSE_GAP`` rows above it; the body also holds
+    the ``core["extra"]`` dots and an output perturber ``gout`` rows
+    below the junction.  The junction is at column 0, the first input
+    pairs at row 0.
+    """
+    pairs = [
+        BdlPair(S(col, row), S(col, row + INTRA_ROWS))
+        for col, row in _core_pair_tops(core)
+    ]
+    junction = pairs[-1]
+    body = [site for pair in pairs for site in (pair.site0, pair.site1)]
+    body += [S(col, row) for col, row in core.get("extra", [])]
+    body.append(S(0, junction.site1.row + core["gout"]))
+    holds = [TruthTable.variable(bit, 2) for bit in (0, 0, 1, 1)]
+    return GateUnderTest(
+        body=body,
+        input_stimuli=(
+            _input_stimulus(pairs[0], core["dx1"]),
+            _input_stimulus(pairs[2], -core["dx1"]),
+        ),
+        output_pairs=pairs,
+        outputs=holds + [function],
     )
 
 
@@ -383,21 +421,17 @@ def gate2_design(kind: str, out_port: Port, core: dict | None) -> GateDesign:
         )
         canvas_dots = [tuple(d) for d in xor_entry.get("canvas", [])]
 
-    dx1, dx2, og = core["dx1"], core["dx2"], core["og"]
     assembler = _Assembler()
-    # The junction/output pair sits at the output port column; the core's
-    # rows replicate the scanned geometry exactly (input pairs 8 rows
-    # apart at +-(dx1+dx2)/+-dx2, junction 2+og below the second pair).
+    # The junction/output pair sits at the output port column.
     junction_col = _port_col(out_port)
     # Inverted flavors append a dogleg + output pair below the junction;
     # shift the core up so everything fits the 46-row tile.
-    r0 = min(25, 37 - 8 - og) if invert_output else 25
-    a_first = assembler.pair(junction_col - dx2 - dx1, r0)
-    a_second = assembler.pair(junction_col - dx2, r0 + 6)
-    b_first = assembler.pair(junction_col + dx2 + dx1, r0)
-    b_second = assembler.pair(junction_col + dx2, r0 + 6)
-    junction_top = r0 + 8 + og
-    junction = assembler.pair(junction_col, junction_top)
+    r0 = min(25, 37 - 8 - core["og"]) if invert_output else 25
+    a_first, _, b_first, _, junction = [
+        assembler.pair(junction_col + col, r0 + row)
+        for col, row in _core_pair_tops(core)
+    ]
+    junction_top = junction.site0.row
     for col, row in canvas_dots:
         assembler.dot(junction_col + col, r0 + row)
     for col, row in core.get("extra", []):
@@ -430,14 +464,12 @@ def gate2_design(kind: str, out_port: Port, core: dict | None) -> GateDesign:
     else:
         out_pair = junction
 
-    table = _GATE_TABLES[kind]
+    table = GATE_TABLES[kind]
     return GateDesign(
         name=f"{kind}_{out_port.value}",
-        gate_kind=kind,
         input_ports=(Port.NW, Port.NE),
         output_ports=(out_port,),
         sites=tuple(assembler.sites),
-        input_pairs=(a_chain[0], b_chain[0]),
         output_pairs=(out_pair,),
         input_stimuli=(
             _input_stimulus(
@@ -459,11 +491,9 @@ def pi_design(out_port: Port) -> GateDesign:
     chain = assembler.chain(col, col, STRAIGHT_TOPS)
     return GateDesign(
         name=f"pi_{out_port.value}",
-        gate_kind="pi",
         input_ports=(),
         output_ports=(out_port,),
         sites=tuple(assembler.sites),
-        input_pairs=(chain[0],),
         output_pairs=(chain[-1],),
         input_stimuli=(_input_stimulus(chain[0]),),
         output_perturbers=(_output_perturber(chain[-1]),),
@@ -478,11 +508,9 @@ def po_design(in_port: Port) -> GateDesign:
     chain = assembler.chain(col, col, STRAIGHT_TOPS)
     return GateDesign(
         name=f"po_{in_port.value}",
-        gate_kind="po",
         input_ports=(in_port,),
         output_ports=(),
         sites=tuple(assembler.sites),
-        input_pairs=(chain[0],),
         output_pairs=(chain[-1],),
         input_stimuli=(_input_stimulus(chain[0]),),
         output_perturbers=(_output_perturber(chain[-1]),),
@@ -512,18 +540,16 @@ def half_adder_design() -> GateDesign:
             seen.add(site)
     return GateDesign(
         name="half_adder",
-        gate_kind="ha",
         input_ports=(Port.NW, Port.NE),
         output_ports=(Port.SW, Port.SE),
         sites=tuple(assembler.sites),
-        input_pairs=(xor.input_pairs[0], xor.input_pairs[1]),
         output_pairs=(xor.output_pairs[0], and_gate.output_pairs[0]),
         input_stimuli=xor.input_stimuli,
         output_perturbers=(
             xor.output_perturbers[0],
             and_gate.output_perturbers[0],
         ),
-        functions=(_GATE_TABLES["xor"], _GATE_TABLES["and"]),
+        functions=(GATE_TABLES["xor"], GATE_TABLES["and"]),
     )
 
 

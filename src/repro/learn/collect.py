@@ -14,8 +14,11 @@ record every evaluation):
 * **moved-dot perturbations** of the known-good canvas -- hard
   negatives one lattice step from working geometry.
 
-``repro learn collect``, ``scripts/design_gates.py --collect`` and
-``benchmarks/bench_learn.py`` all draw from here.
+The two-input problems start from
+:func:`~repro.gatelib.designs.two_input_core`, the core the design
+scans judge.  ``repro learn collect`` and ``benchmarks/bench_learn.py``
+draw from here; ``scripts/design_gates.py --collect`` records the
+scans' own operational checks instead.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
 from repro.tech.parameters import SiDBSimulationParameters
 
-# NOTE: repro.gatelib.designer is imported lazily inside the problem
-# builders: the designer itself imports repro.learn.hooks, and a
-# module-level import here would close an import cycle through the
-# package __init__.
+# NOTE: repro.gatelib.designer and repro.gatelib.designs are imported
+# lazily inside the problem builders: both import repro.learn.hooks
+# (through repro.sidb.operational), and a module-level import here
+# would close an import cycle through the package __init__.
 
 S = LatticeSite.from_row
 
@@ -97,56 +100,46 @@ def two_input_problem(
 ) -> BootstrapProblem:
     """2-input Y-junction core whose empty canvas is already a gate.
 
-    Geometry follows the scanned cores of ``scripts/design_gates.py``
-    (funnel chains converging on a shared output pair); the canvas
-    search decorates it, so labels split on whether an added dot
+    The fixed sites, stimuli and pairs are those of
+    :func:`~repro.gatelib.designs.two_input_core`, the core the design
+    scans judge (funnel chains converging on a shared output pair); the
+    canvas search decorates it, so labels split on whether an added dot
     preserves the function.
     """
     from repro.gatelib.designer import CanvasSearchProblem
+    from repro.gatelib.designs import two_input_core
 
     parameters = parameters or SiDBSimulationParameters(mu_minus=-0.32)
     cores = {
-        "or": {"dx1": 4, "dx2": 3, "og": 5, "bits": 0b1110},
-        "and": {"dx1": 4, "dx2": 4, "og": 4, "bits": 0b1000},
+        "or": ({"dx1": 4, "dx2": 3, "og": 5, "gout": 4}, 0b1110),
+        "and": ({"dx1": 4, "dx2": 4, "og": 4, "gout": 4}, 0b1000),
         # The XOR template of scripts/design_gates.py stage_xor_canvas:
         # not realizable without canvas dots, so a search on it runs
         # its full iteration budget -- the guided-speedup workload.
-        "xor": {"dx1": 4, "dx2": 4, "og": 8, "bits": 0b0110},
+        "xor": ({"dx1": 4, "dx2": 4, "og": 8, "gout": 4}, 0b0110),
     }
     if kind not in cores:
         raise ValueError(f"unknown two-input kind {kind!r}; know {sorted(cores)}")
-    core = cores[kind]
-    dx1, dx2, og = core["dx1"], core["dx2"], core["og"]
-    sites: list[LatticeSite] = []
-    a_pairs: list[BdlPair] = []
-    b_pairs: list[BdlPair] = []
-    for sign, target in ((-1, a_pairs), (1, b_pairs)):
-        c0, c1 = sign * (dx2 + dx1), sign * dx2
-        sites += [S(c0, 0), S(c0, 2), S(c1, 6), S(c1, 8)]
-        target.extend(
-            [BdlPair(S(c0, 0), S(c0, 2)), BdlPair(S(c1, 6), S(c1, 8))]
-        )
-    orow = 8 + og
-    output_pair = BdlPair(S(0, orow), S(0, orow + 2))
-    sites += [output_pair.site0, output_pair.site1, S(0, orow + 2 + 4)]
-    stim_col = dx2 + 2 * dx1
+    core, bits = cores[kind]
+    gate = two_input_core(core, TruthTable(2, bits))
+    *holds, output_pair = gate.output_pairs
+    fixed = set(gate.body)
     problem = CanvasSearchProblem(
-        fixed_sites=sites,
+        fixed_sites=list(gate.body),
         candidate_sites=[
             S(column, row)
             for column in range(-5, 6)
-            for row in range(3, orow - 1)
-            if S(column, row) not in set(sites)
+            for row in range(3, output_pair.site0.row - 1)
+            if S(column, row) not in fixed
         ],
         input_stimuli=[
-            ([S(-stim_col, -6)], [S(-stim_col, -2)]),
-            ([S(+stim_col, -6)], [S(+stim_col, -2)]),
+            (list(far), list(close)) for far, close in gate.input_stimuli
         ],
         output_pairs=[output_pair],
-        outputs=[TruthTable(2, core["bits"])],
+        outputs=[gate.outputs[-1]],
         parameters=parameters,
-        input_pairs_to_hold=[(pair, 0) for pair in a_pairs]
-        + [(pair, 1) for pair in b_pairs],
+        input_pairs_to_hold=[(pair, 0) for pair in holds[:2]]
+        + [(pair, 1) for pair in holds[2:]],
     )
     # The or-core samples up to 4-dot decorations: larger canvases are
     # where operational designs get rare (and physics gets expensive),

@@ -141,7 +141,9 @@ class LineProgressReporter:
     Re-renders at most every ``min_interval`` seconds (final ticks of a
     stage always render), pads with spaces so a shorter line fully
     overwrites a longer one, and :meth:`finish` clears the line so the
-    next regular print starts clean.
+    next regular print starts clean.  On a stream that is not a
+    terminal (a pipe or a log file) each rendered update is written as
+    its own line instead, and :meth:`finish` writes nothing.
     """
 
     def __init__(
@@ -151,6 +153,7 @@ class LineProgressReporter:
     ) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
+        self._terminal = self.stream.isatty()
         self.updates = 0
         # -inf, not 0.0: time.monotonic() starts near zero on a freshly
         # booted machine, and 0.0 would throttle the very first update
@@ -178,6 +181,10 @@ class LineProgressReporter:
         if info:
             details = ", ".join(f"{k}={v}" for k, v in info.items())
             text = f"{text} ({details})"
+        if not self._terminal:
+            self.stream.write(text + "\n")
+            self.stream.flush()
+            return
         padding = " " * max(0, self._last_width - len(text))
         self._last_width = len(text)
         self.stream.write(f"\r{text}{padding}")

@@ -9,6 +9,10 @@ deactivated zone is electrically neutral.
 
 Phase by phase, the information front advances one zone per phase while
 the zone two phases behind is deactivated -- the pipeline of Figure 2.
+Each phase is one input pattern of a
+:class:`~repro.sidb.operational.GateUnderTest` simulated by
+:func:`~repro.sidb.operational.simulate_pattern`, the check every tile
+goes through.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.coords.lattice import LatticeSite
-from repro.sidb.bdl import BdlPair, read_bdl_pair
-from repro.sidb.charge import SidbLayout
-from repro.sidb.exhaustive import exhaustive_ground_state
+from repro.networks.truth_table import TruthTable
+from repro.sidb.bdl import BdlPair
+from repro.sidb.operational import GateUnderTest, simulate_pattern
 from repro.tech.constants import CLOCK_PHASES
 from repro.tech.parameters import SiDBSimulationParameters
 from repro.gatelib.designs import CLOSE_GAP, FAR_GAP, OUT_GAP, WIRE_PITCH
@@ -56,32 +60,37 @@ class ClockedWire:
         """Ground state of the active zones under the input stimulus.
 
         Returns, per active zone, the logic value read from each of its
-        BDL pairs.  Deactivated zones contribute no charges (electrically
-        neutral regions acting as separators).
+        BDL pairs (``None`` for a pair holding no valid BDL state).
+        Deactivated zones contribute no charges (electrically neutral
+        regions acting as separators).
         """
-        layout = SidbLayout()
-        pairs: list[tuple[int, BdlPair]] = []
-        for zone_index in active_zones:
-            for pair in self.zone_pairs[zone_index]:
-                layout.add(pair.site0)
-                layout.add(pair.site1)
-                pairs.append((zone_index, pair))
-        # Input perturber (close = 1, far = 0) above the wire head.
-        gap = CLOSE_GAP if input_bit else FAR_GAP
-        layout.add(LatticeSite.from_row(0, -gap))
+        pairs = [
+            (zone_index, pair)
+            for zone_index in active_zones
+            for pair in self.zone_pairs[zone_index]
+        ]
+        body = [site for _, pair in pairs for site in (pair.site0, pair.site1)]
         # Output-side hold perturber below the last *active* pair.
-        last_active_row = max(
-            pair.site1.row for _, pair in pairs
+        last_active_row = max(pair.site1.row for _, pair in pairs)
+        body.append(LatticeSite.from_row(0, last_active_row + OUT_GAP))
+        # Input perturber (close = 1, far = 0) above the wire head.
+        gate = GateUnderTest(
+            body=body,
+            input_stimuli=[
+                (
+                    [LatticeSite.from_row(0, -FAR_GAP)],
+                    [LatticeSite.from_row(0, -CLOSE_GAP)],
+                )
+            ],
+            output_pairs=[pair for _, pair in pairs],
+            outputs=[TruthTable.variable(0, 1)] * len(pairs),
         )
-        layout.add(LatticeSite.from_row(0, last_active_row + OUT_GAP))
-
-        result = exhaustive_ground_state(layout, self.parameters)
+        observed = simulate_pattern(
+            gate, int(input_bit), self.parameters
+        ).observed
         reads: dict[int, list[bool | None]] = {z: [] for z in active_zones}
-        if not result.ground_states:
-            return reads
-        occupation = result.occupation()
-        for zone_index, pair in pairs:
-            reads[zone_index].append(read_bdl_pair(layout, occupation, pair))
+        for (zone_index, _), value in zip(pairs, observed):
+            reads[zone_index].append(value)
         return reads
 
     def propagate(self, input_bit: bool) -> list[dict[int, list[bool | None]]]:

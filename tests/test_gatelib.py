@@ -1,8 +1,8 @@
 """Tests for the Bestagon gate library: geometry, designs, lookup,
 application and physics validation of the core tiles."""
 
+import importlib.util
 import re
-import runpy
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,12 @@ from repro.coords.hexagonal import HexCoord, HexDirection
 from repro.coords.lattice import LatticeSite
 from repro.gatelib import BestagonLibrary, TileGeometry, apply_library
 from repro.gatelib.designer import score_design
-from repro.gatelib.designs import _load_found, builtin_designs, core_parameters
+from repro.gatelib.designs import (
+    _load_found,
+    builtin_designs,
+    core_parameters,
+    two_input_core,
+)
 from repro.gatelib.tile import CANVAS_FIRST_ROW, CANVAS_LAST_ROW, Port
 from repro.layout.gate_layout import (
     GateLevelLayout,
@@ -26,12 +31,21 @@ from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.exhaustive import exhaustive_ground_state
-from repro.sidb.operational import GateUnderTest, check_operational
+from repro.sidb.operational import check_operational
 from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
 NW, NE = HexDirection.NORTH_WEST, HexDirection.NORTH_EAST
 SW, SE = HexDirection.SOUTH_WEST, HexDirection.SOUTH_EAST
+DESIGN_SCANS = Path(__file__).parent.parent / "scripts" / "design_gates.py"
+
+
+def design_scans():
+    """A fresh module of ``scripts/design_gates.py`` (no stage run)."""
+    spec = importlib.util.spec_from_file_location("design_gates", DESIGN_SCANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestTileGeometry:
@@ -102,13 +116,9 @@ class TestDesigns:
 
     def test_tile_tuning_scores_the_candidate_core(self):
         """The tile scored for a candidate core is built around it."""
-        script = Path(__file__).parent.parent / "scripts" / "tune_gate_tiles.py"
-        candidate_tile = runpy.run_path(str(script), run_name="test")[
-            "candidate_tile"
-        ]
         core = {"dx1": 3, "dx2": 3, "og": 6, "gout": 4,
                 "extra": [[-2, 18], [2, 18]]}
-        tile = candidate_tile("or", core)
+        tile = design_scans().candidate_tile("or", core)
         # The SE junction sits at column 45 below a core starting at row 25.
         extra = {LatticeSite.from_row(45 + col, 25 + row)
                  for col, row in core["extra"]}
@@ -123,6 +133,37 @@ class TestDesigns:
         missing = tmp_path / "found_designs.json"
         with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
             _load_found(str(missing))
+
+
+class TestDesignScans:
+    """The design scans find exactly the motifs stored in
+    ``found_designs.json``."""
+
+    @pytest.fixture
+    def scans(self, tmp_path, monkeypatch):
+        module = design_scans()
+        monkeypatch.setattr(module, "OUT", str(tmp_path / "found.json"))
+        module.RESULTS.clear()
+        return module
+
+    @pytest.mark.parametrize(
+        "stage, key",
+        [
+            ("stage_steep_wires", "wires"),
+            ("stage_inverter", "inverter"),
+            ("stage_fanout", "fanout"),
+            ("stage_crossing", "crossing"),
+        ],
+    )
+    def test_stage_finds_the_stored_motifs(self, scans, tmp_path, stage, key):
+        getattr(scans, stage)()
+        assert scans.RESULTS == {key: _load_found()[key]}
+        assert _load_found(str(tmp_path / "found.json")) == scans.RESULTS
+
+    def test_stored_two_input_cores_classify_as_their_kind(self, scans):
+        for kind, cores in _load_found()["two_input"].items():
+            for core in cores:
+                assert scans.classify_candidate(core) == kind, core
 
 
 class TestLibraryLookup:
@@ -222,32 +263,9 @@ class TestPhysicsValidation:
         )
 
     def test_core_or_gate_operational_isolated(self):
-        """The scanned OR core passes the exhaustive operational check."""
-        from repro.coords.lattice import LatticeSite
-
-        S = LatticeSite.from_row
-        params = core_parameters("or")
-        dx1, dx2, og = params["dx1"], params["dx2"], params["og"]
-        sites = []
-        for sign in (-1, 1):
-            c0, c1 = sign * (dx2 + dx1), sign * dx2
-            sites += [S(c0, 0), S(c0, 2), S(c1, 6), S(c1, 8)]
-        orow = 8 + og
-        sites += [S(0, orow), S(0, orow + 2)]
-        for c, r in params.get("extra", []):
-            sites.append(S(c, r))
-        sites.append(S(0, orow + 2 + params["gout"]))
-        from repro.sidb.bdl import BdlPair
-
-        gate = GateUnderTest(
-            body=sites,
-            input_stimuli=[
-                ([S(-(dx2 + 2 * dx1), -6)], [S(-(dx2 + 2 * dx1), -2)]),
-                ([S(dx2 + 2 * dx1, -6)], [S(dx2 + 2 * dx1, -2)]),
-            ],
-            output_pairs=[BdlPair(S(0, orow), S(0, orow + 2))],
-            outputs=[TruthTable(2, 0b1110)],
-        )
+        """The scanned OR core passes the exhaustive operational check:
+        its junction computes OR and its input pairs hold the inputs."""
+        gate = two_input_core(core_parameters("or"), TruthTable(2, 0b1110))
         report = check_operational(
             gate, SiDBSimulationParameters.bestagon(), engine="exhaustive"
         )

@@ -10,6 +10,13 @@ from repro.obs.events import Event, EventRing
 from repro.obs.render import render_tree, trace_from_json, trace_to_json
 
 
+class Terminal(io.StringIO):
+    """An in-memory stream that reports itself as a terminal."""
+
+    def isatty(self) -> bool:
+        return True
+
+
 @pytest.fixture(autouse=True)
 def clean_recorder():
     """Every test starts (and leaves) a pristine, disabled recorder."""
@@ -554,7 +561,7 @@ class TestProgress:
             obs.set_progress(None)
 
     def test_line_reporter_renders_and_clears(self):
-        stream = io.StringIO()
+        stream = Terminal()
         reporter = LineProgressReporter(stream=stream, min_interval=0.0)
         reporter.update("simanneal.sweeps", 50, 100, instances=8)
         reporter.update("simanneal.sweeps", 100, 100)
@@ -564,6 +571,16 @@ class TestProgress:
         assert "simanneal.sweeps 100/100" in text
         assert reporter.updates == 2
         assert text.endswith("\r")  # the line is cleared at the end
+
+    def test_line_reporter_writes_lines_to_a_pipe(self):
+        stream = io.StringIO()
+        reporter = LineProgressReporter(stream=stream, min_interval=0.0)
+        reporter.update("operational.patterns", 1, 2)
+        reporter.update("operational.patterns", 2, 2)
+        reporter.finish()
+        assert stream.getvalue() == (
+            "operational.patterns 1/2\noperational.patterns 2/2\n"
+        )
 
     def test_line_reporter_throttles_but_renders_final_tick(self):
         stream = io.StringIO()
