@@ -57,9 +57,19 @@ sys.exit("\n".join(wrong) if wrong else 0)' "$@"
 }
 
 echo "== benchmark solver hooks (traced table1 run) =="
-# Subclasses repro.sat.Solver and reads its counters.
-traced_run table1 place_route.conflicts=135 \
-    place_route.propagations=21691 verify.conflicts=119
+# Subclasses repro.sat.Solver and reads its counters.  xor5_majority's
+# 6x5 candidate is one column wider than its UNSAT 5x5, so it must use
+# both edge columns: its UNSAT proof takes 5 conflicts instead of 19.
+traced_run table1 place_route.conflicts=121 \
+    place_route.propagations=21187 verify.conflicts=119
+
+echo "== exact P&R UNSAT proofs (traced pnr_unsat run) =="
+# newtag: 8x7, 9x7, 8x8, 10x7 and 9x8 are proven UNSAT before 8x9 is
+# SAT.  9x7, 10x7 and 9x8 are one column wider than a proven-UNSAT
+# candidate and carry the two edge-column clauses.
+traced_run pnr_unsat place_route.candidates=6 \
+    place_route.unsat_candidates=5 place_route.conflicts=2373 \
+    library.sidbs=666 sqd.bytes=100645
 
 echo "== benchmark physics hooks (traced tile_library run) =="
 # Patches repro.sidb.operational.quickexact_ground_state and SimAnneal

@@ -38,6 +38,7 @@ from repro.gatelib.designs import (
     CLOSE_GAP,
     FAR_GAP,
     GATE_TABLES,
+    TWO_INPUT_TEMPLATES,
     GateDesign,
     gate2_design,
     two_input_core,
@@ -266,7 +267,7 @@ def stage_xor_canvas():
     """Canvas search for XOR on the two-input template."""
     from repro.gatelib.designer import CanvasSearchProblem, search_canvas_design
 
-    template = {"dx1": 4, "dx2": 4, "og": 8, "gout": 4}
+    template = TWO_INPUT_TEMPLATES["xor"]
     core = two_input_core(template, GATE_TABLES["xor"])
     *holds, junction = core.output_pairs
     problem = CanvasSearchProblem(

@@ -131,9 +131,14 @@ def _report_failure(
     """What a failed placement proved, instead of a traceback."""
     print(f"physical design failed: {error}", file=sys.stderr)
     for attempt in error.attempts:
+        note = (
+            f", edge columns {attempt.edge_columns}"
+            if attempt.edge_columns
+            else ""
+        )
         print(
             f"  {attempt.width}x{attempt.height}  {attempt.outcome:10s} "
-            f"{attempt.sat_conflicts} conflicts",
+            f"{attempt.sat_conflicts} conflicts{note}",
             file=sys.stderr,
         )
     if getattr(args, "trace", False) and error.trace is not None:

@@ -72,9 +72,15 @@ _INVERTER = (FOUND.get("inverter") or [
 _TWO_INPUT = FOUND.get("two_input", {})
 # Cores re-tuned in the assembled-tile context take precedence.
 _TWO_INPUT_TILE = FOUND.get("two_input_tile", {})
-_CORE_DEFAULTS = {
-    "or": {"dx1": 4, "dx2": 3, "og": 5, "gout": 4, "extra": []},
-    "and": {"dx1": 4, "dx2": 4, "og": 4, "gout": 4, "extra": []},
+
+#: The two-input core templates (see :func:`two_input_core`).  ``or``
+#: and ``and`` are the fallback cores of :func:`core_parameters`;
+#: ``xor`` is the template of the XOR canvas search, which computes XOR
+#: only with the canvas dots stored beside it.
+TWO_INPUT_TEMPLATES = {
+    "or": {"dx1": 4, "dx2": 3, "og": 5, "gout": 4},
+    "and": {"dx1": 4, "dx2": 4, "og": 4, "gout": 4},
+    "xor": {"dx1": 4, "dx2": 4, "og": 8, "gout": 4},
 }
 
 
@@ -88,8 +94,9 @@ def core_parameters(kind: str) -> dict | None:
     if tile_entries:
         return tile_entries[0]
     entries = list(_TWO_INPUT.get(kind, ()))
-    if kind in _CORE_DEFAULTS:
-        entries.append(_CORE_DEFAULTS[kind])
+    # No xor fallback: gate2_design then builds XOR from the canvas.
+    if kind in ("or", "and"):
+        entries.append(TWO_INPUT_TEMPLATES[kind])
     if not entries:
         return None
 
@@ -416,9 +423,7 @@ def gate2_design(kind: str, out_port: Port, core: dict | None) -> GateDesign:
     canvas_dots: list[tuple[int, int]] = []
     if core is None:  # only XOR lacks a default core
         xor_entry = FOUND.get("xor_canvas") or {}
-        core = xor_entry.get(
-            "template", {"dx1": 4, "dx2": 4, "og": 8, "gout": 4}
-        )
+        core = xor_entry.get("template", TWO_INPUT_TEMPLATES["xor"])
         canvas_dots = [tuple(d) for d in xor_entry.get("canvas", [])]
 
     assembler = _Assembler()

@@ -107,21 +107,22 @@ def two_input_problem(
     preserves the function.
     """
     from repro.gatelib.designer import CanvasSearchProblem
-    from repro.gatelib.designs import two_input_core
+    from repro.gatelib.designs import (
+        GATE_TABLES,
+        TWO_INPUT_TEMPLATES,
+        two_input_core,
+    )
 
     parameters = parameters or SiDBSimulationParameters(mu_minus=-0.32)
-    cores = {
-        "or": ({"dx1": 4, "dx2": 3, "og": 5, "gout": 4}, 0b1110),
-        "and": ({"dx1": 4, "dx2": 4, "og": 4, "gout": 4}, 0b1000),
-        # The XOR template of scripts/design_gates.py stage_xor_canvas:
-        # not realizable without canvas dots, so a search on it runs
-        # its full iteration budget -- the guided-speedup workload.
-        "xor": ({"dx1": 4, "dx2": 4, "og": 8, "gout": 4}, 0b0110),
-    }
-    if kind not in cores:
-        raise ValueError(f"unknown two-input kind {kind!r}; know {sorted(cores)}")
-    core, bits = cores[kind]
-    gate = two_input_core(core, TruthTable(2, bits))
+    # The xor template is not realizable without canvas dots, so a
+    # search on it runs its full iteration budget -- the guided-speedup
+    # workload.
+    if kind not in TWO_INPUT_TEMPLATES:
+        raise ValueError(
+            f"unknown two-input kind {kind!r}; "
+            f"know {sorted(TWO_INPUT_TEMPLATES)}"
+        )
+    gate = two_input_core(TWO_INPUT_TEMPLATES[kind], GATE_TABLES[kind])
     *holds, output_pair = gate.output_pairs
     fixed = set(gate.body)
     problem = CanvasSearchProblem(

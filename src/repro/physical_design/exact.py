@@ -22,6 +22,26 @@ encodes into CNF:
 Candidate dimensions are tried in order of increasing area, so the first
 satisfiable candidate minimizes the layout area (the Table-1 ``A``
 column).
+
+A candidate proven impossible (UNSAT or infeasible) is reused.  When
+``(W-1, H)`` was proven impossible, the ``(W, H)`` encoding also
+requires some gate or wire segment in column ``W-1`` and, on a floor
+plan without blocked tiles, in column ``0``.  Neither clause removes a
+layout that could exist:
+
+* a ``(W, H)`` layout that leaves column ``W-1`` empty is already a
+  ``(W-1, H)`` layout (blocked tiles are cropped from the same set, so
+  this holds on defect surfaces too);
+* one that leaves column ``0`` empty shifts one column left into a
+  ``(W-1, H)`` layout, because the neighbor columns
+  (:func:`~repro.physical_design.common.north_columns`,
+  :func:`~repro.physical_design.common.south_columns`) depend only on
+  the row's parity.  A blocked tile breaks this translation symmetry,
+  so the column-0 clause is left out when the candidate has one.
+
+So every candidate keeps its outcome and the winning floor plan is the
+same, while the solver no longer searches the ``(W-1, H)`` layouts
+again inside the wider floor plan.
 """
 
 from __future__ import annotations
@@ -90,6 +110,9 @@ class CandidateAttempt:
     sat_conflicts: int = 0
     outcome: str = ""  # "sat" | "unsat" | "timeout" | "infeasible"
     seconds: float = 0.0
+    #: Edge clauses added because (W-1, H) was proven impossible: 0, 1
+    #: (column W-1) or 2 (columns W-1 and 0).
+    edge_columns: int = 0
 
 
 def _search_summary(
@@ -166,6 +189,8 @@ class _Problem:
     edges: list[tuple[int, int]]  # (source, target) node pairs
     #: Tile positions blacklisted by defect exclusion zones.
     blocked: frozenset[tuple[int, int]] = frozenset()
+    #: Columns that must hold some gate or wire segment.
+    edge_columns: tuple[int, ...] = ()
 
 
 def _compute_windows(
@@ -195,6 +220,28 @@ def _compute_windows(
         if asap[node] > alap[node]:
             return None
     return asap, alap
+
+
+def _problem(
+    network: LogicNetwork,
+    width: int,
+    height: int,
+    blocked: frozenset[tuple[int, int]] = frozenset(),
+    edge_columns: tuple[int, ...] = (),
+) -> _Problem | None:
+    """The data of one (W, H) encoding; None if the height is infeasible."""
+    windows = _compute_windows(network, height)
+    if windows is None:
+        return None
+    asap, alap = windows
+    edges = [
+        (fanin, node)
+        for node in network.nodes()
+        for fanin in network.fanins(node)
+    ]
+    return _Problem(
+        network, width, height, asap, alap, edges, blocked, edge_columns
+    )
 
 
 def minimum_height(network: LogicNetwork) -> int:
@@ -276,6 +323,8 @@ class ExactPhysicalDesign:
             )
 
         timeouts = 0
+        # Candidates proven to have no layout (UNSAT or infeasible).
+        proven: set[tuple[int, int]] = set()
         for attempt_index, (width, height) in enumerate(candidates):
             if deadline is not None and time.monotonic() > deadline:
                 raise failure(
@@ -293,6 +342,12 @@ class ExactPhysicalDesign:
             blocked = frozenset(
                 (x, y) for x, y in all_blocked if x < width and y < height
             )
+            # A layout that leaves column W-1 empty is a (W-1, H) layout,
+            # and one that leaves column 0 empty shifts one column left
+            # into one unless a blocked tile stops the shift.
+            edge_columns: tuple[int, ...] = ()
+            if (width - 1, height) in proven:
+                edge_columns = (width - 1,) if blocked else (width - 1, 0)
             with obs.span(
                 "exact.candidate", width=width, height=height
             ) as span:
@@ -300,11 +355,13 @@ class ExactPhysicalDesign:
                     span.set("blocked", len(blocked))
                 layout = self._attempt(
                     network, width, height, statistics, deadline, span,
-                    blocked,
+                    blocked, edge_columns,
                 )
-            if layout is None and blocked:
-                statistics.defect_reroutes += 1
-                obs.add("defects.reroutes")
+            if layout is None:
+                proven.add((width, height))
+                if blocked:
+                    statistics.defect_reroutes += 1
+                    obs.add("defects.reroutes")
             if layout == "timeout":
                 # A conflict-limited candidate proves nothing about the
                 # *other* candidates -- larger floor plans are usually
@@ -350,33 +407,27 @@ class ExactPhysicalDesign:
         deadline: float | None = None,
         span: "obs.Span | obs.NullSpan" = obs.NULL_SPAN,
         blocked: frozenset[tuple[int, int]] = frozenset(),
+        edge_columns: tuple[int, ...] = (),
     ) -> GateLevelLayout | str | None:
         attempt = CandidateAttempt(width, height)
         statistics.attempts.append(attempt)
         started = time.perf_counter()
         try:
-            windows = _compute_windows(network, height)
-            if windows is None:
+            problem = _problem(network, width, height, blocked, edge_columns)
+            if problem is None:
                 attempt.outcome = "infeasible"
                 return None
-            asap, alap = windows
-            edges = [
-                (fanin, node)
-                for node in network.nodes()
-                for fanin in network.fanins(node)
-            ]
-            problem = _Problem(
-                network, width, height, asap, alap, edges, blocked
-            )
             encoding = _Encoding(problem)
             with obs.span("exact.encode"):
                 cnf = encoding.build()
             attempt.sat_variables = cnf.num_vars
             attempt.sat_clauses = cnf.num_clauses
+            attempt.edge_columns = len(edge_columns)
             statistics.sat_variables += cnf.num_vars
             statistics.sat_clauses += cnf.num_clauses
             span.set("sat.variables", cnf.num_vars)
             span.set("sat.clauses", cnf.num_clauses)
+            span.set("edge_columns", len(edge_columns))
             # Per-candidate CNF size distribution over the whole search.
             obs.observe("exact.cnf_clauses", cnf.num_clauses)
             obs.event(
@@ -614,7 +665,22 @@ class _Encoding:
         self._border_constraints()
         self._capacity_constraints()
         self._defect_constraints()
+        self._edge_constraints()
         return cnf
+
+    # --- occupied edge columns -----------------------------------------
+    def _edge_constraints(self) -> None:
+        """Each of ``edge_columns`` holds some gate or wire segment."""
+        for column in self.problem.edge_columns:
+            self.cnf.add_clause(
+                [
+                    var
+                    for layer in (self.gate_vars, self.segment_vars)
+                    for positions in layer.values()
+                    for (x, _), var in positions.items()
+                    if x == column
+                ]
+            )
 
     # --- defect exclusion zones ----------------------------------------
     def _defect_constraints(self) -> None:

@@ -48,8 +48,11 @@ from repro.tech.design_rules import DesignRules
 #: longer selected anything).  Version 6: the defect recheck and its
 #: pristine baseline judge tiles of 31-32 sites exactly instead of by
 #: annealing, which can change a persisted defect report, as in
-#: version 2.
-DIGEST_VERSION = 6
+#: version 2.  Version 7: exact P&R requires both edge columns of a
+#: floor plan one column wider than a proven-UNSAT one, so such a
+#: winner may get a different (equally small, verified) layout and a
+#: persisted ``.sqd`` can differ.
+DIGEST_VERSION = 7
 
 
 class UncacheableConfigurationError(ValueError):

@@ -113,6 +113,8 @@ class TestDesigns:
     def test_scanned_cores_available(self):
         assert core_parameters("and") is not None
         assert core_parameters("or") is not None
+        # No xor fallback core: the XOR tiles embed the canvas design.
+        assert core_parameters("xor") is None
 
     def test_tile_tuning_scores_the_candidate_core(self):
         """The tile scored for a candidate core is built around it."""

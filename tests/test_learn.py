@@ -23,6 +23,7 @@ from repro.coords.hexagonal import HexCoord
 from repro.coords.lattice import LatticeSite
 from repro.defects import DefectType, SidbDefect, SurfaceDefects
 from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
+from repro.gatelib import designs
 from repro.gatelib.designer import (
     score_design,
     screen_canvas_candidates,
@@ -437,6 +438,21 @@ def test_screening_pool_deterministic():
     assert all(len(canvas) == 3 for canvas in pool_a)
 
 
+@pytest.mark.parametrize("kind", ["or", "and", "xor"])
+def test_two_input_problem_builds_from_the_template_table(
+    kind, monkeypatch
+):
+    template = dict(designs.TWO_INPUT_TEMPLATES[kind])
+    template["og"] += 1
+    monkeypatch.setitem(designs.TWO_INPUT_TEMPLATES, kind, template)
+    function = designs.GATE_TABLES[kind]
+    core = designs.two_input_core(template, function)
+    problem = two_input_problem(kind).problem
+    assert problem.fixed_sites == list(core.body)
+    assert problem.output_pairs == [core.output_pairs[-1]]
+    assert problem.outputs == [function]
+
+
 def test_screen_canvas_candidates_unguided_and_guided():
     bootstrap = wire_problem()
     problem = bootstrap.problem
@@ -538,7 +554,7 @@ def test_verdict_equality_with_collection(tmp_path):
 
 
 def test_digest_learn_participation():
-    assert DIGEST_VERSION == 6
+    assert DIGEST_VERSION == 7
     verilog = benchmark_verilog("xor2")
     base = design_digest(verilog, "xor2", FlowConfiguration())
     learned = design_digest(

@@ -1,7 +1,13 @@
 """Tests for levelization and the placement & routing engines."""
 
+import argparse
+
 import pytest
 
+from repro import obs
+from repro.cli import _report_failure
+from repro.defects import SurfaceDefects
+from repro.defects.exclusion import blocked_tiles
 from repro.flow.reporting import TABLE1_REFERENCE
 from repro.layout.drc import check_layout
 from repro.networks import benchmark_network
@@ -14,8 +20,14 @@ from repro.physical_design import (
     PhysicalDesignTimeoutError,
     levelize,
 )
+from repro.physical_design import exact as exact_module
 from repro.physical_design.common import placement_conflicts
-from repro.physical_design.exact import ExactStatistics, minimum_height
+from repro.physical_design.exact import (
+    ExactStatistics,
+    _Encoding,
+    _problem,
+    minimum_height,
+)
 from repro.physical_design.heuristic import HeuristicStatistics
 from repro.physical_design.topology_study import (
     CARTESIAN,
@@ -24,6 +36,7 @@ from repro.physical_design.topology_study import (
     port_assignment_feasible,
     wiring_overhead,
 )
+from repro.sat import Solver
 from repro.synthesis import NpnDatabase, cut_rewrite, map_to_bestagon
 from repro.verification import check_layout_against_network
 
@@ -231,6 +244,125 @@ class TestExactBugfixes:
         assert not issubclass(
             PhysicalDesignBudgetError, PhysicalDesignTimeoutError
         )
+
+
+def _without_edge_clauses(network, attempt, blocked=frozenset()):
+    """(outcome, clauses) of ``attempt``'s candidate, no edge clauses."""
+    problem = _problem(
+        network,
+        attempt.width,
+        attempt.height,
+        frozenset(
+            (x, y)
+            for x, y in blocked
+            if x < attempt.width and y < attempt.height
+        ),
+    )
+    if problem is None:
+        return "infeasible", 0
+    cnf = _Encoding(problem).build()
+    return Solver(cnf).solve().value, cnf.num_clauses
+
+
+def _assert_outcomes_kept(network, attempts, blocked=frozenset()):
+    for attempt in attempts:
+        outcome, clauses = _without_edge_clauses(network, attempt, blocked)
+        assert attempt.outcome == outcome, (attempt.width, attempt.height)
+        if outcome != "infeasible":
+            assert attempt.sat_clauses == clauses + attempt.edge_columns
+
+
+# mux21 with all of column 0 and three more tiles blocked: every
+# candidate up to 5x7 is UNSAT, and the 5x8 layouts must route a wire,
+# not a gate, through column 4.
+_MUX21_BLOCKED = frozenset(
+    {(0, y) for y in range(9)} | {(2, 4), (3, 2), (4, 0)}
+)
+
+
+class TestUnsatReuse:
+    """A candidate one column wider than a proven-UNSAT one must use
+    both edge columns (only the right one when tiles are blocked)."""
+
+    def test_xor5_majority_search(self):
+        statistics = ExactStatistics()
+        ExactPhysicalDesign().run(mapped("xor5_majority"), statistics)
+        assert [
+            (a.width, a.height, a.outcome, a.sat_conflicts, a.edge_columns)
+            for a in statistics.attempts
+        ] == [
+            (5, 5, "unsat", 13, 0),
+            (6, 5, "unsat", 5, 2),
+            (5, 6, "sat", 0, 0),
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["xor5_majority", "majority", "1bitAdderAOIG", "b1_r2"]
+    )
+    def test_edge_clauses_keep_every_outcome(self, name):
+        network = mapped(name)
+        width_min = max(network.num_pis, network.num_pos)
+        statistics = ExactStatistics()
+        engine = ExactPhysicalDesign(
+            max_width=width_min + 4, extra_rows=0, conflict_limit=None
+        )
+        with pytest.raises(PhysicalDesignError):
+            engine.run(network, statistics)
+        assert [a.edge_columns for a in statistics.attempts] == [0] + [2] * 4
+        _assert_outcomes_kept(network, statistics.attempts)
+
+    def test_blocked_tiles_get_the_right_edge_clause_only(self, monkeypatch):
+        # Only a wire can occupy column 4 of the 5x8 winner, and column 0
+        # is blocked: a clause without the segments, or a column-0
+        # clause, would refute the one floor plan that has a layout.
+        monkeypatch.setattr(
+            exact_module, "blocked_tiles", lambda *args: _MUX21_BLOCKED
+        )
+        xag = benchmark_network("mux21")
+        network = map_to_bestagon(cut_rewrite(xag, _DB))
+        statistics = ExactStatistics()
+        layout = ExactPhysicalDesign(max_width=5).run(network, statistics)
+        assert (layout.width, layout.height) == (5, 8)
+        assert statistics.attempts[-1].edge_columns == 1
+        _assert_outcomes_kept(network, statistics.attempts, _MUX21_BLOCKED)
+        assert not {(c.x, c.y) for c, _ in layout.occupied()} & _MUX21_BLOCKED
+        assert check_layout(layout) == []
+        assert check_layout_against_network(xag, layout).equivalent
+
+    def test_defect_surface_keeps_every_outcome(self):
+        defects = SurfaceDefects.sample(
+            columns=200,
+            rows=200,
+            density_per_nm2=5e-4,
+            seed=3,
+            charged_fraction=1.0,
+        )
+        network = mapped("par_check")
+        statistics = ExactStatistics()
+        engine = ExactPhysicalDesign(max_width=8, defects=defects)
+        layout = engine.run(network, statistics)
+        assert (layout.width, layout.height) == (7, 5)
+        assert [a.edge_columns for a in statistics.attempts] == [
+            0, 0, 1, 0, 1, 1, 1,
+        ]
+        blocked = blocked_tiles(8, minimum_height(network) + 3, defects)
+        _assert_outcomes_kept(network, statistics.attempts, blocked)
+
+    def test_edge_columns_in_span_and_failure_table(self, capsys):
+        engine = ExactPhysicalDesign(
+            max_width=6, extra_rows=0, conflict_limit=None
+        )
+        with obs.capture("search", enable=True) as capture:
+            with pytest.raises(PhysicalDesignError) as excinfo:
+                engine.run(mapped("xor5_majority"))
+        spans = capture.span.find_all("exact.candidate")
+        assert [span.attributes["edge_columns"] for span in spans] == [0, 2]
+        _report_failure(argparse.Namespace(trace=False), excinfo.value)
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[1:] == [
+            "  5x5  unsat      13 conflicts",
+            "  6x5  unsat      5 conflicts, edge columns 2",
+        ]
 
 
 class TestHeuristicEngine:

@@ -356,7 +356,9 @@ def sat_trajectories() -> list[dict]:
     that passes learnt-clause reduction and the 1e100 activity rescale
     (~4490 conflicts); a conflict-limited pigeonhole; exact synthesis of
     MAJ3 and of one 4-input class; every exact-P&R candidate the flow
-    solves for t_5 and majority.
+    solves for t_5, majority and xor5_majority (whose 6x5 candidate,
+    one column wider than the UNSAT 5x5, carries the two edge-column
+    clauses).
     """
     records = [
         _solve("random3sat/n150/seed1", random_3sat(150, 1)),
@@ -372,7 +374,7 @@ def sat_trajectories() -> list[dict]:
         for gates, record in enumerate(solves, start=1):
             record["instance"] = f"synthesis/{label}/gates{gates}"
         records += solves
-    for name in ("t_5", "majority"):
+    for name in ("t_5", "majority", "xor5_majority"):
         mapped = map_to_bestagon(
             cut_rewrite(
                 parse_verilog(benchmark_verilog(name), name), NpnDatabase()
