@@ -58,17 +58,17 @@ sys.exit("\n".join(wrong) if wrong else 0)' "$@"
 
 echo "== benchmark solver hooks (traced table1 run) =="
 # Subclasses repro.sat.Solver and reads its counters.  xor5_majority's
-# 6x5 candidate is one column wider than its UNSAT 5x5, so it must use
-# both edge columns: its UNSAT proof takes 5 conflicts instead of 19.
-traced_run table1 place_route.conflicts=121 \
-    place_route.propagations=21187 verify.conflicts=119
+# last gate depends on all 5 PIs, so exact P&R starts at 6 rows, not 5:
+# its 5x5 and 6x5 UNSAT proofs are no longer made.
+traced_run table1 place_route.conflicts=103 \
+    place_route.propagations=19928 verify.conflicts=119
 
-echo "== exact P&R UNSAT proofs (traced pnr_unsat run) =="
-# newtag: 8x7, 9x7, 8x8, 10x7 and 9x8 are proven UNSAT before 8x9 is
-# SAT.  9x7, 10x7 and 9x8 are one column wider than a proven-UNSAT
-# candidate and carry the two edge-column clauses.
-traced_run pnr_unsat place_route.candidates=6 \
-    place_route.unsat_candidates=5 place_route.conflicts=2373 \
+echo "== exact P&R height bound (traced pnr_unsat run) =="
+# newtag's last NAND depends on all 8 PIs, so no layout has fewer than
+# 9 rows: exact P&R starts at 8x9, SAT in 10 conflicts, and proves
+# nothing UNSAT (8x7, 9x7, 8x8, 10x7 and 9x8 took 2,363 conflicts).
+traced_run pnr_unsat place_route.candidates=1 \
+    place_route.unsat_candidates=0 place_route.conflicts=10 \
     library.sidbs=666 sqd.bytes=100645
 
 echo "== benchmark physics hooks (traced tile_library run) =="

@@ -21,7 +21,26 @@ encodes into CNF:
 
 Candidate dimensions are tried in order of increasing area, so the first
 satisfiable candidate minimizes the layout area (the Table-1 ``A``
-column).
+column).  Their heights run from :func:`minimum_height` to that height
+plus ``extra_rows``: ``extra_rows`` counts rows above the bound.
+
+The bound is 1 + the largest *geometric ASAP* row over all nodes,
+``g(v) = max(1 + max g(fanins), |PIs in v's fan-in cone| - 1)``, which
+can exceed the network depth.  No layout places ``v`` above row
+``g(v)``:
+
+* let ``X = 2x + (y mod 2)`` for tile ``(x, y)``; the neighbor columns
+  (:func:`~repro.physical_design.common.north_columns`,
+  :func:`~repro.physical_design.common.south_columns`) move ``X`` by
+  exactly +-1 per row;
+* the ``k`` PIs in ``v``'s cone hold ``k`` distinct tiles of row 0, so
+  their ``X`` values span at least ``2(k - 1)``;
+* each of them reaches ``v`` one row per step, so it lies within
+  ``row(v)`` of ``X(v)``, and ``2 row(v) >= 2(k - 1)``.
+
+Every node also sits below its fan-ins, hence ``row(v) >= g(v)``.  Defect
+surfaces only remove tiles, so the bound holds there too.  The ASAP/ALAP
+windows of the encoding stay those of the depth.
 
 A candidate proven impossible (UNSAT or infeasible) is reused.  When
 ``(W-1, H)`` was proven impossible, the ``(W, H)`` encoding also
@@ -64,7 +83,7 @@ from repro.layout.gate_layout import (
 )
 from repro.networks.logic_network import GateType, LogicNetwork
 from repro.physical_design.common import north_columns, south_columns
-from repro.sat import Cnf, Solver, SolverResult
+from repro.sat import Solver, SolverResult
 from repro.sat.encodings import at_most_one, exactly_one
 
 
@@ -115,11 +134,32 @@ class CandidateAttempt:
     edge_columns: int = 0
 
 
+@dataclass(frozen=True)
+class HeightBound:
+    """The fewest rows any layout of a network has, and what sets it."""
+
+    height: int
+    #: The node that sets the bound (None for an empty network).
+    node: int | None
+    #: PIs in ``node``'s fan-in cone when they set the bound; 0 when
+    #: the network's depth does (``node`` is then a deepest node).
+    pis: int = 0
+
+    def __str__(self) -> str:
+        if self.pis:
+            reason = f"node {self.node} depends on {self.pis} PIs"
+        else:
+            reason = f"node {self.node} is {self.height - 1} levels deep"
+        return f"heights below {self.height} are impossible: {reason}"
+
+
 def _search_summary(
     candidates: Sequence[tuple[int, int]],
     attempts: Sequence[CandidateAttempt],
+    bound: HeightBound,
 ) -> str:
-    """What the attempts proved, and the area lower bound it gives.
+    """Why the heights start where they do, what the attempts proved,
+    and the area lower bound it gives.
 
     Candidates come in order of increasing area, so the first one not
     proven impossible bounds the area of any layout within the searched
@@ -130,7 +170,7 @@ def _search_summary(
         for a in attempts
         if a.outcome in ("unsat", "infeasible")
     }
-    parts = []
+    parts = [str(bound)] if bound.height > 1 else []
     for label, outcome in (("proven UNSAT", "unsat"), ("timed out", "timeout")):
         named = [
             f"{a.width}x{a.height} ({a.sat_conflicts} conflicts)"
@@ -163,6 +203,9 @@ class ExactStatistics:
 
     candidates_tried: list[tuple[int, int]] = field(default_factory=list)
     attempts: list[CandidateAttempt] = field(default_factory=list)
+    #: The fewest rows a layout can have, the first candidates' height,
+    #: and the node that sets it (of the last run).
+    height_bound: HeightBound | None = None
     sat_variables: int = 0
     sat_clauses: int = 0
     sat_conflicts: int = 0
@@ -244,13 +287,46 @@ def _problem(
     )
 
 
-def minimum_height(network: LogicNetwork) -> int:
-    """Smallest feasible number of rows (the network depth + 1)."""
-    asap: dict[int, int] = {}
+def height_bound(network: LogicNetwork) -> HeightBound:
+    """1 + the largest geometric ASAP row ``g`` over all nodes.
+
+    ``g(v) = max(1 + max g(fanins), |PIs in v's fan-in cone| - 1)``;
+    the module docstring proves that no layout puts ``v`` above row
+    ``g(v)``.
+    """
+    depth = network.levels()
+    row: dict[int, int] = {}
+    cone: dict[int, int] = {}  # PIs in the fan-in cone, as a bit mask
+    pis = {pi: index for index, pi in enumerate(network.pis())}
     for node in network.nodes():
         fanins = network.fanins(node)
-        asap[node] = 0 if not fanins else 1 + max(asap[f] for f in fanins)
-    return max(asap.values(), default=0) + 1
+        mask = 1 << pis[node] if node in pis else 0
+        for fanin in fanins:
+            mask |= cone[fanin]
+        cone[node] = mask
+        row[node] = max(
+            1 + max((row[f] for f in fanins), default=-1),
+            mask.bit_count() - 1,
+        )
+    if not row:
+        return HeightBound(1, None)
+    highest = max(row.values())
+    if highest == max(depth.values()):
+        deepest = next(v for v in depth if depth[v] == highest)
+        return HeightBound(highest + 1, deepest)
+    # Walk back along rows that the fan-in forces until the node whose
+    # PI cone sets its row; every node on the way has row > depth.
+    node = next(v for v in row if row[v] == highest)
+    while row[node] != cone[node].bit_count() - 1:
+        node = next(
+            f for f in network.fanins(node) if row[f] == row[node] - 1
+        )
+    return HeightBound(highest + 1, node, cone[node].bit_count())
+
+
+def minimum_height(network: LogicNetwork) -> int:
+    """Fewest rows of any layout of ``network`` (see :func:`height_bound`)."""
+    return height_bound(network).height
 
 
 class ExactPhysicalDesign:
@@ -291,7 +367,9 @@ class ExactPhysicalDesign:
             )
         statistics = statistics if statistics is not None else ExactStatistics()
 
-        height_min = minimum_height(network)
+        bound = height_bound(network)
+        statistics.height_bound = bound
+        height_min = bound.height
         width_min = max(1, network.num_pis, network.num_pos)
         candidates = [
             (width, height)
@@ -318,7 +396,7 @@ class ExactPhysicalDesign:
         ) -> PhysicalDesignError:
             attempts = statistics.attempts[first_attempt:]
             return error(
-                f"{message}; {_search_summary(candidates, attempts)}",
+                f"{message}; {_search_summary(candidates, attempts, bound)}",
                 attempts,
             )
 
@@ -419,25 +497,24 @@ class ExactPhysicalDesign:
                 return None
             encoding = _Encoding(problem)
             with obs.span("exact.encode"):
-                cnf = encoding.build()
-            attempt.sat_variables = cnf.num_vars
-            attempt.sat_clauses = cnf.num_clauses
+                solver = encoding.build()
+            attempt.sat_variables = solver.num_vars
+            attempt.sat_clauses = solver.num_clauses
             attempt.edge_columns = len(edge_columns)
-            statistics.sat_variables += cnf.num_vars
-            statistics.sat_clauses += cnf.num_clauses
-            span.set("sat.variables", cnf.num_vars)
-            span.set("sat.clauses", cnf.num_clauses)
+            statistics.sat_variables += solver.num_vars
+            statistics.sat_clauses += solver.num_clauses
+            span.set("sat.variables", solver.num_vars)
+            span.set("sat.clauses", solver.num_clauses)
             span.set("edge_columns", len(edge_columns))
             # Per-candidate CNF size distribution over the whole search.
-            obs.observe("exact.cnf_clauses", cnf.num_clauses)
+            obs.observe("exact.cnf_clauses", solver.num_clauses)
             obs.event(
                 "exact.attempt",
                 width=width,
                 height=height,
-                clauses=cnf.num_clauses,
+                clauses=solver.num_clauses,
             )
 
-            solver = Solver(cnf)
             solver.max_conflicts = self.conflict_limit
             solver.deadline = deadline
             outcome = solver.solve()
@@ -560,11 +637,17 @@ class ExactPhysicalDesign:
 
 
 class _Encoding:
-    """CNF encoding of one placement & routing attempt."""
+    """CNF encoding of one placement & routing attempt.
+
+    The clauses go straight into the :class:`Solver` that will solve
+    them; no second copy of the formula is built.  The solver comes from
+    this module's ``Solver`` name, where the benchmark and the tests
+    put their instrumented subclasses.
+    """
 
     def __init__(self, problem: _Problem) -> None:
         self.problem = problem
-        self.cnf = Cnf()
+        self.solver = Solver()
         # gate_vars[node][(x, y)] -> SAT variable
         self.gate_vars: dict[int, dict[tuple[int, int], int]] = {}
         # segment_vars[edge][(x, r)] -> SAT variable
@@ -575,9 +658,9 @@ class _Encoding:
         self.ge_vars: dict[int, dict[int, int]] = {}
 
     # --- variable layers -----------------------------------------------
-    def build(self) -> Cnf:
+    def build(self) -> Solver:
         problem = self.problem
-        cnf = self.cnf
+        solver = self.solver
         network = problem.network
         width = problem.width
 
@@ -585,23 +668,23 @@ class _Encoding:
             placements = {}
             for y in range(problem.asap[node], problem.alap[node] + 1):
                 for x in range(width):
-                    placements[(x, y)] = cnf.new_var()
+                    placements[(x, y)] = solver.new_var()
             self.gate_vars[node] = placements
-            exactly_one(cnf, list(placements.values()))
+            exactly_one(solver, list(placements.values()))
 
         # Order-encoded row indicators: ge_vars[n][r] <-> row(n) >= r.
         for node in network.nodes():
             rows = range(problem.asap[node] + 1, problem.alap[node] + 1)
-            self.ge_vars[node] = {r: cnf.new_var() for r in rows}
+            self.ge_vars[node] = {r: solver.new_var() for r in rows}
             ge = self.ge_vars[node]
             for r in rows:
                 if r - 1 in ge:
-                    cnf.add_clause([-ge[r], ge[r - 1]])
+                    solver.add_clause([-ge[r], ge[r - 1]])
             for (x, y), gvar in self.gate_vars[node].items():
                 if y in ge:
-                    cnf.add_clause([-gvar, ge[y]])
+                    solver.add_clause([-gvar, ge[y]])
                 if y + 1 in ge:
-                    cnf.add_clause([-gvar, -ge[y + 1]])
+                    solver.add_clause([-gvar, -ge[y + 1]])
 
         def ge_literal(node: int, r: int) -> int | bool:
             """Literal (or constant) for "row(node) >= r"."""
@@ -616,12 +699,12 @@ class _Encoding:
             segments: dict[tuple[int, int], int] = {}
             for r in range(problem.asap[source] + 1, problem.alap[target]):
                 for x in range(width):
-                    segments[(x, r)] = cnf.new_var()
+                    segments[(x, r)] = solver.new_var()
             self.segment_vars[edge] = segments
             # At most one segment per row.
             for r in range(problem.asap[source] + 1, problem.alap[target]):
                 at_most_one(
-                    cnf,
+                    solver,
                     [segments[(x, r)] for x in range(width)],
                 )
             # Segment activity window: strictly between source and target,
@@ -629,14 +712,14 @@ class _Encoding:
             for (x, r), var in segments.items():
                 source_ge = ge_literal(source, r)  # row(source) >= r: forbid
                 if source_ge is True:
-                    cnf.add_clause([-var])
+                    solver.add_clause([-var])
                 elif source_ge is not False:
-                    cnf.add_clause([-var, -source_ge])
+                    solver.add_clause([-var, -source_ge])
                 target_ge = ge_literal(target, r + 1)  # row(target) >= r+1: require
                 if target_ge is False:
-                    cnf.add_clause([-var])
+                    solver.add_clause([-var])
                 elif target_ge is not True:
-                    cnf.add_clause([-var, target_ge])
+                    solver.add_clause([-var, target_ge])
 
         # Through variables: the edge's signal occupies the tile.
         for edge in problem.edges:
@@ -654,10 +737,10 @@ class _Encoding:
                         parts.append(self.gate_vars[target][(x, r)])
                     if not parts:
                         continue
-                    var = cnf.new_var()
+                    var = solver.new_var()
                     for part in parts:
-                        cnf.add_clause([-part, var])
-                    cnf.add_clause([-var] + parts)
+                        solver.add_clause([-part, var])
+                    solver.add_clause([-var] + parts)
                     through[(x, r)] = var
             self.through_vars[edge] = through
 
@@ -666,13 +749,13 @@ class _Encoding:
         self._capacity_constraints()
         self._defect_constraints()
         self._edge_constraints()
-        return cnf
+        return solver
 
     # --- occupied edge columns -----------------------------------------
     def _edge_constraints(self) -> None:
         """Each of ``edge_columns`` holds some gate or wire segment."""
         for column in self.problem.edge_columns:
-            self.cnf.add_clause(
+            self.solver.add_clause(
                 [
                     var
                     for layer in (self.gate_vars, self.segment_vars)
@@ -694,19 +777,19 @@ class _Encoding:
         blocked = self.problem.blocked
         if not blocked:
             return
-        cnf = self.cnf
+        solver = self.solver
         for placements in self.gate_vars.values():
             for position, var in placements.items():
                 if position in blocked:
-                    cnf.add_clause([-var])
+                    solver.add_clause([-var])
         for segments in self.segment_vars.values():
             for position, var in segments.items():
                 if position in blocked:
-                    cnf.add_clause([-var])
+                    solver.add_clause([-var])
 
     # --- chain structure -------------------------------------------------
     def _chain_constraints(self) -> None:
-        cnf = self.cnf
+        solver = self.solver
         width = self.problem.width
         for edge in self.problem.edges:
             source, target = edge
@@ -722,7 +805,7 @@ class _Encoding:
                     follower = through.get((column, r + 1))
                     if follower is not None:
                         tail.append(follower)
-                cnf.add_clause([-var] + tail)
+                solver.add_clause([-var] + tail)
             # Upward driver: every wire segment is driven from the north.
             for (x, r), var in self.segment_vars[edge].items():
                 drivers = [
@@ -730,7 +813,7 @@ class _Encoding:
                     for column in north_columns(x, r)
                     if (column, r - 1) in through
                 ]
-                cnf.add_clause([-var] + drivers)
+                solver.add_clause([-var] + drivers)
             # Operand arrival: the target receives through a north border.
             for (x, y), gvar in target_positions.items():
                 feeders = [
@@ -738,11 +821,11 @@ class _Encoding:
                     for column in north_columns(x, y)
                     if (column, y - 1) in through
                 ]
-                cnf.add_clause([-gvar] + feeders)
+                solver.add_clause([-gvar] + feeders)
 
     # --- distinct borders ----------------------------------------------
     def _border_constraints(self) -> None:
-        cnf = self.cnf
+        solver = self.solver
         network = self.problem.network
         fanouts = network.fanouts()
         for node in network.nodes():
@@ -755,7 +838,7 @@ class _Encoding:
                         a = self.through_vars[e1].get((column, y - 1))
                         b = self.through_vars[e2].get((column, y - 1))
                         if a is not None and b is not None:
-                            cnf.add_clause([-gvar, -a, -b])
+                            solver.add_clause([-gvar, -a, -b])
             consumers = fanouts[node]
             if len(consumers) == 2:
                 e1 = (node, consumers[0])
@@ -765,11 +848,11 @@ class _Encoding:
                         a = self.through_vars[e1].get((column, y + 1))
                         b = self.through_vars[e2].get((column, y + 1))
                         if a is not None and b is not None:
-                            cnf.add_clause([-gvar, -a, -b])
+                            solver.add_clause([-gvar, -a, -b])
 
     # --- tile capacity -----------------------------------------------------
     def _capacity_constraints(self) -> None:
-        cnf = self.cnf
+        solver = self.solver
         problem = self.problem
         width = problem.width
         # Collect, per tile, the gate and segment variables that may sit on it.
@@ -788,17 +871,17 @@ class _Encoding:
             # At most one gate.
             for i in range(len(gate_vars)):
                 for j in range(i + 1, len(gate_vars)):
-                    cnf.add_clause([-gate_vars[i], -gate_vars[j]])
+                    solver.add_clause([-gate_vars[i], -gate_vars[j]])
             # Gates exclude wire segments.
             for gate_var in gate_vars:
                 for _, segment_var in segment_entries:
-                    cnf.add_clause([-gate_var, -segment_var])
+                    solver.add_clause([-gate_var, -segment_var])
             # At most two wire segments.
             n = len(segment_entries)
             for i in range(n):
                 for j in range(i + 1, n):
                     for k in range(j + 1, n):
-                        cnf.add_clause(
+                        solver.add_clause(
                             [
                                 -segment_entries[i][1],
                                 -segment_entries[j][1],
@@ -816,9 +899,9 @@ class _Encoding:
                         a = self.through_vars[edge1].get((column, r - 1))
                         b = self.through_vars[edge2].get((column, r - 1))
                         if a is not None and b is not None:
-                            cnf.add_clause(guard + [-a, -b])
+                            solver.add_clause(guard + [-a, -b])
                     for column in south_columns(x, r):
                         a = self.through_vars[edge1].get((column, r + 1))
                         b = self.through_vars[edge2].get((column, r + 1))
                         if a is not None and b is not None:
-                            cnf.add_clause(guard + [-a, -b])
+                            solver.add_clause(guard + [-a, -b])

@@ -1,7 +1,8 @@
 """Standard CNF encoding gadgets.
 
 Tseitin gate encodings plus the cardinality constraints used by the exact
-physical design encoding (at-most-one tile occupancy).
+physical design encoding (at-most-one tile occupancy).  The cardinality
+gadgets write into a :class:`Cnf` or straight into a :class:`Solver`.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.sat.cnf import Cnf
+from repro.sat.solver import Solver
 
 
 # --- Tseitin gate encodings ------------------------------------------------
@@ -41,12 +43,12 @@ def tseitin_equal(cnf: Cnf, a: int, b: int) -> None:
 
 
 # --- cardinality constraints -------------------------------------------------
-def at_least_one(cnf: Cnf, literals: Sequence[int]) -> None:
+def at_least_one(cnf: Cnf | Solver, literals: Sequence[int]) -> None:
     """At least one of the literals is true."""
     cnf.add_clause(literals)
 
 
-def at_most_one(cnf: Cnf, literals: Sequence[int]) -> None:
+def at_most_one(cnf: Cnf | Solver, literals: Sequence[int]) -> None:
     """At most one literal true.
 
     Pairwise encoding for small sets, commander-style sequential encoding
@@ -71,7 +73,7 @@ def at_most_one(cnf: Cnf, literals: Sequence[int]) -> None:
     cnf.add_clause([-literals[n - 1], -registers[n - 2]])
 
 
-def exactly_one(cnf: Cnf, literals: Sequence[int]) -> None:
+def exactly_one(cnf: Cnf | Solver, literals: Sequence[int]) -> None:
     """Exactly one literal true."""
     at_least_one(cnf, literals)
     at_most_one(cnf, literals)

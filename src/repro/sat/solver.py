@@ -11,6 +11,11 @@ Internal literal encoding: variable ``v`` (1-based) maps to ``2*v`` for
 the positive and ``2*v + 1`` for the negative literal, so negation is
 ``lit ^ 1``.  The value array and the watch lists are indexed by that
 literal directly, and the hot loops bind the solver's arrays to locals.
+
+An encoder may hand its clauses to the solver as it generates them:
+:meth:`Solver.new_var`/:meth:`~Solver.new_vars` and
+:meth:`~Solver.add_clause` are the :class:`~repro.sat.cnf.Cnf` calls
+the encoding gadgets make, so no second copy of the formula is built.
 """
 
 from __future__ import annotations
@@ -66,6 +71,11 @@ class Solver:
         # watches[lit]: the clauses watching lit (lit is clause[0] or [1]).
         self._watches: list[list[list[int]]] = [[], []]
         self._clauses: list[list[int]] = []
+        # literal_objects[lit] is lit: every problem clause holds these
+        # shared int objects instead of one new int per occurrence.
+        self._literal_objects: list[int] = [0, 1]
+        #: Problem clauses added, including units and dropped ones.
+        self.num_clauses = 0
         self._learnts: list[list[int]] = []
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
@@ -105,9 +115,27 @@ class Solver:
         self._phase += [0] * count
         self._seen += [False] * count
         self._watches += [[] for _ in range(2 * count)]
+        self._literal_objects += range(2 * first, 2 * var + 2)
         # New variables have the lowest activity and the highest index,
         # so pushing them one by one never sifts: appending is the push.
         self._order += [(-0.0, v) for v in range(first, var + 1)]
+
+    @property
+    def num_vars(self) -> int:
+        """Variables allocated so far."""
+        return self._num_vars
+
+    def new_var(self) -> int:
+        """Allocate a fresh variable; returns its (positive) index."""
+        var = self._num_vars + 1
+        self._ensure_var(var)
+        return var
+
+    def new_vars(self, count: int) -> list[int]:
+        """Allocate ``count`` fresh variables."""
+        first = self._num_vars + 1
+        self._ensure_var(self._num_vars + count)
+        return list(range(first, first + count))
 
     def add_cnf(self, cnf: Cnf) -> None:
         self._ensure_var(cnf.num_vars)
@@ -122,19 +150,22 @@ class Solver:
         level = self._level
         watches = self._watches
         problem = self._clauses
+        literal_objects = self._literal_objects
         for literals in clauses:
+            self.num_clauses += 1
             if not self._ok:
-                return
+                continue
             clause: list[int] = []
             for dimacs in literals:
                 if dimacs < 0:
                     var = -dimacs
-                    lit = var + var + 1
+                    negative = 1
                 else:
                     var = dimacs
-                    lit = var + var
+                    negative = 0
                 if var > self._num_vars:
                     self._ensure_var(var)
+                lit = literal_objects[var + var + negative]
                 # Satisfied clauses at level 0 are dropped, literals
                 # falsified at level 0 skipped.
                 current = value[lit]

@@ -51,8 +51,11 @@ from repro.tech.design_rules import DesignRules
 #: version 2.  Version 7: exact P&R requires both edge columns of a
 #: floor plan one column wider than a proven-UNSAT one, so such a
 #: winner may get a different (equally small, verified) layout and a
-#: persisted ``.sqd`` can differ.
-DIGEST_VERSION = 7
+#: persisted ``.sqd`` can differ.  Version 8: exact P&R starts at the
+#: geometric height bound instead of the depth, so a design whose PIs
+#: set that bound searches taller floor plans and may win with a
+#: smaller area.
+DIGEST_VERSION = 8
 
 
 class UncacheableConfigurationError(ValueError):

@@ -15,7 +15,6 @@ layouts serialize byte-identically to the defect-free writer.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.dom import minidom
 
 from repro.coords.lattice import LatticeSite
 from repro.defects.model import DefectType, SidbDefect, SurfaceDefects
@@ -31,65 +30,79 @@ _PROGRAM_VERSION = "1.0.0"
 SQD_WRITER_VERSION = _PROGRAM_VERSION
 
 
+def _escape(text: str) -> str:
+    """Escape ``& < " >`` as minidom's writer does (an apostrophe stays)."""
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace('"', "&quot;")
+        .replace(">", "&gt;")
+    )
+
+
+def _element(indent: str, open_tag: str, children: list[str]) -> list[str]:
+    """An element's lines: self-closing when it has no child."""
+    if not children:
+        return [f"{indent}<{open_tag}/>"]
+    name = open_tag.split(" ", 1)[0]
+    return [f"{indent}<{open_tag}>", *children, f"{indent}</{name}>"]
+
+
 def write_sqd(
     layout: SidbLayout,
     design_name: str = "layout",
     defects: SurfaceDefects | None = None,
 ) -> str:
-    """Serialize an SiDB layout as a SiQAD .sqd XML document."""
-    root = ET.Element("siqad")
-    program = ET.SubElement(root, "program")
-    ET.SubElement(program, "file_purpose").text = "save"
-    ET.SubElement(program, "name").text = _PROGRAM_NAME
-    ET.SubElement(program, "version").text = _PROGRAM_VERSION
+    """Serialize an SiDB layout as a SiQAD .sqd XML document.
 
-    gui = ET.SubElement(root, "gui")
-    ET.SubElement(gui, "zoom").text = "1"
-
-    design = ET.SubElement(root, "design", {"name": design_name})
-    ET.SubElement(
-        design,
-        "layer_prop",
-        {"name": "Lattice", "type": "Lattice", "role": "Design"},
-    )
-    db_layer = ET.SubElement(
-        design, "layer", {"type": "DB", "name": "Surface"}
-    )
+    The text is written directly, laid out as minidom's
+    ``toprettyxml(indent="  ")`` lays out the document: one element per
+    line, two spaces per level, text-only elements on one line, empty
+    ones self-closing.
+    """
+    dots: list[str] = []
     for site in layout.sites():
-        dbdot = ET.SubElement(db_layer, "dbdot")
-        ET.SubElement(dbdot, "layer_id").text = "2"
-        ET.SubElement(
-            dbdot,
-            "latcoord",
-            {"n": str(site.n), "m": str(site.m), "l": str(site.l)},
-        )
         x_nm, y_nm = site.position_nm
-        ET.SubElement(
-            dbdot,
-            "physloc",
-            {"x": f"{x_nm * 10:.6f}", "y": f"{y_nm * 10:.6f}"},
+        dots += (
+            "      <dbdot>",
+            "        <layer_id>2</layer_id>",
+            f'        <latcoord n="{site.n}" m="{site.m}" l="{site.l}"/>',
+            f'        <physloc x="{x_nm * 10:.6f}" y="{y_nm * 10:.6f}"/>',
+            "      </dbdot>",
         )
+    lines = [
+        '<?xml version="1.0" ?>',
+        "<siqad>",
+        "  <program>",
+        "    <file_purpose>save</file_purpose>",
+        f"    <name>{_PROGRAM_NAME}</name>",
+        f"    <version>{_PROGRAM_VERSION}</version>",
+        "  </program>",
+        "  <gui>",
+        "    <zoom>1</zoom>",
+        "  </gui>",
+        f'  <design name="{_escape(design_name)}">',
+        '    <layer_prop name="Lattice" type="Lattice" role="Design"/>',
+        *_element("    ", 'layer type="DB" name="Surface"', dots),
+    ]
     if defects:
-        defect_layer = ET.SubElement(
-            design, "layer", {"type": "Defects", "name": "Defects"}
-        )
+        records: list[str] = []
         for defect in defects:
-            element = ET.SubElement(defect_layer, "defect")
-            ET.SubElement(element, "layer_id").text = "3"
-            coords = ET.SubElement(element, "incl_coords")
-            ET.SubElement(
-                coords,
-                "latcoord",
-                {
-                    "n": str(defect.site.n),
-                    "m": str(defect.site.m),
-                    "l": str(defect.site.l),
-                },
+            site = defect.site
+            records += (
+                "      <defect>",
+                "        <layer_id>3</layer_id>",
+                "        <incl_coords>",
+                f'          <latcoord n="{site.n}" m="{site.m}" l="{site.l}"/>',
+                "        </incl_coords>",
+                f"        <defect_type>{_escape(defect.kind.value)}"
+                "</defect_type>",
+                f"        <charge>{_escape(str(defect.charge))}</charge>",
+                "      </defect>",
             )
-            ET.SubElement(element, "defect_type").text = defect.kind.value
-            ET.SubElement(element, "charge").text = str(defect.charge)
-    raw = ET.tostring(root, encoding="unicode")
-    return minidom.parseString(raw).toprettyxml(indent="  ")
+        lines += _element("    ", 'layer type="Defects" name="Defects"', records)
+    lines += ("  </design>", "</siqad>", "")
+    return "\n".join(lines)
 
 
 def read_sqd(text: str) -> SidbLayout:

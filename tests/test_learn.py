@@ -554,7 +554,7 @@ def test_verdict_equality_with_collection(tmp_path):
 
 
 def test_digest_learn_participation():
-    assert DIGEST_VERSION == 7
+    assert DIGEST_VERSION == 8
     verilog = benchmark_verilog("xor2")
     base = design_digest(verilog, "xor2", FlowConfiguration())
     learned = design_digest(

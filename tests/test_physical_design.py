@@ -3,6 +3,7 @@
 import argparse
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import obs
 from repro.cli import _report_failure
@@ -24,6 +25,7 @@ from repro.physical_design import exact as exact_module
 from repro.physical_design.common import placement_conflicts
 from repro.physical_design.exact import (
     ExactStatistics,
+    HeightBound,
     _Encoding,
     _problem,
     minimum_height,
@@ -36,7 +38,7 @@ from repro.physical_design.topology_study import (
     port_assignment_feasible,
     wiring_overhead,
 )
-from repro.sat import Solver
+from repro.networks.xag import Xag
 from repro.synthesis import NpnDatabase, cut_rewrite, map_to_bestagon
 from repro.verification import check_layout_against_network
 
@@ -111,8 +113,19 @@ class TestExactEngine:
         assert stats.sat_variables > 0
 
     def test_minimum_height_is_depth_plus_one(self):
-        network = mapped("xor2")
-        assert minimum_height(network) == network.depth() + 1
+        # Except where a node's PIs cannot meet that near row 0:
+        # xor5_majority's last gate depends on all 5 PIs, newtag's last
+        # NAND on all 8.  The rows are mapped without rewriting, as
+        # majority_5_r1's rewrite alone takes ~40 s; TestHeightBound
+        # checks the rewritten xor5_majority and newtag.
+        above_depth = {"xor5_majority": 6, "newtag": 9}
+        for name in TABLE1_REFERENCE:
+            network = map_to_bestagon(benchmark_network(name))
+            assert minimum_height(network) == above_depth.get(
+                name, network.depth() + 1
+            ), name
+        assert mapped("xor5_majority").depth() + 1 == 5
+        assert mapped("newtag").depth() + 1 == 7
 
     def test_rejects_fanout_violations(self):
         network = LogicNetwork()
@@ -246,30 +259,112 @@ class TestExactBugfixes:
         )
 
 
-def _without_edge_clauses(network, attempt, blocked=frozenset()):
-    """(outcome, clauses) of ``attempt``'s candidate, no edge clauses."""
+def _plain_outcome(network, width, height, blocked=frozenset()):
+    """(outcome, clauses) of the (W, H) encoding without edge clauses."""
     problem = _problem(
         network,
-        attempt.width,
-        attempt.height,
-        frozenset(
-            (x, y)
-            for x, y in blocked
-            if x < attempt.width and y < attempt.height
-        ),
+        width,
+        height,
+        frozenset((x, y) for x, y in blocked if x < width and y < height),
     )
     if problem is None:
         return "infeasible", 0
-    cnf = _Encoding(problem).build()
-    return Solver(cnf).solve().value, cnf.num_clauses
+    solver = _Encoding(problem).build()
+    return solver.solve().value, solver.num_clauses
 
 
 def _assert_outcomes_kept(network, attempts, blocked=frozenset()):
     for attempt in attempts:
-        outcome, clauses = _without_edge_clauses(network, attempt, blocked)
+        outcome, clauses = _plain_outcome(
+            network, attempt.width, attempt.height, blocked
+        )
         assert attempt.outcome == outcome, (attempt.width, attempt.height)
         if outcome != "infeasible":
             assert attempt.sat_clauses == clauses + attempt.edge_columns
+
+
+@st.composite
+def small_mapped_networks(draw):
+    """Bestagon-mapped random XAGs over 4 or 5 PIs and one PO.
+
+    Each gate joins the two shallowest signals (ties in drawn order),
+    as in a Huffman tree, and up to two gates leave an operand for a
+    later gate too.  Fewer than 4 PIs never lift the height bound above
+    depth + 1: a node fed by k PIs through two-input gates is at least
+    log2(k) levels deep.
+    """
+    xag = Xag("random")
+    pool = [
+        (0, xag.create_pi(f"x{i}")) for i in range(draw(st.integers(4, 5)))
+    ]
+    reused = 0
+    while len(pool) > 1:
+        pool = sorted(draw(st.permutations(pool)), key=lambda e: e[0])
+        (depth_a, a), (depth_b, b) = pool[:2]
+        if draw(st.integers(0, 4)) == 0:
+            a = xag.create_not(a)
+        create = draw(
+            st.sampled_from([xag.create_and, xag.create_xor, xag.create_or])
+        )
+        keep = reused < 2 and draw(st.integers(0, 3)) == 0
+        reused += keep
+        pool = (
+            pool[1:2] * keep
+            + pool[2:]
+            + [(max(depth_a, depth_b) + 1, create(a, b))]
+        )
+    xag.create_po(pool[0][1])
+    return map_to_bestagon(xag)
+
+
+class TestHeightBound:
+    """No layout is shorter than ``minimum_height``, and on xor5_majority
+    and newtag, whose PIs set it, the winner is exactly that tall."""
+
+    @pytest.mark.parametrize("width", [5, 6])
+    def test_xor5_majority_has_no_five_row_layout(self, width):
+        outcome, _ = _plain_outcome(mapped("xor5_majority"), width, 5)
+        assert outcome == "unsat"
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_mapped_networks())
+    def test_no_layout_below_the_bound(self, network):
+        bound = minimum_height(network)
+        assume(bound > network.depth() + 1)
+        width_min = max(network.num_pis, network.num_pos)
+        for height in range(1, bound):
+            for width in range(width_min, network.num_pis + 3):
+                outcome, _ = _plain_outcome(network, width, height)
+                assert outcome in ("unsat", "infeasible"), (width, height)
+
+    @pytest.mark.parametrize(
+        "name, size", [("xor5_majority", (5, 6)), ("newtag", (8, 9))]
+    )
+    def test_winner_sits_at_the_bound(self, name, size):
+        network = mapped(name)
+        statistics = ExactStatistics()
+        layout = ExactPhysicalDesign().run(network, statistics)
+        assert (layout.width, layout.height) == size
+        assert layout.height == minimum_height(network)
+        assert statistics.candidates_tried == [size]
+
+    def test_statistics_and_failures_name_what_sets_it(self):
+        network = mapped("newtag")
+        statistics = ExactStatistics()
+        with pytest.raises(PhysicalDesignTimeoutError) as excinfo:
+            ExactPhysicalDesign(time_limit_seconds=0.0).run(
+                network, statistics
+            )
+        assert statistics.height_bound == HeightBound(9, 16, 8)
+        assert (
+            "heights below 9 are impossible: node 16 depends on 8 PIs; "
+            "area lower bound: 72 tiles"
+        ) in str(excinfo.value)
+        depth_set = ExactStatistics()
+        ExactPhysicalDesign().run(mapped("xor2"), depth_set)
+        assert str(depth_set.height_bound) == (
+            "heights below 3 are impossible: node 3 is 2 levels deep"
+        )
 
 
 # mux21 with all of column 0 and three more tiles blocked: every
@@ -285,19 +380,26 @@ class TestUnsatReuse:
     both edge columns (only the right one when tiles are blocked)."""
 
     def test_xor5_majority_search(self):
+        # run starts at 5x6, the bound; the 5-row floor plans below it
+        # are attempted directly, with the edge clauses run would add.
+        network = mapped("xor5_majority")
         statistics = ExactStatistics()
-        ExactPhysicalDesign().run(mapped("xor5_majority"), statistics)
+        engine = ExactPhysicalDesign()
+        engine.run(network, statistics)
+        engine._attempt(network, 5, 5, statistics)
+        engine._attempt(network, 6, 5, statistics, edge_columns=(5, 0))
         assert [
             (a.width, a.height, a.outcome, a.sat_conflicts, a.edge_columns)
             for a in statistics.attempts
         ] == [
+            (5, 6, "sat", 0, 0),
             (5, 5, "unsat", 13, 0),
             (6, 5, "unsat", 5, 2),
-            (5, 6, "sat", 0, 0),
         ]
+        _assert_outcomes_kept(network, statistics.attempts[1:])
 
     @pytest.mark.parametrize(
-        "name", ["xor5_majority", "majority", "1bitAdderAOIG", "b1_r2"]
+        "name", ["t_5", "majority", "1bitAdderAOIG", "b1_r2"]
     )
     def test_edge_clauses_keep_every_outcome(self, name):
         network = mapped(name)
@@ -350,18 +452,21 @@ class TestUnsatReuse:
 
     def test_edge_columns_in_span_and_failure_table(self, capsys):
         engine = ExactPhysicalDesign(
-            max_width=6, extra_rows=0, conflict_limit=None
+            max_width=4, extra_rows=0, conflict_limit=None
         )
         with obs.capture("search", enable=True) as capture:
             with pytest.raises(PhysicalDesignError) as excinfo:
-                engine.run(mapped("xor5_majority"))
+                engine.run(mapped("majority"))
         spans = capture.span.find_all("exact.candidate")
         assert [span.attributes["edge_columns"] for span in spans] == [0, 2]
         _report_failure(argparse.Namespace(trace=False), excinfo.value)
         lines = capsys.readouterr().err.splitlines()
+        assert "heights below 6 are impossible: node 9 is 5 levels deep" in (
+            lines[0]
+        )
         assert lines[1:] == [
-            "  5x5  unsat      13 conflicts",
-            "  6x5  unsat      5 conflicts, edge columns 2",
+            "  3x6  unsat      7 conflicts",
+            "  4x6  unsat      10 conflicts, edge columns 2",
         ]
 
 

@@ -212,6 +212,50 @@ def pigeonhole(pigeons: int, holes: int) -> Cnf:
     return cnf
 
 
+class TestStreamedClauses:
+    """An encoder may add its clauses to the solver as it makes them."""
+
+    def test_same_search_as_loading_a_cnf(self):
+        cnf = random_3sat(150, 1)
+        streamed = Solver()
+        assert streamed.new_vars(cnf.num_vars) == list(
+            range(1, cnf.num_vars + 1)
+        )
+        for clause in cnf.clauses:
+            streamed.add_clause(clause)
+        loaded = Solver(cnf)
+        assert (streamed.num_vars, streamed.num_clauses) == (
+            cnf.num_vars,
+            cnf.num_clauses,
+        )
+        assert streamed.solve() is loaded.solve() is SolverResult.SAT
+        assert (
+            streamed.conflicts, streamed.decisions, streamed.propagations
+        ) == (loaded.conflicts, loaded.decisions, loaded.propagations)
+        assert streamed.model() == loaded.model()
+
+    def test_clause_count_includes_units_and_dropped_clauses(self):
+        solver = Solver()
+        a = solver.new_var()
+        b = solver.new_var()
+        solver.add_clause([a])
+        solver.add_clause([a, b])  # satisfied at level 0: dropped
+        solver.add_clause([b, -b])  # tautology
+        assert solver.num_clauses == 3
+        assert solver.new_var() == 3
+
+    def test_clauses_share_one_object_per_literal(self):
+        solver = Solver()
+        a, b, c = solver.new_vars(300)[-3:]
+        for clause in ([a, b], [-b, c], [a, c]):
+            solver.add_clause(clause)
+        first, second, third = solver._clauses
+        # Literals above 256 are not cached by the interpreter.
+        assert first[0] == third[0] > 256
+        assert first[0] is third[0]
+        assert first[1] ^ 1 == second[0]
+
+
 class TestDeadline:
     def test_expired_deadline_returns_unknown(self):
         solver = Solver()
@@ -298,11 +342,14 @@ def random_3sat(num_vars: int, seed: int, ratio: float = 4.26) -> Cnf:
     return cnf
 
 
-def _trajectory(instance: str, cnf: Cnf, solver: Solver, result) -> dict:
-    """Everything one ``solve`` decided, counted or learnt."""
+def _trajectory(instance: str, cnf: list, solver: Solver, result) -> dict:
+    """Everything one ``solve`` decided, counted or learnt.
+
+    ``cnf`` is the instance as [variables, clauses, clause digest].
+    """
     return {
         "instance": instance,
-        "cnf": [cnf.num_vars, cnf.num_clauses, _digest(cnf.clauses)],
+        "cnf": cnf,
         "result": result.value,
         "conflicts": solver.conflicts,
         "decisions": solver.decisions,
@@ -323,21 +370,43 @@ def _trajectory(instance: str, cnf: Cnf, solver: Solver, result) -> dict:
 def _solve(instance: str, cnf: Cnf, max_conflicts: int | None = None) -> dict:
     solver = Solver(cnf)
     solver.max_conflicts = max_conflicts
-    return _trajectory(instance, cnf, solver, solver.solve())
+    described = [cnf.num_vars, cnf.num_clauses, _digest(cnf.clauses)]
+    return _trajectory(instance, described, solver, solver.solve())
 
 
 def _flow_solves(module, run) -> list[dict]:
-    """Trajectories of every solve ``run()`` makes through ``module.Solver``."""
+    """Trajectories of every solve ``run()`` makes through ``module.Solver``.
+
+    The clauses are digested as they reach the solver, whether through
+    ``Solver(cnf)`` or one ``add_clause`` at a time, into the digest
+    :func:`_digest` gives the whole clause list.
+    """
     records: list[dict] = []
 
     class Recording(Solver):
-        def __init__(self, cnf):
+        def __init__(self, cnf=None):
+            self.clause_digest = hashlib.sha256(b"[")
+            self.digested = 0
             super().__init__(cnf)
-            self.cnf = cnf
+
+        def _add_clauses(self, clauses):
+            clauses = [list(clause) for clause in clauses]
+            for clause in clauses:
+                separator = ", " if self.digested else ""
+                self.clause_digest.update(
+                    (separator + json.dumps(clause)).encode()
+                )
+                self.digested += 1
+            super()._add_clauses(clauses)
 
         def solve(self, assumptions=()):
             result = super().solve(assumptions)
-            records.append(_trajectory("", self.cnf, self, result))
+            digest = self.clause_digest.copy()
+            digest.update(b"]")
+            described = [
+                self.num_vars, self.num_clauses, digest.hexdigest()[:16]
+            ]
+            records.append(_trajectory("", described, self, result))
             return result
 
     saved = module.Solver
@@ -349,6 +418,12 @@ def _flow_solves(module, run) -> list[dict]:
     return records
 
 
+def _mapped(name: str):
+    return map_to_bestagon(
+        cut_rewrite(parse_verilog(benchmark_verilog(name), name), NpnDatabase())
+    )
+
+
 def sat_trajectories() -> list[dict]:
     """The corpus, solver-only instances first.
 
@@ -356,9 +431,8 @@ def sat_trajectories() -> list[dict]:
     that passes learnt-clause reduction and the 1e100 activity rescale
     (~4490 conflicts); a conflict-limited pigeonhole; exact synthesis of
     MAJ3 and of one 4-input class; every exact-P&R candidate the flow
-    solves for t_5, majority and xor5_majority (whose 6x5 candidate,
-    one column wider than the UNSAT 5x5, carries the two edge-column
-    clauses).
+    solves for t_5, majority and xor5_majority; and majority's 4x6, one
+    column wider than its UNSAT 3x6, with the two edge-column clauses.
     """
     records = [
         _solve("random3sat/n150/seed1", random_3sat(150, 1)),
@@ -375,11 +449,7 @@ def sat_trajectories() -> list[dict]:
             record["instance"] = f"synthesis/{label}/gates{gates}"
         records += solves
     for name in ("t_5", "majority", "xor5_majority"):
-        mapped = map_to_bestagon(
-            cut_rewrite(
-                parse_verilog(benchmark_verilog(name), name), NpnDatabase()
-            )
-        )
+        mapped = _mapped(name)
         statistics = exact_pnr.ExactStatistics()
         solves = _flow_solves(
             exact_pnr,
@@ -389,7 +459,15 @@ def sat_trajectories() -> list[dict]:
         for attempt, record in zip(solved, solves, strict=True):
             record["instance"] = f"pnr/{name}/{attempt.width}x{attempt.height}"
         records += solves
-    return records
+    majority = _mapped("majority")
+    (record,) = _flow_solves(
+        exact_pnr,
+        lambda: exact_pnr.ExactPhysicalDesign()._attempt(
+            majority, 4, 6, exact_pnr.ExactStatistics(), edge_columns=(3, 0)
+        ),
+    )
+    record["instance"] = "pnr/majority/4x6/edge_columns"
+    return records + [record]
 
 
 class TestTrajectoryGolden:
