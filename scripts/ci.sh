@@ -74,14 +74,15 @@ traced_run pnr_unsat place_route.candidates=1 \
 echo "== benchmark physics hooks (traced tile_library run) =="
 # Patches repro.sidb.operational.quickexact_ground_state and SimAnneal
 # and reads QuickExactStatistics fields.  Engine auto solves every
-# pattern of up to 32 sites exactly, so QuickExact runs once per
-# isometry class of 84 patterns (48 classes), on the class's canonical
-# form, and SimAnneal only on half_adder's 4 patterns of 52 sites; a
-# memo hit builds no geometry.  The node, leaf and cut counts include
-# the configuration-stability (hop) witness's pruning.
-traced_run tile_library quickexact.calls=48 quickexact.nodes_visited=33874 \
-    quickexact.leaves_evaluated=1927 quickexact.cuts=15058 \
-    simanneal.calls=4 geometry.hits=0 geometry.misses=52 \
+# pattern exactly within QuickExact's node budget, so QuickExact runs
+# once per isometry class of all 88 patterns (52 classes: half_adder's
+# 4 patterns of 52 sites included), on the class's canonical form, and
+# SimAnneal never runs; a memo hit builds no geometry.  The node, leaf
+# and cut counts are the witnesses' pruning (hop witness included):
+# half_adder's searches add 37,550 of the 71,424 nodes.
+traced_run tile_library quickexact.calls=52 quickexact.nodes_visited=71424 \
+    quickexact.leaves_evaluated=3144 quickexact.cuts=32620 \
+    simanneal.calls=0 geometry.hits=0 geometry.misses=52 \
     validate.patterns=88
 
 echo "== design script load =="

@@ -55,9 +55,10 @@ S = LatticeSite.from_row
 P32 = SiDBSimulationParameters(mu_minus=-0.32)
 IDENTITY = TruthTable(1, 0b10)
 NOT = TruthTable(1, 0b01)
-# Annealing schedule of a tile candidate above QuickExact's 32-site
-# ceiling; the assembled two-input tiles have 29-31 sites, so engine
-# auto judges almost every candidate exactly.
+# Annealing schedule of a tile candidate whose exact search spends
+# QuickExact's node budget; the assembled two-input tiles have 29-31
+# sites and need under a thousand nodes each, so engine auto judges every
+# candidate exactly.
 SCHEDULE = SimAnnealParameters(instances=10, sweeps=200, seed=5)
 # Candidate scoring fans out over this many worker processes (the scan
 # order and results are identical to the serial default).

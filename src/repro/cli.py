@@ -55,6 +55,7 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 
 from repro import api, obs
 from repro.service.http import DEFAULT_PORT as _DEFAULT_PORT
@@ -244,9 +245,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for name in names:
             with _progress(args), obs.span("validate.tile", tile=name):
                 report = library.validate(name)
+            total = len(report.patterns)
             correct = sum(p.correct for p in report.patterns)
+            exact = sum(p.exact for p in report.patterns)
+            engines = ", ".join(
+                f"{engine} x{count}"
+                for engine, count in Counter(
+                    p.engine for p in report.patterns
+                ).items()
+            )
             verdict = "operational" if report.operational else "NOT operational"
-            print(f"{name:16s} {verdict} ({correct}/{len(report.patterns)} patterns)")
+            print(
+                f"{name:16s} {verdict} ({correct}/{total} patterns; "
+                f"{exact}/{total} exact; {engines})"
+            )
             if not report.operational:
                 status = 1
     if args.trace:

@@ -47,8 +47,9 @@ def score_design(
     """(correct patterns, total patterns) for a canvas choice.
 
     Each pair of ``input_pairs_to_hold`` is checked as one more output
-    whose truth table is its input variable.  A layout above
-    QuickExact's site ceiling raises ``ValueError``.
+    whose truth table is its input variable.  A layout whose search
+    spends QuickExact's node budget raises
+    :class:`~repro.sidb.quickexact.BudgetExhausted`.
     """
     num_inputs = len(problem.input_stimuli)
     total = 1 << num_inputs

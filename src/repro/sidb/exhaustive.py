@@ -44,12 +44,11 @@ class GroundStateResult:
     search *examined*: population-stable ones, further filtered for
     configuration stability when the search ran with
     ``require_configuration_stability=True`` (i.e. metastable ones).
-    For the exhaustive engine this is the exact number of such states
-    in the whole 2^N space; for the pruned QuickExact engine
-    (:mod:`repro.sidb.quickexact`) subtrees provably above the energy
-    incumbent are skipped, so it is a lower bound that becomes exact
-    with ``energy_pruning=False``.  For SimAnneal it is simply the
-    number of distinct ground states reported.
+    For the exhaustive engine and the pruned QuickExact engine
+    (:mod:`repro.sidb.quickexact`, whose cuts skip only subtrees
+    without such a state) this is the exact number of such states in
+    the whole 2^N space.  For SimAnneal it is simply the number of
+    distinct ground states reported.
     """
 
     layout: SidbLayout

@@ -38,16 +38,24 @@ from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import GROUND_STATE_MEMO, EnergyModel
 from repro.sidb.exhaustive import GroundStateResult, exhaustive_ground_state
-from repro.sidb.quickexact import MAX_QUICKEXACT_SITES, quickexact_ground_state
+from repro.sidb.quickexact import BudgetExhausted, quickexact_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
 #: Ground-state engine selectors accepted by the operational checks:
-#: ``"auto"`` solves systems of up to :data:`MAX_QUICKEXACT_SITES`
-#: exactly with QuickExact and anneals larger ones; ``"quickexact"``,
-#: ``"exhaustive"`` (ExGS, the reference the tests compare against) and
-#: ``"simanneal"`` name a specific solver.
+#: ``"auto"`` solves every system exactly with QuickExact and anneals
+#: it only when the search spends :data:`QUICKEXACT_NODE_BUDGET`;
+#: ``"quickexact"``, ``"exhaustive"`` (ExGS, the reference the tests
+#: compare against) and ``"simanneal"`` name a specific solver.
 ENGINES = ("auto", "quickexact", "exhaustive", "simanneal")
+
+#: Nodes a QuickExact search may visit before engine ``"auto"`` hands
+#: its system to SimAnneal (and ``"quickexact"`` raises
+#: :class:`~repro.sidb.quickexact.BudgetExhausted`).  Counted in nodes,
+#: not seconds, so a verdict does not depend on the host's load.  The
+#: library's largest search takes under 13,000; a search that spends
+#: the budget costs about 1.5 s at 56 sites.
+QUICKEXACT_NODE_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -133,13 +141,22 @@ class GateUnderTest:
 
 @dataclass
 class PatternResult:
-    """Simulation outcome for one input combination."""
+    """Simulation outcome for one input combination.
+
+    ``engine`` names the solver that decided the pattern; the verdict is
+    ``exact`` unless that solver is SimAnneal.
+    """
 
     pattern: int
     expected: tuple[bool, ...]
     observed: tuple[bool | None, ...]
     ground_energy: float
     correct: bool
+    engine: str
+
+    @property
+    def exact(self) -> bool:
+        return self.engine != "simanneal"
 
 
 @dataclass
@@ -169,8 +186,12 @@ def simulate_pattern(
     """
     layout = gate.layout(pattern)
     expected = gate.expected(pattern)
-    with obs.span("operational.pattern", pattern=pattern):
-        result = _ground_state(layout, parameters, engine, schedule, defects)
+    with obs.span("operational.pattern", pattern=pattern) as span:
+        engine, result = _ground_state(
+            layout, parameters, engine, schedule, defects
+        )
+        span.set("engine", engine)
+        span.set("exact", engine != "simanneal")
     if result.ground_states:
         occupation = result.occupation()
         observed = tuple(
@@ -199,6 +220,7 @@ def simulate_pattern(
         observed=observed,
         ground_energy=result.ground_energy,
         correct=correct,
+        engine=engine,
     )
 
 
@@ -212,11 +234,12 @@ def check_operational(
     """Simulate a gate over all of its input patterns.
 
     ``engine`` selects the ground state finder (see :data:`ENGINES`);
-    with the default ``"auto"`` QuickExact handles systems up to its
-    ceiling and SimAnneal the rest.  ``defects`` optionally lists
-    charged surface defects (:class:`~repro.defects.model.SidbDefect`)
-    folded into every pattern's energy model as fixed point charges;
-    with none the check is bit-identical to the pristine-surface result.
+    with the default ``"auto"`` QuickExact decides every pattern whose
+    search fits its node budget and SimAnneal the rest.  ``defects``
+    optionally lists charged surface defects
+    (:class:`~repro.defects.model.SidbDefect`) folded into every
+    pattern's energy model as fixed point charges; with none the check
+    is bit-identical to the pristine-surface result.
     """
     parameters = parameters or SiDBSimulationParameters()
     if engine not in ENGINES:
@@ -254,20 +277,24 @@ def _ground_state(
     engine: str,
     schedule: SimAnnealParameters | None,
     defects=(),
-) -> GroundStateResult:
+) -> tuple[str, GroundStateResult]:
+    """The engine that decided ``layout`` and its ground state(s)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    if engine in ("quickexact", "exhaustive"):
+        return engine, _exact_ground_state(layout, parameters, engine, defects)
     if engine == "auto":
-        engine = (
-            "simanneal" if len(layout) > MAX_QUICKEXACT_SITES else "quickexact"
-        )
-    obs.gauge("engine", engine)
-    if engine == "simanneal":
-        # An annealed state depends on the site order and the seed, so
-        # SimAnneal always runs on the layout exactly as given.
-        model = EnergyModel(layout, parameters, defects) if defects else None
-        return SimAnneal(layout, parameters, schedule, model=model).run()
-    return _exact_ground_state(layout, parameters, engine, defects)
+        try:
+            return "quickexact", _exact_ground_state(
+                layout, parameters, "quickexact", defects
+            )
+        except BudgetExhausted:
+            pass
+    # An annealed state depends on the site order and the seed, so
+    # SimAnneal always runs on the layout exactly as given.
+    model = EnergyModel(layout, parameters, defects) if defects else None
+    annealer = SimAnneal(layout, parameters, schedule, model=model)
+    return "simanneal", annealer.run()
 
 
 def _exact_ground_state(
@@ -282,7 +309,9 @@ def _exact_ground_state(
     defects included), so the result does not depend on the memo's
     state or on which member of the class came first.  Each caller gets
     fresh ground-state arrays in its own site order; a memo hit carries
-    ``stats=None``.
+    ``stats=None``.  A QuickExact search that spends
+    :data:`QUICKEXACT_NODE_BUDGET` raises
+    :class:`~repro.sidb.quickexact.BudgetExhausted` and stores nothing.
     """
     charged = [defect for defect in defects if defect.charge]
     form = canonical_form(
@@ -303,12 +332,16 @@ def _exact_ground_state(
             if canonical_defects
             else None
         )
-        solve = (
-            exhaustive_ground_state
+        canonical = (
+            exhaustive_ground_state(canonical_layout, parameters, model=model)
             if engine == "exhaustive"
-            else quickexact_ground_state
+            else quickexact_ground_state(
+                canonical_layout,
+                parameters,
+                model=model,
+                node_budget=QUICKEXACT_NODE_BUDGET,
+            )
         )
-        canonical = solve(canonical_layout, parameters, model=model)
         for state in canonical.ground_states:
             state.setflags(write=False)
         GROUND_STATE_MEMO.store(key, canonical)

@@ -30,26 +30,33 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   metastable.  The visiting order is fixed, so the sums depend only on
   the depth and are tabulated once per search.
 
-* **Branch-and-bound energy pruning.**  The incumbent is the best
-  exact leaf energy found so far (or a caller-supplied upper bound).
-  The search branches the likelier ground-state value first, so its
-  first leaves already reach a low-energy state.  Each partial
-  assignment carries an energy lower bound -- the decided part's exact
-  energy plus ``min(0, mu + ext_j + base_j)`` per undecided site, valid
-  because cross-terms among undecided negatives are repulsive -- and
-  subtrees provably above the incumbent (plus the degeneracy
-  tolerance) are skipped.  Disable with ``energy_pruning=False`` to
-  enumerate *every* stable configuration (then ``valid_count`` matches
-  ExGS exactly).
+* **Level-synchronous expansion.**  The search tree is grown one depth
+  at a time: every surviving partial assignment of a depth is extended
+  by both values of the next site at once, as ``(frontier x n)``
+  arrays, and all children are tested against both witnesses in one
+  batch.  Children stay in depth-first order -- parent order, the
+  likelier ground-state value first -- so the leaves reach the ground
+  set in the order a depth-first recursion would visit them.  A
+  frontier wider than :data:`FRONTIER_CAP` is split and finished chunk
+  by chunk, in the same order, so memory stays bounded.  The witnesses
+  cut only subtrees without a single stable configuration, so
+  ``valid_count`` equals the exhaustive count.
 
 * **Vectorized leaf enumeration.**  Once only ``leaf_bits`` sites
-  remain undecided, the whole 2^leaf_bits subtree is evaluated as one
-  numpy batch -- the same chunked formulation as the exhaustive engine
-  -- so the Python-level recursion only ever runs over the pruned
-  prefix tree.  Every leaf sits at the same depth, so the suffix
-  patterns' potentials, occupancy masks and pair energies are computed
-  once per search; a leaf screens its rows on the suffix columns
-  first and tests the decided prefix only on the rows that survive.
+  remain undecided, the whole 2^leaf_bits subtree of every surviving
+  assignment is evaluated in numpy batches -- the same formulation as
+  the exhaustive engine.  Every leaf sits at the same depth, so the
+  suffix patterns' potentials, occupancy masks and pair energies are
+  computed once per search; the leaves screen their rows on the suffix
+  columns first and test the decided prefix only on the rows that
+  survive.  When one leaf holds the whole system there is no interior
+  search, and its hop table is not built.
+
+* **Node budget.**  ``node_budget`` caps the partial assignments a
+  search may visit.  A level is expanded only if its children fit, so
+  a search finishes exactly when its whole tree has at most that many
+  nodes, and raises :class:`BudgetExhausted` otherwise -- a
+  deterministic limit that does not depend on the host's load.
 
 Leaf candidates are rescored with the shared
 :meth:`~repro.sidb.energy.EnergyModel.batched_energies` and offered to
@@ -78,35 +85,52 @@ from repro.sidb.exhaustive import (
 from repro.sidb.stability import POPULATION_TOLERANCE, configuration_stable
 from repro.tech.parameters import SiDBSimulationParameters
 
-#: Hard site ceiling of the pruned engine.  Beyond this even the pruned
-#: prefix tree can degenerate; the automatic engine selection hands
-#: larger systems to SimAnneal.
-MAX_QUICKEXACT_SITES = 32
-
-#: Remaining-site count at which the recursion hands the subtree to the
+#: Remaining-site count at which the search hands a subtree to the
 #: vectorized leaf enumeration.  Small enough that the witness cuts get
 #: a deep prefix to prune, large enough that the numpy batches stay
 #: efficient.
 DEFAULT_LEAF_BITS = 10
+
+#: Widest frontier (partial assignments) expanded in one batch; the
+#: hop witness then holds at most ``2 * FRONTIER_CAP * n * n`` floats.
+#: Batches of a few MB keep NumPy's temporaries from fragmenting the
+#: heap: at 256 the ``tile_library`` benchmark read ~12 MB more peak RSS.
+FRONTIER_CAP = 64
+
+#: Leaf configurations (2^leaf_bits per leaf) screened in one batch.
+_LEAF_BATCH_CONFIGURATIONS = 1 << 13
 
 #: Slack added wherever the search's decomposed (incrementally
 #: maintained) energies are compared against exactly recomputed ones;
 #: covers last-ulp differences between the two summation orders.
 _DECOMPOSITION_SLACK = 1e-12
 
-#: Cached (2^m, m) suffix occupation patterns, keyed on m.
-_SUFFIX_PATTERNS: dict[int, np.ndarray] = {}
+#: Cached suffix tables, keyed on m: see :func:`_suffix_patterns`.
+_SUFFIX_PATTERNS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _suffix_patterns(m: int) -> np.ndarray:
-    patterns = _SUFFIX_PATTERNS.get(m)
-    if patterns is None:
+def _suffix_patterns(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2^m occupation patterns of m sites, read-only.
+
+    As ``(2^m, m)`` floats and booleans, and as the transposed ``(m,
+    2^m)`` sign table: +1 on occupied, -1 on empty sites, so that
+    ``sign * w <= tol`` is the population-stability test of either
+    charge state.
+    """
+    tables = _SUFFIX_PATTERNS.get(m)
+    if tables is None:
         indices = np.arange(1 << m, dtype=np.uint32)
         bits = np.arange(m, dtype=np.uint32)
-        patterns = ((indices[:, None] >> bits[None, :]) & 1).astype(np.int8)
-        patterns.setflags(write=False)
-        _SUFFIX_PATTERNS[m] = patterns
-    return patterns
+        occupied = ((indices[:, None] >> bits[None, :]) & 1) > 0
+        tables = (
+            occupied.astype(float),
+            occupied,
+            np.ascontiguousarray(np.where(occupied.T, 1.0, -1.0)),
+        )
+        for table in tables:
+            table.setflags(write=False)
+        _SUFFIX_PATTERNS[m] = tables
+    return tables
 
 
 @dataclass
@@ -117,7 +141,7 @@ class QuickExactStatistics:
     ``configurations_enumerated`` the full occupation vectors the
     vectorized leaves evaluated; their relation to ``search_space``
     (2^N) is the engine's whole speed story.  The ``cut_*`` counters
-    attribute every pruned subtree to the bound that fired.
+    attribute every pruned subtree to the witness that fired.
     """
 
     num_sites: int = 0
@@ -128,8 +152,6 @@ class QuickExactStatistics:
     cut_witness_occupied: int = 0
     cut_witness_empty: int = 0
     cut_witness_hop: int = 0
-    cut_energy_bound: int = 0
-    incumbent_energy: float = float("inf")
 
     @property
     def enumerated_fraction(self) -> float:
@@ -139,13 +161,27 @@ class QuickExactStatistics:
         return self.configurations_enumerated / self.search_space
 
     def cut_histogram(self) -> dict[str, int]:
-        """Pruned-subtree attribution by the bound that cut it."""
+        """Pruned-subtree attribution by the witness that cut it."""
         return {
             "witness_occupied": self.cut_witness_occupied,
             "witness_empty": self.cut_witness_empty,
             "witness_hop": self.cut_witness_hop,
-            "energy_bound": self.cut_energy_bound,
         }
+
+
+class BudgetExhausted(RuntimeError):
+    """A QuickExact search needed more nodes than its budget allowed.
+
+    ``stats`` holds the counts of the search up to the level it did not
+    expand; ``nodes_visited`` never exceeds the budget.
+    """
+
+    def __init__(self, budget: int, stats: QuickExactStatistics) -> None:
+        super().__init__(
+            f"QuickExact spent its budget of {budget} nodes on "
+            f"{stats.num_sites} sites"
+        )
+        self.stats = stats
 
 
 def _site_order(layout: SidbLayout) -> np.ndarray:
@@ -154,7 +190,7 @@ def _site_order(layout: SidbLayout) -> np.ndarray:
     Deciding sites in spatial order keeps the decided prefix
     geometrically contiguous, so a decided site's strongest interaction
     partners are decided soon after it -- which is what makes the
-    witness bounds tight early in the recursion.
+    witness bounds tight early in the search.
     """
     positions = np.asarray(
         [site.position_nm for site in layout.sites()], dtype=float
@@ -170,34 +206,23 @@ def quickexact_ground_state(
     require_configuration_stability: bool = True,
     model: EnergyModel | None = None,
     leaf_bits: int = DEFAULT_LEAF_BITS,
-    energy_pruning: bool = True,
-    incumbent: float | None = None,
+    node_budget: int | None = None,
 ) -> GroundStateResult:
     """Exact ground state(s) of an SiDB layout via pruned search.
 
     Drop-in replacement for :func:`~repro.sidb.exhaustive.
-    exhaustive_ground_state` with the site ceiling raised from 24 to
-    :data:`MAX_QUICKEXACT_SITES`: same ground energy, same degenerate
-    state set (collection order may differ), computed from the same
-    :class:`EnergyModel` arithmetic.  ``valid_count`` counts the
-    (meta)stable configurations the pruned search enumerated -- equal
-    to the exhaustive count when ``energy_pruning=False`` (the witness
-    cuts alone never skip a stable configuration), a lower bound
-    otherwise.
+    exhaustive_ground_state` without its 24-site ceiling: same ground
+    energy, same degenerate state set (collection order may differ),
+    computed from the same :class:`EnergyModel` arithmetic, and the
+    same ``valid_count`` (the witness cuts never skip a stable
+    configuration).
 
-    ``incumbent`` optionally injects a known upper bound on the ground
-    energy (e.g. from a previous simulation of a related layout); with
-    ``None`` the search starts unbounded and its incumbent is the best
-    exact leaf energy found so far.  The result's
-    ``stats`` field carries a :class:`QuickExactStatistics` record with
-    node/cut attribution.
+    ``node_budget`` (``None``: unlimited) caps the nodes the search may
+    visit; a search that needs more raises :class:`BudgetExhausted`.
+    The result's ``stats`` field carries a :class:`QuickExactStatistics`
+    record with node/cut attribution.
     """
     n = len(layout)
-    if n > MAX_QUICKEXACT_SITES:
-        raise ValueError(
-            f"{n} sites exceed the QuickExact limit of "
-            f"{MAX_QUICKEXACT_SITES}"
-        )
     if not 1 <= leaf_bits <= 16:
         raise ValueError(f"leaf_bits must be in [1, 16], got {leaf_bits}")
     stats = QuickExactStatistics(num_sites=n, search_space=1 << n)
@@ -212,26 +237,52 @@ def quickexact_ground_state(
             order=_site_order(layout),
             require_configuration_stability=require_configuration_stability,
             leaf_bits=min(leaf_bits, n),
-            energy_pruning=energy_pruning,
-            incumbent_energy=(
-                float("inf") if incumbent is None else float(incumbent)
-            ),
+            node_budget=node_budget,
             stats=stats,
         )
-        search.run()
-        span.add("quickexact.nodes", stats.nodes_visited)
-        span.add("quickexact.leaves", stats.leaves_evaluated)
-        span.add("quickexact.configs", stats.configurations_enumerated)
-        span.add("quickexact.cut.witness_occupied", stats.cut_witness_occupied)
-        span.add("quickexact.cut.witness_empty", stats.cut_witness_empty)
-        span.add("quickexact.cut.witness_hop", stats.cut_witness_hop)
-        span.add("quickexact.cut.energy_bound", stats.cut_energy_bound)
-        span.set("enumerated_fraction", round(stats.enumerated_fraction, 6))
+        try:
+            search.run()
+        finally:
+            span.add("quickexact.nodes", stats.nodes_visited)
+            span.add("quickexact.leaves", stats.leaves_evaluated)
+            span.add("quickexact.configs", stats.configurations_enumerated)
+            span.add(
+                "quickexact.cut.witness_occupied", stats.cut_witness_occupied
+            )
+            span.add("quickexact.cut.witness_empty", stats.cut_witness_empty)
+            span.add("quickexact.cut.witness_hop", stats.cut_witness_hop)
+            span.set(
+                "enumerated_fraction", round(stats.enumerated_fraction, 6)
+            )
     return search.ground.result(layout, search.valid_count, stats)
 
 
+@dataclass
+class _Frontier:
+    """Partial assignments of one depth, in depth-first order.
+
+    Row ``r`` holds one assignment of the first ``depth`` visited
+    sites: its occupancy (only the decided columns are meaningful), the
+    local potential ``base`` its negatives put on every site, and the
+    energy of its decided part.
+    """
+
+    occupied: np.ndarray
+    base: np.ndarray
+    energy: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.energy)
+
+    def rows(self, selection) -> "_Frontier":
+        return _Frontier(
+            self.occupied[selection], self.base[selection],
+            self.energy[selection],
+        )
+
+
 class _QuickExactSearch:
-    """One pruned depth-first search over the permuted site order."""
+    """One pruned, level-synchronous search over the permuted site order."""
 
     def __init__(
         self,
@@ -239,23 +290,21 @@ class _QuickExactSearch:
         order: np.ndarray,
         require_configuration_stability: bool,
         leaf_bits: int,
-        energy_pruning: bool,
-        incumbent_energy: float,
+        node_budget: int | None,
         stats: QuickExactStatistics,
     ) -> None:
         self.model = model
         self.order = order
         self.require_configuration_stability = require_configuration_stability
-        self.energy_pruning = energy_pruning
+        self.node_budget = node_budget
         self.stats = stats
-        self._set_incumbent(incumbent_energy)
 
         n = model.num_sites
         self.n = n
         # Permuted-space views of the model: Vp[i, j] couples the i-th
         # and j-th *visited* sites; c = mu + external potential is the
         # full on-site term, so w = base + c is exactly v + mu.
-        self.matrix = model.potential_matrix[np.ix_(order, order)].copy()
+        self.matrix = model.potential_matrix[np.ix_(order, order)]
         onsite = np.full(n, model.parameters.mu_minus)
         if model.external_potential is not None:
             onsite = onsite + model.external_potential[order]
@@ -267,197 +316,188 @@ class _QuickExactSearch:
             else None
         )
 
-        # Mutable DFS state (permuted space).  The hop witness reads
-        # the charge states as masks: 0 on the decided negatives (hop
-        # sources) and neutrals (hop targets) respectively, inf elsewhere.
-        self.occupied = np.zeros(n, dtype=bool)
-        self.base = np.zeros(n)
-        self.rem = self.matrix.sum(axis=1)
-        self.source_mask = np.full(n, np.inf)
-        self.target_mask = np.full(n, np.inf)
-
         # Every leaf sits at the same depth, so everything that depends
         # on the suffix patterns alone is computed once per search.
         depth = n - leaf_bits
         self.leaf_depth = depth
-        suffixes = _suffix_patterns(leaf_bits)
-        suffix_float = suffixes.astype(float)
-        self.suffix_float = suffix_float
-        self.suffix_occupied = suffixes > 0
+        self.leaf_batch = max(
+            1, min(FRONTIER_CAP, _LEAF_BATCH_CONFIGURATIONS >> leaf_bits)
+        )
+        self.suffix_float, self.suffix_occupied, self.suffix_sign_t = (
+            _suffix_patterns(leaf_bits)
+        )
         self.leaf_configurations = 1 << leaf_bits
         # Local-potential contribution of every suffix pattern to all n
         # sites, plus its suffix columns transposed so that the first
-        # per-leaf screen reduces over contiguous rows.
-        self.suffix_potentials = suffix_float @ self.matrix[depth:, :]
+        # leaf screen reduces over contiguous rows.
+        self.suffix_potentials = self.suffix_float @ self.matrix[depth:, :]
         self.suffix_potentials_t = np.ascontiguousarray(
             self.suffix_potentials[:, depth:].T
         )
-        # +1 on occupied, -1 on empty suffix sites: sign * w <= tol is
-        # exactly the population-stability test of either charge state.
-        self.suffix_sign_t = np.where(self.suffix_occupied.T, 1.0, -1.0)
         self.suffix_pair_energies = 0.5 * np.einsum(
-            "ki,ij,kj->k",
-            suffix_float,
-            self.matrix[depth:, depth:],
-            suffix_float,
+            "ij,ij->i", self.suffix_potentials[:, depth:], self.suffix_float
         )
-        # hop_bounds[d, i, j] = sum_{k >= d} max(0, V_jk - V_ik) - V_ij;
-        # plus w_j - w_i it bounds the energy of the hop i -> j from
-        # above over every completion of a depth-d assignment.
+        # rem[d]: the potential sites d, d+1, ... could still add, the
+        # row sums less each decided site's column in visiting order.
+        self.rem = np.subtract.accumulate(
+            np.vstack([self.matrix.sum(axis=1), self.matrix[:depth]])
+        )
+        # hop_bounds[d][i, j] = sum_{k >= d} max(0, V_jk - V_ik) - V_ij
+        # over the d decided sites i, j; plus w_j - w_i it bounds the
+        # energy of the hop i -> j from above over every completion of a
+        # depth-d assignment.  A search that is one leaf (depth 0) never
+        # tests it.
         self.hop_bounds = None
-        if require_configuration_stability:
+        if require_configuration_stability and depth:
             gains = np.maximum(
                 0.0, self.matrix[None, :, :] - self.matrix[:, None, :]
             )
             suffix_gains = np.cumsum(gains[:, :, ::-1], axis=2)[:, :, ::-1]
-            self.hop_bounds = np.ascontiguousarray(
-                suffix_gains[:, :, : depth + 1].transpose(2, 0, 1)
-            ) - self.matrix
+            self.hop_bounds = [
+                suffix_gains[:d, :d, d] - self.matrix[:d, :d]
+                for d in range(depth + 1)
+            ]
 
         self.valid_count = 0
         self.ground = GroundStateCollector()
 
-    def _set_incumbent(self, energy: float) -> None:
-        self.incumbent_energy = energy
-        self.stats.incumbent_energy = energy
-        self.cut_energy = energy + ENERGY_TOLERANCE + _DECOMPOSITION_SLACK
-
     # --- search -----------------------------------------------------------
     def run(self) -> None:
-        self._descend(0, 0.0)
+        n = self.n
+        root = _Frontier(
+            np.zeros((1, n), dtype=bool), np.zeros((1, n)), np.zeros(1)
+        )
+        self._finish(0, root)
 
-    def _descend(self, site: int, energy_decided: float) -> None:
-        if site == self.leaf_depth:
-            self._evaluate_leaf(energy_decided)
-            return
-        base = self.base
-        rem = self.rem
-        occupied = self.occupied
-        source_mask = self.source_mask
-        target_mask = self.target_mask
-        column = self.matrix[site]
+    def _finish(self, depth: int, frontier: _Frontier) -> None:
+        """Search every subtree below ``frontier``, in its row order."""
+        while depth < self.leaf_depth:
+            cap = FRONTIER_CAP
+            if len(frontier) > cap:
+                for start in range(0, len(frontier), cap):
+                    chunk = frontier.rows(slice(start, start + cap))
+                    self._finish(depth, chunk)
+                return
+            frontier = self._expand(depth, frontier)
+            if not len(frontier):
+                return
+            depth += 1
+        for start in range(0, len(frontier), self.leaf_batch):
+            self._evaluate_leaves(
+                frontier.rows(slice(start, start + self.leaf_batch))
+            )
+
+    def _expand(self, site: int, frontier: _Frontier) -> _Frontier:
+        """Both children of every assignment, less the witnessed ones."""
         stats = self.stats
-        # Branch the likelier ground-state value first so the incumbent
-        # tightens as early as possible.
+        count = 2 * len(frontier)
+        if (
+            self.node_budget is not None
+            and stats.nodes_visited + count > self.node_budget
+        ):
+            raise BudgetExhausted(self.node_budget, stats)
+        stats.nodes_visited += count
+        # Branch the likelier ground-state value first: child 2r of
+        # parent r takes it, child 2r + 1 the other one.
         onsite = self.onsite_values[site]
-        first = 1 if onsite + base.item(site) <= 0.0 else 0
-        for value in (first, 1 - first):
-            stats.nodes_visited += 1
-            if value:
-                child_energy = energy_decided + onsite + base.item(site)
-                occupied[site] = True
-                source_mask[site] = 0.0
-                target_mask[site] = np.inf
-                base += column
-            else:
-                child_energy = energy_decided
-                source_mask[site] = np.inf
-                target_mask[site] = 0.0
-            rem -= column
-            if not self._cut(site + 1, value, child_energy):
-                self._descend(site + 1, child_energy)
-            rem += column
-            if value:
-                base -= column
-                occupied[site] = False
+        parent_base = frontier.base[:, site]
+        negative = np.empty(count, dtype=bool)
+        negative[0::2] = onsite + parent_base <= 0.0
+        negative[1::2] = ~negative[0::2]
+        parents = np.arange(count) >> 1
+        children = frontier.rows(parents)
+        children.occupied[:, site] = negative
+        children.base[negative] += self.matrix[site]
+        children.energy[negative] = (
+            children.energy[negative] + onsite
+        ) + parent_base[parents[negative]]
 
-    def _cut(self, decided: int, value: int, energy_decided: float) -> bool:
-        """True when the just-extended partial assignment is hopeless."""
-        base = self.base
-        onsite = self.onsite
-        stats = self.stats
         # Witness bounds.  Assigning a negative only *raises* decided
         # potentials (base), so only the occupied-side criterion can
         # newly fail; assigning a neutral only *lowers* the attainable
         # maximum (base + rem), so only the empty-side criterion can.
-        w = base[:decided] + onsite[:decided]
-        if value:
-            if (w[self.occupied[:decided]] > POPULATION_TOLERANCE).any():
-                stats.cut_witness_occupied += 1
-                return True
-        else:
-            maximum_w = base[:decided] + self.rem[:decided] + onsite[:decided]
-            if (
-                maximum_w[~self.occupied[:decided]] < -POPULATION_TOLERANCE
-            ).any():
-                stats.cut_witness_empty += 1
-                return True
+        decided = site + 1
+        occupied = children.occupied[:, :decided]
+        base = children.base[:, :decided]
+        w = base + self.onsite[:decided]
+        cut_occupied = negative & (occupied & (w > POPULATION_TOLERANCE)).any(
+            axis=1
+        )
+        maximum_w = (base + self.rem[decided, :decided]) + (
+            self.onsite[:decided]
+        )
+        cut_empty = ~negative & (
+            ~occupied & (maximum_w < -POPULATION_TOLERANCE)
+        ).any(axis=1)
+        stats.cut_witness_occupied += int(cut_occupied.sum())
+        stats.cut_witness_empty += int(cut_empty.sum())
+        keep = np.flatnonzero(~(cut_occupied | cut_empty))
         # Hop witness.  Every decided site's w moves and every pair
         # loses an undecided site from its sum, so the whole decided
-        # block is rechecked; the masks leave only negative -> neutral
+        # block is rechecked; +inf masks leave only negative -> neutral
         # pairs finite.
-        if self.hop_bounds is not None:
-            hops = self.hop_bounds[decided, :decided, :decided] + (
-                w + self.target_mask[:decided]
-            )
-            hops += (self.source_mask[:decided] - w)[:, None]
-            if (
-                np.minimum.reduce(hops, axis=None)
+        if self.hop_bounds is not None and keep.size:
+            w = w[keep]
+            occupied = occupied[keep]
+            sources = np.where(occupied, 0.0, np.inf)
+            targets = np.where(occupied, np.inf, 0.0)
+            hops = self.hop_bounds[decided] + (w + targets)[:, None, :]
+            hops += (sources - w)[:, :, None]
+            cut_hop = (
+                hops.min(axis=(1, 2))
                 < -POPULATION_TOLERANCE - _DECOMPOSITION_SLACK
-            ):
-                stats.cut_witness_hop += 1
-                return True
-        # Branch-and-bound: undecided negatives each contribute at
-        # least min(0, mu + ext + base); cross-terms among them are
-        # repulsive and only add energy.
-        if self.energy_pruning and self.incumbent_energy < float("inf"):
-            undecided_floor = np.add.reduce(
-                np.minimum(0.0, onsite[decided:] + base[decided:])
             )
-            if energy_decided + undecided_floor > self.cut_energy:
-                stats.cut_energy_bound += 1
-                return True
-        return False
+            stats.cut_witness_hop += int(cut_hop.sum())
+            keep = keep[~cut_hop]
+        return children.rows(keep)
 
-    def _evaluate_leaf(self, energy_decided: float) -> None:
+    def _evaluate_leaves(self, leaves: _Frontier) -> None:
         depth = self.leaf_depth
-        base = self.base
         stats = self.stats
-        stats.leaves_evaluated += 1
-        stats.configurations_enumerated += self.leaf_configurations
+        stats.leaves_evaluated += len(leaves)
+        stats.configurations_enumerated += (
+            len(leaves) * self.leaf_configurations
+        )
         # Population stability in two screens: the suffix columns of
         # every completion first, then the decided prefix of the rows
         # that survive.  w = (base + suffix potential) + onsite, exactly
         # as it would be computed for the whole row at once.
-        w = (self.suffix_potentials_t + base[depth:, None]) + (
+        w = (self.suffix_potentials_t + leaves.base[:, depth:, None]) + (
             self.onsite[depth:, None]
         )
         w *= self.suffix_sign_t
-        rows = np.flatnonzero(
-            np.maximum.reduce(w, axis=0) <= POPULATION_TOLERANCE
+        leaf, rows = np.nonzero(
+            np.maximum.reduce(w, axis=1) <= POPULATION_TOLERANCE
         )
         if depth and rows.size:
-            w = (base[:depth] + self.suffix_potentials[rows, :depth]) + (
-                self.onsite[:depth]
-            )
-            w *= np.where(self.occupied[:depth], 1.0, -1.0)
-            rows = rows[np.maximum.reduce(w, axis=1) <= POPULATION_TOLERANCE]
+            w = (
+                leaves.base[leaf, :depth]
+                + self.suffix_potentials[rows, :depth]
+            ) + self.onsite[:depth]
+            w *= np.where(leaves.occupied[leaf, :depth], 1.0, -1.0)
+            survive = np.maximum.reduce(w, axis=1) <= POPULATION_TOLERANCE
+            leaf, rows = leaf[survive], rows[survive]
         if not rows.size:
             return
         occupied = np.empty((rows.size, self.n), dtype=bool)
-        occupied[:, :depth] = self.occupied[:depth]
+        occupied[:, :depth] = leaves.occupied[leaf, :depth]
         occupied[:, depth:] = self.suffix_occupied[rows]
         if self.require_configuration_stability:
-            externals = (
-                self.external[None, :] if self.external is not None else 0.0
-            )
-            stable = configuration_stable(
-                base + self.suffix_potentials[rows] + externals,
-                occupied,
-                self.matrix,
-            )
-            rows = rows[stable]
-            occupied = occupied[stable]
+            potentials = leaves.base[leaf] + self.suffix_potentials[rows]
+            if self.external is not None:
+                potentials += self.external
+            stable = configuration_stable(potentials, occupied, self.matrix)
+            leaf, rows, occupied = leaf[stable], rows[stable], occupied[stable]
         self.valid_count += int(rows.size)
         if not rows.size:
             return
 
         # Decomposed energies of the surviving configurations: decided
         # part + on-site/decided coupling of the suffix + suffix pairs.
-        suffix_onsite = self.onsite[depth:] + base[depth:]
+        suffix_onsite = self.onsite[depth:] + leaves.base[leaf, depth:]
         energies = (
-            energy_decided
-            + self.suffix_float[rows] @ suffix_onsite
+            leaves.energy[leaf]
+            + np.einsum("ij,ij->i", self.suffix_float[rows], suffix_onsite)
             + self.suffix_pair_energies[rows]
         )
         ground = self.ground
@@ -471,5 +511,3 @@ class _QuickExactSearch:
         originals = np.empty((int(near.sum()), self.n), dtype=np.int8)
         originals[:, self.order] = occupied[near]
         ground.offer(originals, self.model.batched_energies(originals))
-        if ground.energy < self.incumbent_energy:
-            self._set_incumbent(ground.energy)

@@ -236,7 +236,10 @@ class TestCli:
         from repro.cli import main
 
         assert main(["validate", "wire_NW_SW"]) == 0
-        assert "operational" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "wire_NW_SW       operational "
+            "(2/2 patterns; 2/2 exact; quickexact x2)\n"
+        )
 
     def test_validate_trace_tree(self, capsys):
         from repro.cli import main
@@ -257,8 +260,8 @@ class TestCli:
         [tile] = trace["children"]
         assert tile["attributes"] == {"tile": "wire_NW_SW"}
         assert [child["attributes"] for child in tile["children"]] == [
-            {"pattern": 0, "engine": "quickexact"},
-            {"pattern": 1, "engine": "quickexact"},
+            {"pattern": 0, "engine": "quickexact", "exact": True},
+            {"pattern": 1, "engine": "quickexact", "exact": True},
         ]
 
     def test_validate_progress(self, capsys):

@@ -28,10 +28,12 @@ from repro.layout.gate_layout import (
 from repro.networks.logic_network import GateType
 from repro.learn.collect import bootstrap_problems
 from repro.networks.truth_table import TruthTable
+from repro.sidb import operational
 from repro.sidb.bdl import read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import check_operational
+from repro.sidb.quickexact import BudgetExhausted
 from repro.sidb.simanneal import SimAnnealParameters
 from repro.tech.parameters import SiDBSimulationParameters
 
@@ -327,9 +329,10 @@ class TestDesignerOracle:
         close_stimulus = problem.input_stimuli[0][1][0]
         assert score_design(problem, frozenset({close_stimulus})) == (0, 4)
 
-    def test_above_the_quickexact_ceiling_raises(self):
+    def test_spent_quickexact_budget_raises(self, monkeypatch):
         problem = bootstrap_problems()[1].problem
         canvas = frozenset(problem.candidate_sites[::3][:20])
         assert len(problem.fixed_sites) + len(canvas) + 2 > 32
-        with pytest.raises(ValueError, match="QuickExact limit"):
+        monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExhausted, match="budget of 1 nodes"):
             score_design(problem, canvas)

@@ -31,7 +31,7 @@ from repro.sidb.operational import (
     check_operational,
     simulate_pattern,
 )
-from repro.sidb.quickexact import MAX_QUICKEXACT_SITES, quickexact_ground_state
+from repro.sidb.quickexact import quickexact_ground_state
 from repro.tech.parameters import SiDBSimulationParameters
 
 PARAMETERS = SiDBSimulationParameters.bestagon()
@@ -88,9 +88,10 @@ def test_moved_system_gets_the_exgs_ground_states(cells, defect, dn, dm, mirror)
         moved_gate, 0, PARAMETERS, "quickexact", defects=moved_defects
     )
     assert GROUND_STATE_MEMO.hits == hits + 1  # the moved system shares
-    states = operational._ground_state(
+    _, moved = operational._ground_state(
         moved_layout, PARAMETERS, "quickexact", None, moved_defects
-    ).ground_states
+    )
+    states = moved.ground_states
     reference = exhaustive_ground_state(
         moved_layout,
         PARAMETERS,
@@ -145,11 +146,11 @@ def test_clear_geometry_cache_empties_the_memo():
 def test_mutating_a_returned_state_leaves_later_hits_unchanged():
     layout = _or_se().layout(1)
     clear_geometry_cache()
-    first = operational._ground_state(layout, PARAMETERS, "auto", None)
+    _, first = operational._ground_state(layout, PARAMETERS, "auto", None)
     expected = [state.copy() for state in first.ground_states]
     for state in first.ground_states:
         state[:] = 1 - state
-    second = operational._ground_state(layout, PARAMETERS, "auto", None)
+    _, second = operational._ground_state(layout, PARAMETERS, "auto", None)
     assert first.stats is not None and second.stats is None
     assert len(second.ground_states) == len(expected)
     for state, reference in zip(second.ground_states, expected):
@@ -175,14 +176,12 @@ def test_library_verdicts_match_quickexact_on_the_layouts_as_given():
     for name in library.names():
         gate = library.design(name).under_test
         patterns = range(1 << gate.num_inputs)
-        if any(len(gate.layout(p)) > MAX_QUICKEXACT_SITES for p in patterns):
-            continue
         report = library.validate(name, PARAMETERS)
         assert [result.correct for result in report.patterns] == [
             _direct_verdict(gate, pattern) for pattern in patterns
         ], name
         checked += 1
-    assert checked == 28
+    assert checked == 29
 
 
 def test_threads_share_the_memo_without_lost_updates():
@@ -205,7 +204,7 @@ def test_threads_share_the_memo_without_lost_updates():
         try:
             for call in range(calls):
                 index = (offset + call) % len(layouts)
-                result = operational._ground_state(
+                _, result = operational._ground_state(
                     layouts[index], PARAMETERS, "quickexact", None
                 )
                 reference = references[index]

@@ -13,12 +13,12 @@ import pytest
 
 from repro import obs
 from repro.coords.lattice import LatticeSite
+from repro.sidb import operational
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
 from repro.sidb.operational import GateUnderTest
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.sidb.parallel import run_tasks
-from repro.sidb.quickexact import MAX_QUICKEXACT_SITES
 from repro.sidb.simanneal import SimAnnealParameters
 
 S = LatticeSite.from_row
@@ -125,7 +125,7 @@ class TestRunTasksCapture:
 
 
 def _annealed_wire() -> GateUnderTest:
-    """A 16-pair BDL wire of 34 sites, which engine ``auto`` anneals."""
+    """A 16-pair BDL wire of 34 sites."""
     sites, pairs = [], []
     for k in range(16):
         pair = BdlPair(S(0, 6 * k), S(0, 6 * k + 2))
@@ -138,12 +138,13 @@ def _annealed_wire() -> GateUnderTest:
 
 
 class TestParallelAnnealTelemetry:
-    def test_counter_totals_match_serial_exactly(self):
-        # A domain sweep fans its grid points out over run_tasks; every
-        # point anneals both patterns of a wire above QuickExact's
-        # ceiling, so the annealer's telemetry crosses processes.
+    def test_counter_totals_match_serial_exactly(self, monkeypatch):
+        # A domain sweep fans its grid points out over run_tasks.  With
+        # no QuickExact budget engine auto anneals both patterns of the
+        # wire at every point, so the annealer's telemetry crosses
+        # processes; the pool forks, so its workers see the budget too.
+        monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 0)
         gate = _annealed_wire()
-        assert len(gate.layout(0)) > MAX_QUICKEXACT_SITES
         grid = dict(x_values=(5.6,), y_values=(4.0, 5.0))
         obs.enable()
         with obs.span("serial") as serial_root:

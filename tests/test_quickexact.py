@@ -23,9 +23,14 @@ from hypothesis import example, given, settings, strategies as st
 from repro.coords.lattice import LatticeSite
 from repro.defects.model import DefectType, SidbDefect
 from repro.gatelib.library import BestagonLibrary
+from repro.sidb import operational, quickexact
 from repro.sidb.bdl import scaling_layout
 from repro.sidb.charge import SidbLayout
-from repro.sidb.energy import EnergyModel
+from repro.sidb.energy import (
+    GROUND_STATE_MEMO,
+    EnergyModel,
+    clear_geometry_cache,
+)
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import (
     ENGINES,
@@ -33,7 +38,7 @@ from repro.sidb.operational import (
     check_operational,
 )
 from repro.sidb.quickexact import (
-    MAX_QUICKEXACT_SITES,
+    BudgetExhausted,
     QuickExactStatistics,
     quickexact_ground_state,
 )
@@ -123,11 +128,8 @@ class TestCrossValidation:
         ),
         st.integers(1, 16),
         st.booleans(),
-        st.booleans(),
     )
-    def test_property_leaf_bits(
-        self, pairs, leaf_bits, require_stability, energy_pruning
-    ):
+    def test_property_leaf_bits(self, pairs, leaf_bits, require_stability):
         """Any leaf depth, including a single leaf at the root."""
         layout = SidbLayout(S(n, r) for n, r in pairs)
         exgs = exhaustive_ground_state(
@@ -138,12 +140,10 @@ class TestCrossValidation:
             P32,
             require_configuration_stability=require_stability,
             leaf_bits=leaf_bits,
-            energy_pruning=energy_pruning,
         )
         assert quick.ground_energy == exgs.ground_energy
         assert ground_set(quick) == ground_set(exgs)
-        if not energy_pruning:
-            assert quick.valid_count == exgs.valid_count
+        assert quick.valid_count == exgs.valid_count
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -171,7 +171,7 @@ class TestCrossValidation:
     def test_property_witnesses_keep_every_stable_state(
         self, pairs, mirrored, with_defects, require_stability, leaf_bits
     ):
-        """Without energy pruning the search counts what ExGS counts.
+        """The search counts what ExGS counts.
 
         The witnesses may cut only subtrees without a single stable
         configuration, so ``valid_count`` must equal the exhaustive
@@ -199,7 +199,6 @@ class TestCrossValidation:
             model=model,
             require_configuration_stability=require_stability,
             leaf_bits=leaf_bits,
-            energy_pruning=False,
         )
         assert quick.valid_count == exgs.valid_count
         assert quick.ground_energy == exgs.ground_energy
@@ -246,10 +245,7 @@ class TestCrossValidation:
                     layout, P32, require_configuration_stability=require
                 )
                 quick = quickexact_ground_state(
-                    layout,
-                    P32,
-                    require_configuration_stability=require,
-                    energy_pruning=False,
+                    layout, P32, require_configuration_stability=require
                 )
                 assert quick.valid_count == exgs.valid_count
 
@@ -274,8 +270,8 @@ class TestGateLibrary:
                 checked += 1
         assert checked >= 20  # wires, inverters, pi/po tiles
 
-    def test_at_or_below_simanneal_on_31_to_32_sites(self):
-        """The xor, xnor, nand and ``double_wire`` patterns.
+    def test_at_or_below_simanneal_above_30_sites(self):
+        """The xor, xnor, nand, ``double_wire`` and ``half_adder`` patterns.
 
         QuickExact's ground states are metastable and never above the
         state SimAnneal finds at the Fig. 5 schedule, which misses the
@@ -286,7 +282,7 @@ class TestGateLibrary:
         checked = 0
         for name in library.names():
             for _, layout in pattern_layouts(library.design(name)):
-                if not 31 <= len(layout) <= MAX_QUICKEXACT_SITES:
+                if len(layout) <= 30:
                     continue
                 model = EnergyModel(layout, P32)
                 exact = quickexact_ground_state(layout, P32, model=model)
@@ -295,7 +291,7 @@ class TestGateLibrary:
                 assert exact.ground_states
                 assert metastable(model, np.array(exact.ground_states)).all()
                 checked += 1
-        assert checked == 28
+        assert checked == 32
 
 
 class TestScalingAndStatistics:
@@ -322,7 +318,6 @@ class TestScalingAndStatistics:
             "witness_occupied",
             "witness_empty",
             "witness_hop",
-            "energy_bound",
         }
         assert sum(histogram.values()) > 0
 
@@ -336,48 +331,75 @@ class TestScalingAndStatistics:
         ).stats
         assert population_only.cut_witness_hop == 0
 
-    def test_site_ceiling_enforced(self):
-        layout = SidbLayout(
-            S(column, row)
-            for column in range(6)
-            for row in range(6)
-        )
-        assert len(layout) > MAX_QUICKEXACT_SITES
-        with pytest.raises(ValueError, match="exceed"):
-            quickexact_ground_state(layout, P32)
+    def test_node_budget_enforced(self):
+        """A search finishes exactly when its whole tree fits the budget."""
+        layout = scaling_layout(24)
+        full = quickexact_ground_state(layout, P32)
+        nodes = full.stats.nodes_visited
+        within = quickexact_ground_state(layout, P32, node_budget=nodes)
+        assert within.stats == full.stats
+        assert ground_set(within) == ground_set(full)
+        with pytest.raises(BudgetExhausted, match="budget") as spent:
+            quickexact_ground_state(layout, P32, node_budget=nodes - 1)
+        assert 0 < spent.value.stats.nodes_visited <= nodes - 1
+
+    def test_frontier_cap_keeps_the_search(self, monkeypatch):
+        """Frontiers finished two rows at a time give the same search."""
+        library = BestagonLibrary()
+        layouts = {
+            name: dict(pattern_layouts(library.design(name)))[1]
+            for name in ("and_SE", "fanout_NE", "half_adder")
+        }
+        layouts["wire/28"] = scaling_layout(28)
+        whole = {
+            name: _search(name, layout) for name, layout in layouts.items()
+        }
+        monkeypatch.setattr(quickexact, "FRONTIER_CAP", 2)
+        for name, layout in layouts.items():
+            assert _search(name, layout) == whole[name], name
 
     def test_empty_layout(self):
         result = quickexact_ground_state(SidbLayout(), P32)
         assert result.ground_energy == 0.0
         assert result.valid_count == 1
 
-    def test_external_incumbent_does_not_cut_ground_state(self):
-        layout = scaling_layout(14)
-        exact = quickexact_ground_state(layout, P32)
-        seeded = quickexact_ground_state(
-            layout, P32, incumbent=exact.ground_energy
-        )
-        assert seeded.ground_energy == exact.ground_energy
-        assert ground_set(seeded) == ground_set(exact)
-
 
 class TestEngineSelection:
-    def test_auto_uses_quickexact_up_to_32_sites(self):
+    def test_auto_uses_quickexact_at_any_size(self):
         assert ENGINES == ("auto", "quickexact", "exhaustive", "simanneal")
-        layout = scaling_layout(MAX_QUICKEXACT_SITES)
-        result = _ground_state(layout, P32, "auto", None)
-        assert isinstance(result.stats, QuickExactStatistics)
-        # Two sites past the ceiling SimAnneal takes over (it reports
-        # no search statistics and counts only the states it returns).
-        larger = scaling_layout(MAX_QUICKEXACT_SITES + 2)
-        annealed = _ground_state(larger, P32, "auto", None)
-        assert annealed.stats is None
-        assert annealed.valid_count == annealed.degeneracy
+        for num_sites in (12, 34, 64):
+            engine, result = _ground_state(
+                scaling_layout(num_sites), P32, "auto", None
+            )
+            assert engine == "quickexact"
+            assert isinstance(result.stats, QuickExactStatistics)
+
+    def test_auto_anneals_when_the_budget_is_spent(self, monkeypatch):
+        """SimAnneal decides, the verdict is not exact, nothing is memoised."""
+        gate = BestagonLibrary().design("inv_NW_SW").under_test
+        monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 1)
+        clear_geometry_cache()
+        report = check_operational(gate, P32)
+        assert [(p.engine, p.exact) for p in report.patterns] == [
+            ("simanneal", False),
+            ("simanneal", False),
+        ]
+        assert len(GROUND_STATE_MEMO) == 0
+        with pytest.raises(BudgetExhausted):
+            check_operational(gate, P32, engine="quickexact")
+        assert len(GROUND_STATE_MEMO) == 0
+        monkeypatch.undo()
+        exact = check_operational(gate, P32)
+        assert [(p.engine, p.exact) for p in exact.patterns] == [
+            ("quickexact", True),
+            ("quickexact", True),
+        ]
+        assert len(GROUND_STATE_MEMO) == 2
 
     def test_explicit_engine_values(self):
         layout = scaling_layout(12)
-        quick = _ground_state(layout, P32, "quickexact", None)
-        brute = _ground_state(layout, P32, "exhaustive", None)
+        _, quick = _ground_state(layout, P32, "quickexact", None)
+        _, brute = _ground_state(layout, P32, "exhaustive", None)
         assert isinstance(quick.stats, QuickExactStatistics)
         assert brute.stats is None
         assert quick.ground_energy == brute.ground_energy
@@ -408,7 +430,7 @@ GOLDEN_SEARCHES = Path(__file__).parent / "golden" / "quickexact_searches.json"
 
 
 def _search(instance, layout, **kwargs) -> dict:
-    """Everything one search counted and returned (not its incumbent)."""
+    """Everything one search counted and returned."""
     result = quickexact_ground_state(layout, P32, **kwargs)
     stats = result.stats
     return {
@@ -431,10 +453,10 @@ def quickexact_searches() -> list[dict]:
     """The corpus: tile patterns, BDL wires, defects, non-default options.
 
     Every Bestagon pattern layout of at most 23 sites plus all patterns
-    of ``and_SE`` (29 sites) and ``cross`` (28), at the Fig. 5
-    parameters (``P32``); two BDL wires; two random layouts next to
-    charged defects; one search each without configuration stability,
-    without energy pruning and at leaf depths 1, 4 and 16.
+    of ``and_SE`` (29 sites), ``cross`` (28) and ``half_adder`` (52), at
+    the Fig. 5 parameters (``P32``); two BDL wires; two random layouts
+    next to charged defects; one search without configuration stability
+    and one each at leaf depths 1, 4 and 16.
     """
     library = BestagonLibrary()
     tiles = {
@@ -446,7 +468,7 @@ def quickexact_searches() -> list[dict]:
         _search(instance, layout)
         for instance, layout in tiles.items()
         if len(layout) <= 23
-        or instance.split("/")[0] in ("and_SE", "cross")
+        or instance.split("/")[0] in ("and_SE", "cross", "half_adder")
     ]
     for num_sites in (24, 28):
         records.append(
@@ -461,11 +483,6 @@ def quickexact_searches() -> list[dict]:
             "cross/p0/no_configuration_stability",
             tiles["cross/p0"],
             require_configuration_stability=False,
-        ),
-        _search(
-            "and_SE/p0/no_energy_pruning",
-            tiles["and_SE/p0"],
-            energy_pruning=False,
         ),
         _search("fanout_NE/p1/leaf_bits1", tiles["fanout_NE/p1"], leaf_bits=1),
         _search("wire/24/leaf_bits4", scaling_layout(24), leaf_bits=4),
