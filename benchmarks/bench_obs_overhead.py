@@ -1,17 +1,15 @@
 """Observability overhead: disabled instrumentation must cost < 2%.
 
-Times three workloads with the :mod:`repro.obs` entry points, the
-:mod:`repro.obs.log` logger methods and the :mod:`repro.learn.hooks`
-record functions stubbed out (the baseline, approximating a build with
-that instrumentation deleted) against the real no-op fast path
-(recording disabled, logging unconfigured, no learn collector):
+Times two workloads with the :mod:`repro.obs` entry points and the
+:mod:`repro.obs.log` logger methods stubbed out (the baseline,
+approximating a build with that instrumentation deleted) against the
+real no-op fast path (recording disabled, logging unconfigured):
 
 * the full ``par_check`` flow, also with full trace recording;
 * a process-parallel operational-domain sweep
   (``compute_operational_domain`` of the 2-input ``or_SE`` tile over
   two grid points with ``workers=2``), which adds the worker-side span
-  capture and progress plumbing;
-* a small ``check_operational`` call, which carries the learn hook.
+  capture and progress plumbing.
 
 Each disabled overhead must stay below :data:`DISABLED_OVERHEAD_LIMIT`
 -- the honesty gate for leaving instrumentation in hot paths.  Writes
@@ -25,20 +23,13 @@ import time
 
 from conftest import print_header, write_artifact
 from repro import obs
-from repro.coords.lattice import LatticeSite
 from repro.flow.design_flow import FlowConfiguration, design_sidb_circuit
 from repro.gatelib.library import BestagonLibrary
-from repro.learn import hooks as learn_hooks
 from repro.networks import benchmark_verilog
-from repro.networks.truth_table import TruthTable
 from repro.obs import _NOOP
 from repro.obs import log as obs_log
-from repro.sidb.bdl import BdlPair
-from repro.sidb.energy import clear_geometry_cache
-from repro.sidb.operational import GateUnderTest, check_operational
 from repro.sidb.operational_domain import compute_operational_domain
 from repro.synthesis.database import NpnDatabase
-from repro.tech.parameters import SiDBSimulationParameters
 
 #: The flow benchmark: the paper's largest trindade16 circuit.
 OVERHEAD_BENCHMARK = "par_check"
@@ -75,10 +66,6 @@ def _stub_log(self, event, **fields):
     return None
 
 
-def _stub_record(*args, **kwargs):
-    return None
-
-
 #: Logger methods neutralized by :class:`_stubbed`.  The disabled
 #: logger already early-outs on a single ``_state is None`` check, so
 #: the stub baseline must delete even that to keep the 2% comparison
@@ -89,11 +76,9 @@ _LOG_METHODS = ("debug", "info", "warning", "error")
 class _stubbed:
     """Temporarily replace the obs entry points with bare no-ops.
 
-    Covers the trace/metric entry points, the structured-logging
-    ``Logger`` methods *and* the :mod:`repro.learn.hooks` record
-    functions (with the collector forced off), so the stub variant
-    approximates a build with the tracing, logging and learn-collection
-    instrumentation deleted.
+    Covers the trace/metric entry points and the structured-logging
+    ``Logger`` methods, so the stub variant approximates a build with
+    the tracing and logging instrumentation deleted.
     """
 
     def __enter__(self) -> "_stubbed":
@@ -112,14 +97,6 @@ class _stubbed:
         )
         for name in _LOG_METHODS:
             setattr(obs_log.Logger, name, _stub_log)
-        self._saved_learn = (
-            learn_hooks.COLLECTOR,
-            learn_hooks.record_canvas,
-            learn_hooks.record_operational,
-        )
-        learn_hooks.COLLECTOR = None
-        learn_hooks.record_canvas = _stub_record  # type: ignore[assignment]
-        learn_hooks.record_operational = _stub_record  # type: ignore[assignment]
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -129,11 +106,6 @@ class _stubbed:
         ) = self._saved
         for name, method in zip(_LOG_METHODS, self._saved_log):
             setattr(obs_log.Logger, name, method)
-        (
-            learn_hooks.COLLECTOR,
-            learn_hooks.record_canvas,
-            learn_hooks.record_operational,
-        ) = self._saved_learn
 
 
 def measure_overhead(
@@ -246,7 +218,7 @@ def run_overhead_benchmark() -> dict:
     )
     return {
         "benchmark": name,
-        "covers": "tracing+logging+learn",
+        "covers": "tracing+logging",
         **record,
         "trace_spans": trace_spans,
     }
@@ -286,51 +258,11 @@ def run_worker_overhead_benchmark() -> dict:
     }
 
 
-def run_learn_hook_overhead_benchmark() -> dict:
-    """Disabled-path overhead of the learn collection hooks.
-
-    :func:`~repro.gatelib.designer.score_design` and
-    :func:`~repro.sidb.operational.check_operational` each gained a
-    ``COLLECTOR is not None`` hook after their physics; with no
-    collector installed that must stay one attribute check, mirroring
-    the obs contract.  This times a small ``check_operational`` (a
-    3-pair wire, exact engine).  Every call starts cold: clearing the
-    geometry cache also empties the exact ground-state memo, so each call
-    simulates its patterns instead of looking them up.
-    """
-    S = LatticeSite.from_row
-    gate = GateUnderTest(
-        body=[S(0, r) for r in (0, 2, 6, 8, 12, 14)] + [S(0, 18)],
-        input_stimuli=[([S(0, -6)], [S(0, -2)])],
-        output_pairs=[BdlPair(S(0, 12), S(0, 14))],
-        outputs=[TruthTable(1, 0b10)],
-    )
-    parameters = SiDBSimulationParameters(mu_minus=-0.32)
-
-    def run_check(variant: str) -> None:
-        clear_geometry_cache()
-        check_operational(gate, parameters=parameters)
-
-    record = measure_overhead(
-        run_check,
-        ("stub", "disabled"),
-        repeats=9,
-        inner_iterations=40,
-        attempts=3,
-    )
-    return {
-        "benchmark": "check_operational(wire)",
-        "covers": "learn-hooks+tracing+logging",
-        **record,
-    }
-
-
 def test_obs_overhead(benchmark):
     record = benchmark.pedantic(
         run_overhead_benchmark, rounds=1, iterations=1
     )
     record["workers2"] = run_worker_overhead_benchmark()
-    record["learn_hooks"] = run_learn_hook_overhead_benchmark()
     path = write_artifact(record, "BENCH_obs.json")
 
     print_header(
@@ -347,19 +279,16 @@ def test_obs_overhead(benchmark):
         f"({record['enabled_overhead'] * 100:+.2f}%, "
         f"{record['trace_spans']} spans)"
     )
-    for label, sub in (
-        ("workers=2", record["workers2"]),
-        ("learn hooks", record["learn_hooks"]),
-    ):
-        print(
-            f"  {label:<12}: {sub['disabled_seconds'] * 1000:8.1f} ms "
-            f"({sub['disabled_overhead'] * 100:+.2f}% on "
-            f"{sub['benchmark']})"
-        )
+    workers2 = record["workers2"]
+    print(
+        f"  workers=2   : {workers2['disabled_seconds'] * 1000:8.1f} ms "
+        f"({workers2['disabled_overhead'] * 100:+.2f}% on "
+        f"{workers2['benchmark']})"
+    )
     print(f"  artifact: {path}")
 
     assert record["trace_spans"] > 10, "enabled run recorded no trace"
-    for sub in (record, record["workers2"], record["learn_hooks"]):
+    for sub in (record, record["workers2"]):
         assert sub["disabled_overhead"] < DISABLED_OVERHEAD_LIMIT, (
             f"disabled-mode overhead on {sub['benchmark']} is "
             f"{sub['disabled_overhead'] * 100:.2f}% "

@@ -11,9 +11,6 @@ python scripts/check_api_surface.py --strict
 echo "== structured log schema =="
 PYTHONPATH=src python scripts/check_log_schema.py
 
-echo "== learn dataset/model schema =="
-PYTHONPATH=src python scripts/check_learn_schema.py
-
 echo "== design service smoke =="
 PYTHONPATH=src python scripts/service_smoke.py
 

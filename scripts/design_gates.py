@@ -13,7 +13,7 @@ each input pattern, every degenerate ground state shows the expected
 value on every checked pair.  Candidates whose dots collide are
 rejected.
 
-    PYTHONPATH=src python scripts/design_gates.py [stage ...] [--collect DIR]
+    PYTHONPATH=src python scripts/design_gates.py [stage ...]
 
 Stages (default: all but ``two_input_tile``): ``wires``, ``inverter``,
 ``fanout``, ``crossing`` (wire motifs), ``two_input`` (isolated
@@ -23,7 +23,6 @@ Y-junction cores, see :func:`~repro.gatelib.designs.two_input_core`),
 library's two-input tiles, so it runs only when named).
 ``REPRO_WORKERS=N`` scores the ``two_input`` and ``two_input_tile``
 candidates over N processes with the same scan order and results.
-``--collect DIR`` records every check as a training example.
 """
 
 from __future__ import annotations
@@ -386,28 +385,7 @@ def stage_two_input_tile():
 
 if __name__ == "__main__":
     start = time.time()
-    arguments = sys.argv[1:]
-    collector = None
-    if "--collect" in arguments:
-        # Buffer every physics-labeled check (the check_operational and
-        # score_design learn hooks) into a training shard under the
-        # given directory.  The hooks see only this process, so a
-        # collecting run is serial.
-        from repro.learn import hooks as learn_hooks
-        from repro.learn.dataset import ExampleCollector
-
-        where = arguments.index("--collect")
-        try:
-            collect_dir = arguments[where + 1]
-        except IndexError:
-            sys.exit("--collect requires a directory argument")
-        del arguments[where:where + 2]
-        collector = ExampleCollector(collect_dir)
-        learn_hooks.set_collector(collector)
-        if WORKERS > 1:
-            print("--collect forces a serial scan (workers=1)", flush=True)
-            WORKERS = 1
-    stages = arguments or [
+    stages = sys.argv[1:] or [
         "wires", "inverter", "fanout", "two_input", "crossing", "xor",
     ]
     dispatch = {
@@ -422,10 +400,4 @@ if __name__ == "__main__":
     for stage in stages:
         print(f"=== stage {stage} ({time.time() - start:.0f}s)", flush=True)
         dispatch[stage]()
-    if collector is not None:
-        shard = collector.flush()
-        if shard is None:
-            print("collected no examples", flush=True)
-        else:
-            print(f"collected examples -> {shard}", flush=True)
     print(f"ALL DONE in {time.time() - start:.0f}s", flush=True)

@@ -41,30 +41,7 @@ from repro.flow.reporting import (
     trace_json,
     trace_report,
 )
-from repro.gatelib.designer import (
-    CanvasSearchProblem,
-    screen_canvas_candidates,
-    search_canvas_design,
-)
-from repro.learn import (
-    DATASET_SCHEMA_VERSION,
-    FEATURE_NAMES,
-    FEATURE_VERSION,
-    MODEL_SCHEMA_VERSION,
-    CandidateGeometry,
-    Example,
-    ExampleCollector,
-    SurrogateGuide,
-    SurrogateModel,
-    collect_canvas_examples,
-    default_learn_dir,
-    evaluate_surrogate,
-    featurize_candidate,
-    load_examples,
-    roc_auc,
-    screening_pool,
-    train_surrogate,
-)
+from repro.gatelib.designer import CanvasSearchProblem, search_canvas_design
 from repro.layout.clocking import SCHEMES as _CLOCKING_SCHEME_REGISTRY
 from repro.layout.clocking import scheme_by_name
 from repro.gatelib.designs import core_parameters, two_input_core
@@ -171,29 +148,10 @@ __all__ = [
     "NpnDatabase",
     "CanvasSearchProblem",
     "search_canvas_design",
-    "screen_canvas_candidates",
     "core_parameters",
     "two_input_core",
     "GateUnderTest",
     "check_operational",
-    # Learned guidance: featurization, datasets, surrogate, guide.
-    "FEATURE_VERSION",
-    "FEATURE_NAMES",
-    "DATASET_SCHEMA_VERSION",
-    "MODEL_SCHEMA_VERSION",
-    "CandidateGeometry",
-    "featurize_candidate",
-    "Example",
-    "ExampleCollector",
-    "load_examples",
-    "collect_canvas_examples",
-    "screening_pool",
-    "SurrogateModel",
-    "train_surrogate",
-    "evaluate_surrogate",
-    "roc_auc",
-    "SurrogateGuide",
-    "default_learn_dir",
     # Physics.
     "SidbLayout",
     "SiDBSimulationParameters",

@@ -89,7 +89,6 @@ def _configuration(args: argparse.Namespace) -> api.FlowConfiguration:
             exact_time_limit_seconds=args.time_limit,
             timing=getattr(args, "timing", False),
             defects=defects,
-            learn=getattr(args, "learn", False),
         )
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -301,113 +300,6 @@ def cmd_defects_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _learn_shards_dir(args: argparse.Namespace) -> str:
-    explicit = getattr(args, "data", None) or getattr(args, "out", None)
-    if explicit:
-        return explicit
-    return str(api.default_learn_dir() / "shards")
-
-
-def cmd_learn_collect(args: argparse.Namespace) -> int:
-    store = None
-    if args.store:
-        store = api.ArtifactStore(root=args.store)
-    stats = api.collect_canvas_examples(
-        directory=_learn_shards_dir(args),
-        store=store,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    for name, count in stats["per_problem"].items():
-        print(f"{name}: {count} examples")
-    print(f"total: {stats['examples']} examples")
-    if stats["shard"]:
-        print(f"wrote {stats['shard']}")
-    for digest in stats["persisted_digests"]:
-        print(f"stored blob {digest[:12]}")
-    return 0
-
-
-def cmd_learn_train(args: argparse.Namespace) -> int:
-    source = _learn_shards_dir(args)
-    try:
-        dataset = api.load_examples(source)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot load examples from '{source}': {error}")
-    if not len(dataset.features):
-        raise SystemExit(f"no examples under '{source}'; "
-                         "run 'repro learn collect' first")
-    train, held_out = dataset.split(holdout=args.holdout, seed=args.seed)
-    model = api.train_surrogate(
-        train.features, train.fractions(), seed=args.seed
-    )
-    out = args.out or str(api.default_learn_dir() / "model.json")
-    model.save(out)
-    print(f"trained on {len(train.features)} examples "
-          f"({len(dataset.features)} total)")
-    if len(held_out.features):
-        metrics = api.evaluate_surrogate(
-            model, held_out.features, held_out.labels()
-        )
-        print(f"held-out: auc={metrics['auc']:.4f} "
-              f"accuracy={metrics['accuracy']:.4f} "
-              f"log_loss={metrics['log_loss']:.4f}")
-    print(f"wrote {out}")
-    return 0
-
-
-def cmd_learn_eval(args: argparse.Namespace) -> int:
-    model_path = args.model or str(api.default_learn_dir() / "model.json")
-    try:
-        model = api.SurrogateModel.load(model_path)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot load model '{model_path}': {error}")
-    source = _learn_shards_dir(args)
-    try:
-        dataset = api.load_examples(source)
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot load examples from '{source}': {error}")
-    metrics = api.evaluate_surrogate(
-        model, dataset.features, dataset.labels()
-    )
-    print(json.dumps(metrics, indent=1, sort_keys=True))
-    return 0
-
-
-def cmd_learn_info(args: argparse.Namespace) -> int:
-    model_path = args.model or str(api.default_learn_dir() / "model.json")
-    document: dict = {
-        "feature_version": api.FEATURE_VERSION,
-        "feature_names": len(api.FEATURE_NAMES),
-        "dataset_schema_version": api.DATASET_SCHEMA_VERSION,
-        "model_schema_version": api.MODEL_SCHEMA_VERSION,
-        "learn_dir": str(api.default_learn_dir()),
-    }
-    try:
-        model = api.SurrogateModel.load(model_path)
-        document["model"] = {
-            "path": model_path,
-            "trained_on": model.trained_on,
-            "stumps": len(model.stumps),
-            "seed": model.seed,
-        }
-    except (OSError, ValueError):
-        document["model"] = None
-    source = _learn_shards_dir(args)
-    try:
-        dataset = api.load_examples(source)
-        labels = dataset.labels()
-        document["dataset"] = {
-            "source": source,
-            "examples": int(len(dataset.features)),
-            "positives": int(labels.sum()),
-        }
-    except (OSError, ValueError):
-        document["dataset"] = None
-    print(json.dumps(document, indent=1, sort_keys=True))
-    return 0
-
-
 def cmd_trace_export(args: argparse.Namespace) -> int:
     try:
         with open(args.trace, encoding="utf-8") as handle:
@@ -596,7 +488,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "exact_conflict_limit": args.conflict_limit,
         "exact_time_limit_seconds": args.time_limit,
         "timing": getattr(args, "timing", False),
-        "learn": getattr(args, "learn", False),
     }
     if getattr(args, "defects", None):
         try:
@@ -694,10 +585,6 @@ def _engine_options() -> argparse.ArgumentParser:
     group.add_argument("--defects", metavar="PATH",
                        help="design around the surface defects in PATH "
                             "(JSON, see 'defects sample')")
-    group.add_argument("--learn", action="store_true",
-                       help="collect surrogate training examples from "
-                            "this run's physics evaluations (see "
-                            "'repro learn'); never changes the result")
     return parent
 
 
@@ -835,60 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("-o", "--output", metavar="PATH",
                         help="write the surface as JSON (default: stdout)")
     sample.set_defaults(handler=cmd_defects_sample)
-
-    learn = sub.add_parser(
-        "learn",
-        help="surrogate guidance: collect examples, train, evaluate",
-        description="The learned-guidance flywheel: 'collect' labels "
-                    "bootstrap candidates through the ground-state "
-                    "oracle into dataset shards, 'train' fits the "
-                    "pure-numpy surrogate, 'eval' scores it on a "
-                    "dataset, 'info' shows versions and paths.  The "
-                    "surrogate only re-ranks and prunes candidates "
-                    "ahead of physics; every shipped verdict still "
-                    "comes from the exact ground-state oracle.",
-    )
-    learn_sub = learn.add_subparsers(dest="learn_command", required=True)
-    learn_collect = learn_sub.add_parser(
-        "collect", help="physics-label bootstrap candidates into shards")
-    learn_collect.add_argument("--out", metavar="DIR",
-                               help="shard directory (default: "
-                                    "$REPRO_LEARN_DIR/shards)")
-    learn_collect.add_argument("--store", metavar="DIR",
-                               help="also persist shards content-"
-                                    "addressed into this artifact store")
-    learn_collect.add_argument("--samples", type=int, default=160,
-                               help="labeled candidates per bootstrap "
-                                    "problem (default 160)")
-    learn_collect.add_argument("--seed", type=int, default=0)
-    learn_collect.set_defaults(handler=cmd_learn_collect)
-    learn_train = learn_sub.add_parser(
-        "train", help="fit the surrogate on collected shards")
-    learn_train.add_argument("--data", metavar="PATH",
-                             help="shard file or directory (default: "
-                                  "$REPRO_LEARN_DIR/shards)")
-    learn_train.add_argument("--out", dest="out", metavar="PATH",
-                             help="model output path (default: "
-                                  "$REPRO_LEARN_DIR/model.json)")
-    learn_train.add_argument("--holdout", type=float, default=0.25,
-                             help="held-out fraction for the reported "
-                                  "metrics (default 0.25)")
-    learn_train.add_argument("--seed", type=int, default=0)
-    learn_train.set_defaults(handler=cmd_learn_train, data=None)
-    learn_eval = learn_sub.add_parser(
-        "eval", help="score a model on a dataset")
-    learn_eval.add_argument("--model", metavar="PATH",
-                            help="model file (default: "
-                                 "$REPRO_LEARN_DIR/model.json)")
-    learn_eval.add_argument("--data", metavar="PATH",
-                            help="shard file or directory (default: "
-                                 "$REPRO_LEARN_DIR/shards)")
-    learn_eval.set_defaults(handler=cmd_learn_eval)
-    learn_info = learn_sub.add_parser(
-        "info", help="schema versions, model + dataset summary")
-    learn_info.add_argument("--model", metavar="PATH")
-    learn_info.add_argument("--data", metavar="PATH")
-    learn_info.set_defaults(handler=cmd_learn_info)
 
     serve = sub.add_parser(
         "serve",

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import enum
 import time
@@ -126,12 +125,6 @@ class FlowConfiguration:
     #: artifact (layout, ``summary()`` text, ``.sqd``) is bit-identical
     #: to a flow without the timing layer.
     timing: bool = False
-    #: Collect surrogate training examples (:mod:`repro.learn`) from the
-    #: physics evaluations this flow performs (today: the defect
-    #: recheck's operational simulations) into the default learn
-    #: directory.  Off by default; collection never changes any
-    #: verdict, layout or artifact -- only a dataset shard appears.
-    learn: bool = False
 
     def __post_init__(self) -> None:
         try:
@@ -259,37 +252,6 @@ class DesignResult:
         return render_summary(self.report())
 
 
-@contextlib.contextmanager
-def _learn_collection(config: FlowConfiguration):
-    """Install a learn-example collector for the flow's physics work.
-
-    With ``config.learn`` the flow's operational simulations (the
-    defect recheck) are recorded as surrogate training examples and
-    flushed as one dataset shard on exit; otherwise this is a no-op
-    and the flow stays allocation-free on the learn path.
-    """
-    if not config.learn:
-        yield None
-        return
-    from repro.learn import hooks as learn_hooks
-    from repro.learn.dataset import ExampleCollector
-
-    collector = ExampleCollector.default()
-    previous = learn_hooks.set_collector(collector)
-    try:
-        yield collector
-    finally:
-        learn_hooks.set_collector(previous)
-        examples = len(collector)
-        shard = collector.flush()
-        obs.add("learn.flow_examples", examples)
-        _LOG.info(
-            "flow.learn",
-            examples=examples,
-            shard=None if shard is None else str(shard),
-        )
-
-
 def design_sidb_circuit(
     specification: str | Xag,
     name: str | None = None,
@@ -305,7 +267,7 @@ def design_sidb_circuit(
 
     with obs.capture(
         "design_flow", enable=True if config.trace else None
-    ) as captured, _learn_collection(config):
+    ) as captured:
         # Step 1: parse.
         with obs.span("flow.parse") as span:
             if isinstance(specification, str):

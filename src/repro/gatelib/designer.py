@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.coords.lattice import LatticeSite
-from repro.learn import hooks as _learn_hooks
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair
 from repro.sidb.operational import GateUnderTest, simulate_pattern
@@ -69,17 +68,12 @@ def score_design(
         for pattern in range(total):
             gate.layout(pattern)
     except ValueError:
-        # Canvas collides with fixed/stimulus sites; still a
-        # legitimate (always-negative) training example.
-        if _learn_hooks.COLLECTOR is not None:
-            _learn_hooks.record_canvas(problem, canvas, 0, total)
+        # Canvas collides with fixed/stimulus sites.
         return 0, total
     correct = sum(
         simulate_pattern(gate, pattern, problem.parameters, "quickexact").correct
         for pattern in range(total)
     )
-    if _learn_hooks.COLLECTOR is not None:
-        _learn_hooks.record_canvas(problem, canvas, correct, total)
     return correct, total
 
 
@@ -108,69 +102,18 @@ def _propose_mutation(
     return frozenset(next_canvas)
 
 
-def screen_canvas_candidates(
-    problem: CanvasSearchProblem,
-    canvases,
-    guide=None,
-) -> tuple[frozenset[LatticeSite], int, int] | None:
-    """First *verified* operational canvas in a candidate pool.
-
-    Physics-evaluates the pool in order until a canvas scores
-    correct == total and returns it (``None`` when the pool holds no
-    operational design).  With ``guide`` (a
-    :class:`~repro.learn.guide.SurrogateGuide`) the pool is first
-    re-ordered by descending predicted operability, so a good surrogate
-    moves the hit from the pool's positive rate (~1/rate evaluations)
-    to the first few -- but the returned design still carries a full
-    ground-state verdict either way, and an exhausted pool is
-    exhausted regardless of order.
-    """
-    canvases = list(canvases)
-    with obs.span("gatelib.canvas_screen") as span:
-        span.set("pool", len(canvases))
-        probabilities = None
-        if guide is not None:
-            span.set("guided", True)
-            probabilities = guide.probabilities(problem, canvases)
-            order = sorted(
-                range(len(canvases)), key=lambda i: -probabilities[i]
-            )
-        else:
-            order = list(range(len(canvases)))
-        for rank, index in enumerate(order):
-            span.add("evaluations")
-            correct, total = score_design(problem, canvases[index])
-            if probabilities is not None:
-                guide.observe(
-                    float(probabilities[index]), correct == total
-                )
-            if correct == total:
-                span.set("hit_rank", rank)
-                return canvases[index], correct, total
-        return None
-
-
 def search_canvas_design(
     problem: CanvasSearchProblem,
     max_dots: int = 6,
     iterations: int = 400,
     seed: int = 0,
     initial: frozenset[LatticeSite] | None = None,
-    guide=None,
 ) -> tuple[frozenset[LatticeSite], int, int] | None:
     """Stochastic local search for a correct canvas.
 
     Returns (canvas sites, correct, total) of the best design found, or
     None if no candidate scored above zero.  A design is complete when
     correct == total.
-
-    With ``guide`` (a :class:`~repro.learn.guide.SurrogateGuide`), each
-    iteration proposes a batch of mutations, lets the surrogate re-rank
-    them and prune hopeless batches, and physics-scores at most the top
-    pick -- the search trajectory and runtime change, but every
-    accepted score (and the returned winner) still comes from the
-    QuickExact oracle, never from the surrogate.  Without a
-    guide the search is bit-identical to previous releases.
     """
     rng = random.Random(seed)
     candidates = list(problem.candidate_sites)
@@ -179,8 +122,6 @@ def search_canvas_design(
         span.set("candidate_sites", len(candidates))
         span.set("max_dots", max_dots)
         span.set("iterations", iterations)
-        if guide is not None:
-            span.set("guided", True)
         best = current
         span.add("evaluations")
         best_score = score_design(problem, current)[0]
@@ -191,28 +132,11 @@ def search_canvas_design(
         current_score = best_score
 
         for _ in range(iterations):
-            if guide is None:
-                frozen = _propose_mutation(rng, current, candidates, max_dots)
-                if frozen is None:
-                    continue
-                probability = None
-            else:
-                proposals = []
-                for _ in range(guide.batch):
-                    proposal = _propose_mutation(
-                        rng, current, candidates, max_dots
-                    )
-                    if proposal is not None:
-                        proposals.append(proposal)
-                selection = guide.select(problem, proposals)
-                if selection is None:
-                    continue
-                index, probability = selection
-                frozen = proposals[index]
+            frozen = _propose_mutation(rng, current, candidates, max_dots)
+            if frozen is None:
+                continue
             span.add("evaluations")
             score = score_design(problem, frozen)[0]
-            if guide is not None:
-                guide.observe(probability, score == total)
             # Greedy with sideways moves.
             if score >= current_score:
                 current = frozen
@@ -225,8 +149,6 @@ def search_canvas_design(
                         span.set("best_score", f"{best_score}/{total}")
                         return best, best_score, total
         span.set("best_score", f"{best_score}/{total}")
-        if guide is not None:
-            span.set("pruned", guide.pruned)
         if best_score == 0:
             return None
         return best, best_score, total

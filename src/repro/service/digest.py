@@ -54,8 +54,9 @@ from repro.tech.design_rules import DesignRules
 #: persisted ``.sqd`` can differ.  Version 8: exact P&R starts at the
 #: geometric height bound instead of the depth, so a design whose PIs
 #: set that bound searches taller floor plans and may win with a
-#: smaller area.
-DIGEST_VERSION = 8
+#: smaller area.  Version 9 dropped ``learn`` (the surrogate-example
+#: collection it switched on is gone).
+DIGEST_VERSION = 9
 
 
 class UncacheableConfigurationError(ValueError):
@@ -106,7 +107,6 @@ def normalize_configuration(configuration: FlowConfiguration) -> dict:
         "exact_time_limit_seconds": configuration.exact_time_limit_seconds,
         "heuristic_max_width": configuration.heuristic_max_width,
         "timing": configuration.timing,
-        "learn": configuration.learn,
         "design_rules": {
             "min_metal_pitch_nm": rules.min_metal_pitch_nm,
             "min_canvas_separation_nm": rules.min_canvas_separation_nm,
@@ -139,7 +139,6 @@ def configuration_from_normalized(normalized: dict) -> FlowConfiguration:
         exact_time_limit_seconds=normalized["exact_time_limit_seconds"],
         heuristic_max_width=normalized["heuristic_max_width"],
         timing=normalized.get("timing", False),
-        learn=normalized.get("learn", False),
         design_rules=DesignRules(
             min_metal_pitch_nm=rules["min_metal_pitch_nm"],
             min_canvas_separation_nm=rules["min_canvas_separation_nm"],

@@ -62,7 +62,6 @@ ARTIFACT_TRACE = "trace.json"
 ARTIFACT_RESULT = "result.json"
 ARTIFACT_DEFECTS = "defects.json"
 ARTIFACT_SPEC = "spec.v"
-ARTIFACT_BLOB = "blob.bin"
 MANIFEST_NAME = "manifest.json"
 
 #: Artifact names servable over ``GET /artifacts/<digest>/<name>``.
@@ -341,65 +340,6 @@ class ArtifactStore:
         self.put_payload(digest, payload)
         self._memoize(digest, result)
 
-    def put_blob(
-        self,
-        data: bytes,
-        name: str = ARTIFACT_BLOB,
-        meta: dict | None = None,
-    ) -> str:
-        """Persist opaque bytes content-addressed; returns the digest.
-
-        Blob entries (e.g. learn dataset shards) share the object
-        directory, manifest integrity checks, LRU size cap and
-        eviction machinery with design payloads, but carry
-        ``kind: "blob"`` so the payload readers skip them instead of
-        mis-evicting a healthy entry for lacking ``result.json``.
-        Storing identical bytes twice deduplicates to one entry.
-        """
-        digest = _sha256(data)
-        final = self.entry_dir(digest)
-        if (final / MANIFEST_NAME).exists():
-            return digest
-        manifest = {
-            "format": STORE_FORMAT_VERSION,
-            "digest": digest,
-            "kind": "blob",
-            "name": name,
-            "meta": meta or {},
-            "created": time.time(),
-            "files": {
-                name: {"sha256": _sha256(data), "bytes": len(data)}
-            },
-        }
-        tmp_root = self.root / "tmp"
-        tmp_root.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=digest[:12], dir=tmp_root))
-        try:
-            (staging / name).write_bytes(data)
-            (staging / MANIFEST_NAME).write_text(
-                json.dumps(manifest, indent=1, sort_keys=True),
-                encoding="utf-8",
-            )
-            final.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.rename(staging, final)
-            except OSError:
-                shutil.rmtree(staging, ignore_errors=True)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        with self._lock:
-            self.puts += 1
-        self._enforce_size_cap()
-        return digest
-
-    def read_blob(self, digest: str) -> bytes | None:
-        """The bytes of a blob entry, checksum-verified; None on miss."""
-        manifest = self.manifest(digest)
-        if manifest is None or manifest.get("kind") != "blob":
-            return None
-        return self.read_artifact(digest, manifest["name"])
-
     # --- read ----------------------------------------------------------
     def manifest(self, digest: str) -> dict | None:
         """The entry's manifest (no artifact integrity check)."""
@@ -443,7 +383,8 @@ class ArtifactStore:
         if manifest is None:
             return None
         if manifest.get("kind") == "blob":
-            # Healthy blob entry, just not a design payload: a miss,
+            # Stores written by earlier versions also hold opaque blob
+            # entries.  A healthy one is not a design payload: a miss,
             # not corruption -- do not evict.
             return None
         texts: dict[str, str] = {}

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro import obs
 from repro.coords.lattice import LatticeSite, canonical_form
-from repro.learn import hooks as _learn_hooks
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
@@ -254,17 +253,6 @@ def check_operational(
             )
         )
         obs.progress("operational.patterns", pattern + 1, total)
-    # Learn-hook: contribute this physics-labeled geometry as a
-    # training example.  Disabled path is one attribute check; the
-    # hook never influences the verdict below.
-    if _learn_hooks.COLLECTOR is not None:
-        _learn_hooks.record_operational(
-            gate,
-            parameters,
-            defects,
-            correct=sum(1 for result in results if result.correct),
-            total=len(results),
-        )
     return OperationalReport(
         operational=all(result.correct for result in results),
         patterns=results,

@@ -25,6 +25,24 @@ def test_all_exports_resolve():
         assert getattr(api, name) is not None
 
 
+def test_flow_and_physics_imports_load_no_hashing():
+    """Only the design service hashes; a flow or physics process does
+    not load ``hashlib`` (and with it libcrypto)."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.flow, repro.sidb.operational; "
+            "print('hashlib' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(BENCH, "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_design_accepts_benchmark_name():
     result = api.design("xor2", verify=True)
     assert result.name == "xor2"

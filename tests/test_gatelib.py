@@ -10,8 +10,14 @@ import pytest
 from repro.coords.hexagonal import HexCoord, HexDirection
 from repro.coords.lattice import LatticeSite
 from repro.gatelib import BestagonLibrary, TileGeometry, apply_library
-from repro.gatelib.designer import score_design
+from repro.gatelib.designer import (
+    CanvasSearchProblem,
+    score_design,
+    search_canvas_design,
+)
 from repro.gatelib.designs import (
+    GATE_TABLES,
+    TWO_INPUT_TEMPLATES,
     _load_found,
     builtin_designs,
     core_parameters,
@@ -26,10 +32,9 @@ from repro.layout.gate_layout import (
     wire_tile,
 )
 from repro.networks.logic_network import GateType
-from repro.learn.collect import bootstrap_problems
 from repro.networks.truth_table import TruthTable
 from repro.sidb import operational
-from repro.sidb.bdl import read_bdl_pair
+from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
 from repro.sidb.exhaustive import exhaustive_ground_state
 from repro.sidb.operational import check_operational
@@ -39,6 +44,8 @@ from repro.tech.parameters import SiDBSimulationParameters
 
 NW, NE = HexDirection.NORTH_WEST, HexDirection.NORTH_EAST
 SW, SE = HexDirection.SOUTH_WEST, HexDirection.SOUTH_EAST
+S = LatticeSite.from_row
+P32 = SiDBSimulationParameters(mu_minus=-0.32)
 DESIGN_SCANS = Path(__file__).parent.parent / "scripts" / "design_gates.py"
 
 
@@ -306,18 +313,81 @@ def exgs_score(problem, canvas) -> tuple[int, int]:
     return correct, total
 
 
+def wire_canvas_problem() -> CanvasSearchProblem:
+    """Bridge the 10-row gap of a pitch-6 wire with one BDL pair.
+
+    The canvas ``{(0, 6), (0, 8)}`` completes the three-pair chain: the
+    input pair holds the input and the output pair copies it.
+    """
+    input_pair = BdlPair(S(0, 0), S(0, 2))
+    output_pair = BdlPair(S(0, 12), S(0, 14))
+    return CanvasSearchProblem(
+        fixed_sites=[
+            input_pair.site0,
+            input_pair.site1,
+            output_pair.site0,
+            output_pair.site1,
+            S(0, 18),  # output perturber, gout=4 under the pair
+        ],
+        candidate_sites=[
+            S(column, row) for column in range(-3, 4) for row in range(4, 11)
+        ],
+        input_stimuli=[([S(0, -6)], [S(0, -2)])],
+        output_pairs=[output_pair],
+        outputs=[TruthTable(1, 0b10)],
+        parameters=P32,
+        input_pairs_to_hold=[(input_pair, 0)],
+    )
+
+
+def core_canvas_problem(kind: str) -> CanvasSearchProblem:
+    """Decorate the two-input core of template ``kind`` with canvas dots.
+
+    The fixed sites, stimuli and pairs are those of
+    :func:`~repro.gatelib.designs.two_input_core`; input A's pairs hold
+    input 0, input B's input 1, and the junction shows the function.
+    """
+    gate = two_input_core(TWO_INPUT_TEMPLATES[kind], GATE_TABLES[kind])
+    *holds, junction = gate.output_pairs
+    fixed = set(gate.body)
+    return CanvasSearchProblem(
+        fixed_sites=list(gate.body),
+        candidate_sites=[
+            S(column, row)
+            for column in range(-5, 6)
+            for row in range(3, junction.site0.row - 1)
+            if S(column, row) not in fixed
+        ],
+        input_stimuli=[
+            (list(far), list(close)) for far, close in gate.input_stimuli
+        ],
+        output_pairs=[junction],
+        outputs=[gate.outputs[-1]],
+        parameters=P32,
+        input_pairs_to_hold=[(pair, 0) for pair in holds[:2]]
+        + [(pair, 1) for pair in holds[2:]],
+    )
+
+
+#: Canvas problems with a known-good canvas each: the or-core is a gate
+#: without canvas dots, the xor-core is not.
+CANVAS_CASES = [
+    pytest.param(
+        wire_canvas_problem(), frozenset({S(0, 6), S(0, 8)}), id="wire"
+    ),
+    pytest.param(core_canvas_problem("or"), frozenset(), id="core-or"),
+    pytest.param(core_canvas_problem("xor"), frozenset(), id="core-xor"),
+]
+
+
 class TestDesignerOracle:
     """``score_design`` (QuickExact through ``simulate_pattern``) gives
     the verdicts of the ExGS reference loop."""
 
-    @pytest.mark.parametrize(
-        "bootstrap", bootstrap_problems(), ids=lambda b: b.name
-    )
-    def test_matches_exgs_reference(self, bootstrap):
-        problem = bootstrap.problem
-        canvases = [bootstrap.known_good] + [
-            bootstrap.known_good | {site}
-            for site in problem.candidate_sites[::5][:6]
+    @pytest.mark.parametrize("problem, known_good", CANVAS_CASES)
+    def test_matches_exgs_reference(self, problem, known_good):
+        canvases = [known_good] + [
+            known_good | {site} for site in problem.candidate_sites[::5][:6]
         ]
         for canvas in canvases:
             assert score_design(problem, canvas) == exgs_score(
@@ -325,14 +395,29 @@ class TestDesignerOracle:
             ), sorted(canvas)
 
     def test_canvas_on_a_stimulus_site_scores_zero(self):
-        problem = bootstrap_problems()[1].problem
+        problem = core_canvas_problem("or")
         close_stimulus = problem.input_stimuli[0][1][0]
         assert score_design(problem, frozenset({close_stimulus})) == (0, 4)
 
     def test_spent_quickexact_budget_raises(self, monkeypatch):
-        problem = bootstrap_problems()[1].problem
+        problem = core_canvas_problem("or")
         canvas = frozenset(problem.candidate_sites[::3][:20])
         assert len(problem.fixed_sites) + len(canvas) + 2 > 32
         monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 1)
         with pytest.raises(BudgetExhausted, match="budget of 1 nodes"):
             score_design(problem, canvas)
+
+    def test_search_winner_rescores_and_seeded_search_repeats(self):
+        """The search the ``xor`` design scan runs: its winner's score
+        is the oracle's, and the same seed walks the same way."""
+        problem = core_canvas_problem("xor")
+        result = search_canvas_design(
+            problem, max_dots=3, iterations=12, seed=0
+        )
+        assert result is not None
+        canvas, correct, total = result
+        assert 0 < correct <= total == 4
+        assert score_design(problem, canvas) == (correct, total)
+        assert search_canvas_design(
+            problem, max_dots=3, iterations=12, seed=0
+        ) == result

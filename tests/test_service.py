@@ -1,5 +1,6 @@
 """Design service: digests, artifact store, job scheduler, HTTP API."""
 
+import hashlib
 import json
 import threading
 import time
@@ -20,7 +21,11 @@ from repro.service import (
 )
 from repro.service.digest import configuration_from_normalized
 from repro.service.scheduler import JOB_SCHEMA_VERSION
-from repro.service.store import ARTIFACT_SQD
+from repro.service.store import (
+    ARTIFACT_SQD,
+    MANIFEST_NAME,
+    STORE_FORMAT_VERSION,
+)
 from repro.synthesis.database import NpnDatabase
 
 
@@ -123,6 +128,39 @@ def test_store_lru_size_cap_evicts_oldest(tmp_path):
     assert "00" * 32 not in kept  # oldest evicted
     assert "03" * 32 in kept
     assert store.total_bytes() <= 3 * 2200
+
+
+def test_store_keeps_a_healthy_blob_entry_as_a_miss(tmp_path):
+    """Stores written by earlier versions also hold opaque blob entries
+    (no ``result.json``).  Such an entry is not a design payload: a
+    miss, not corruption, so it is not evicted."""
+    store = ArtifactStore(tmp_path)
+    data = b"opaque bytes"
+    digest = hashlib.sha256(data).hexdigest()
+    entry = store.entry_dir(digest)
+    entry.mkdir(parents=True)
+    (entry / "blob.bin").write_bytes(data)
+    (entry / MANIFEST_NAME).write_text(
+        json.dumps({
+            "format": STORE_FORMAT_VERSION,
+            "digest": digest,
+            "kind": "blob",
+            "name": "blob.bin",
+            "meta": {},
+            "created": time.time(),
+            "files": {
+                "blob.bin": {
+                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "bytes": len(data),
+                }
+            },
+        }),
+        encoding="utf-8",
+    )
+    assert store.get_payload(digest) is None
+    assert store.has(digest)
+    assert store.read_artifact(digest, "blob.bin") == data
+    assert store.stats()["evictions_corrupt"] == 0
 
 
 def test_store_read_artifact_requires_manifest(tmp_path):
@@ -409,11 +447,12 @@ def test_http_rejects_bad_requests(service):
     )
     assert status == 400 and "warp-drive" in document["error"]
     # A removed flow knob is refused, not silently ignored.
-    status, document = _post(
-        service.url + "/v1/jobs",
-        {"specification": "xor2", "options": {"workers": 2}},
-    )
-    assert status == 400 and "workers" in document["error"]
+    for knob, value in (("workers", 2), ("learn", True)):
+        status, document = _post(
+            service.url + "/v1/jobs",
+            {"specification": "xor2", "options": {knob: value}},
+        )
+        assert status == 400 and knob in document["error"]
 
 
 def test_http_404s(service):

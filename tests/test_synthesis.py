@@ -1,13 +1,17 @@
 """Tests for NPN canonicalization, cuts, exact synthesis, the database,
 rewriting and technology mapping."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.networks import benchmark_network
+from repro.networks import benchmark_network, benchmark_verilog
 from repro.networks.logic_network import GateType
 from repro.networks.simulation import exhaustive_equivalent
 from repro.networks.truth_table import TruthTable
+from repro.networks.verilog import parse_verilog
 from repro.networks.xag import Xag
 from repro.synthesis.cuts import Cut, cone_nodes, cut_function, enumerate_cuts
 from repro.synthesis.database import NpnDatabase, shannon_recipe
@@ -173,6 +177,42 @@ class TestRewrite:
         xag = benchmark_network("majority_5_r1")
         rewritten = cut_rewrite(xag, NpnDatabase())
         assert rewritten.num_gates < xag.num_gates
+
+
+#: Gate count and digest of ``Xag.to_dict()`` of what ``cut_rewrite``
+#: returns for the designs the flow benchmark runs (the 11 Table-1 rows
+#: that place in seconds, and newtag), each parsed from its Verilog as
+#: the flow parses it.  A change to the rewrite layer that is meant to
+#: keep its results leaves every entry as it is.
+REWRITE_PINS = {
+    "xor2": (1, "6d98588971db45c8"),
+    "xnor2": (1, "dba87b091cfe7517"),
+    "par_gen": (2, "46b52974c55375ed"),
+    "mux21": (3, "2fbe6c97a9dfc21e"),
+    "par_check": (3, "0be01a8c820a4524"),
+    "xor5_r1": (4, "59d83cee323a9b78"),
+    "xor5_majority": (4, "0c5aa69cb840bd2b"),
+    "t": (5, "b1bbecb15636fc8d"),
+    "t_5": (7, "b09eb8599656b10e"),
+    "c17": (6, "69069a039f0ecdc7"),
+    "majority": (4, "f84630677470b532"),
+    "newtag": (7, "ef93343b004a182a"),
+}
+
+
+def test_rewrite_results_are_pinned():
+    """One shared database: a recipe depends only on its NPN class."""
+    database = NpnDatabase()
+    found = {}
+    for name in REWRITE_PINS:
+        xag = parse_verilog(benchmark_verilog(name), name)
+        rewritten = cut_rewrite(xag, database)
+        document = json.dumps(rewritten.to_dict(), sort_keys=True)
+        found[name] = (
+            rewritten.num_gates,
+            hashlib.sha256(document.encode()).hexdigest()[:16],
+        )
+    assert found == REWRITE_PINS
 
 
 class TestMapping:
