@@ -75,10 +75,11 @@ echo "== benchmark physics hooks (traced tile_library run) =="
 # once per isometry class of all 88 patterns (52 classes: half_adder's
 # 4 patterns of 52 sites included), on the class's canonical form, and
 # SimAnneal never runs; a memo hit builds no geometry.  The node, leaf
-# and cut counts are the witnesses' pruning (hop witness included):
-# half_adder's searches add 37,550 of the 71,424 nodes.
-traced_run tile_library quickexact.calls=52 quickexact.nodes_visited=71424 \
-    quickexact.leaves_evaluated=3144 quickexact.cuts=32620 \
+# and cut counts are the witnesses' pruning, with the hop witness over
+# each site's two strongest earlier partners and 6-site leaves:
+# half_adder's searches add 47,478 of the 95,834 nodes.
+traced_run tile_library quickexact.calls=52 quickexact.nodes_visited=95834 \
+    quickexact.leaves_evaluated=1451 quickexact.cuts=46518 \
     simanneal.calls=0 geometry.hits=0 geometry.misses=52 \
     validate.patterns=88
 

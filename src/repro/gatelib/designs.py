@@ -28,6 +28,7 @@ Figure-5 bench), not by how it was assembled.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -559,7 +560,17 @@ def half_adder_design() -> GateDesign:
 
 
 def builtin_designs() -> dict[str, GateDesign]:
-    """All standard-tile designs of the library, keyed by name."""
+    """All standard-tile designs of the library, keyed by name.
+
+    The designs are frozen and depend only on this module's constants,
+    so they are built once per process and shared; each call returns
+    its own dict of them.
+    """
+    return dict(_shared_designs())
+
+
+@functools.cache
+def _shared_designs() -> dict[str, GateDesign]:
     designs: dict[str, GateDesign] = {}
 
     def register(design: GateDesign) -> None:

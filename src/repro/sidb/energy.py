@@ -132,8 +132,8 @@ class GeometryCache(LruCache):
 GEOMETRY_CACHE = GeometryCache()
 
 #: Exact ground states solved from that geometry, one per isometry
-#: class of system and parameter point; filled by
-#: :mod:`repro.sidb.operational`.
+#: class of system and parameter point, and the QuickExact searches
+#: that spent their node budget; filled by :mod:`repro.sidb.operational`.
 GROUND_STATE_MEMO = LruCache()
 
 

@@ -52,9 +52,10 @@ ENGINES = ("auto", "quickexact", "exhaustive", "simanneal")
 #: its system to SimAnneal (and ``"quickexact"`` raises
 #: :class:`~repro.sidb.quickexact.BudgetExhausted`).  Counted in nodes,
 #: not seconds, so a verdict does not depend on the host's load.  The
-#: library's largest search takes under 13,000; a search that spends
-#: the budget costs about 1.5 s at 56 sites.
-QUICKEXACT_NODE_BUDGET = 1 << 18
+#: library's largest search takes under 17,000 nodes and one of random
+#: 48-site layouts up to about 300,000; a search that spends the budget
+#: costs about 1.2 s at 56 sites.
+QUICKEXACT_NODE_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -299,15 +300,21 @@ def _exact_ground_state(
     fresh ground-state arrays in its own site order; a memo hit carries
     ``stats=None``.  A QuickExact search that spends
     :data:`QUICKEXACT_NODE_BUDGET` raises
-    :class:`~repro.sidb.quickexact.BudgetExhausted` and stores nothing.
+    :class:`~repro.sidb.quickexact.BudgetExhausted`, and so does every
+    later call for its class under the same budget: the memo keeps the
+    error, so the search is not paid for again.
     """
     charged = [defect for defect in defects if defect.charge]
     form = canonical_form(
         layout.sites(),
         [(defect.site, _defect_label(defect, parameters)) for defect in charged],
     )
-    key = (form.sites, form.marks, parameters, engine)
+    budget = QUICKEXACT_NODE_BUDGET if engine == "quickexact" else None
+    key = (form.sites, form.marks, parameters, engine, budget)
     canonical = GROUND_STATE_MEMO.lookup(key)
+    if isinstance(canonical, BudgetExhausted):
+        obs.add("sidb.ground_state_memo_hits")
+        raise BudgetExhausted(budget, canonical.stats)
     stats = None
     if canonical is None:
         canonical_layout = SidbLayout(form.sites)
@@ -320,16 +327,21 @@ def _exact_ground_state(
             if canonical_defects
             else None
         )
-        canonical = (
-            exhaustive_ground_state(canonical_layout, parameters, model=model)
-            if engine == "exhaustive"
-            else quickexact_ground_state(
-                canonical_layout,
-                parameters,
-                model=model,
-                node_budget=QUICKEXACT_NODE_BUDGET,
+        if engine == "exhaustive":
+            canonical = exhaustive_ground_state(
+                canonical_layout, parameters, model=model
             )
-        )
+        else:
+            try:
+                canonical = quickexact_ground_state(
+                    canonical_layout, parameters, model=model,
+                    node_budget=budget,
+                )
+            except BudgetExhausted as spent:
+                GROUND_STATE_MEMO.store(
+                    key, BudgetExhausted(budget, spent.stats)
+                )
+                raise
         for state in canonical.ground_states:
             state.setflags(write=False)
         GROUND_STATE_MEMO.store(key, canonical)

@@ -27,8 +27,13 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   V_ik) - V_ij`` with *k* over the undecided sites and ``w = base + mu
   + external potential``.  A bound below the stability tolerance means
   the hop lowers the energy in every completion, so none is
-  metastable.  The visiting order is fixed, so the sums depend only on
-  the depth and are tabulated once per search.
+  metastable.  Any set of pairs gives a sound witness; the search
+  tests a fixed list, each visited site paired in both hop directions
+  with its :data:`HOP_PARTNERS` strongest earlier-visited partners
+  (largest ``V``), which is where a hop pays most.  The list is sorted
+  by its later site, so a depth tests a prefix of it, and the sums
+  depend only on the depth: one ``(depth + 1) x pairs`` table per
+  search.
 
 * **Level-synchronous expansion.**  The search tree is grown one depth
   at a time: every surviving partial assignment of a depth is extended
@@ -43,9 +48,10 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   ``valid_count`` equals the exhaustive count.
 
 * **Vectorized leaf enumeration.**  Once only ``leaf_bits`` sites
-  remain undecided, the whole 2^leaf_bits subtree of every surviving
-  assignment is evaluated in numpy batches -- the same formulation as
-  the exhaustive engine.  Every leaf sits at the same depth, so the
+  remain undecided (:data:`DEFAULT_LEAF_BITS`; a system of at most
+  :data:`SINGLE_LEAF_SITES` sites is one leaf), the whole 2^leaf_bits
+  subtree of every surviving assignment is evaluated in numpy batches
+  -- the same formulation as the exhaustive engine.  Every leaf sits at the same depth, so the
   suffix patterns' potentials, occupancy masks and pair energies are
   computed once per search; the leaves screen their rows on the suffix
   columns first and test the decided prefix only on the rows that
@@ -89,10 +95,20 @@ from repro.tech.parameters import SiDBSimulationParameters
 #: vectorized leaf enumeration.  Small enough that the witness cuts get
 #: a deep prefix to prune, large enough that the numpy batches stay
 #: efficient.
-DEFAULT_LEAF_BITS = 10
+DEFAULT_LEAF_BITS = 6
+
+#: Systems of at most this many sites are searched as a single leaf
+#: when no ``leaf_bits`` is given: below it an interior level costs more
+#: than the leaf configurations it saves.
+SINGLE_LEAF_SITES = 10
+
+#: Earlier-visited partners (largest ``V``) each site's hops are tested
+#: against by the hop witness, in both directions.
+HOP_PARTNERS = 2
 
 #: Widest frontier (partial assignments) expanded in one batch; the
-#: hop witness then holds at most ``2 * FRONTIER_CAP * n * n`` floats.
+#: hop witness then holds at most ``2 * FRONTIER_CAP * pairs`` floats
+#: (``pairs`` < ``2 * HOP_PARTNERS * n``).
 #: Batches of a few MB keep NumPy's temporaries from fragmenting the
 #: heap: at 256 the ``tile_library`` benchmark read ~12 MB more peak RSS.
 FRONTIER_CAP = 64
@@ -205,7 +221,7 @@ def quickexact_ground_state(
     parameters: SiDBSimulationParameters | None = None,
     require_configuration_stability: bool = True,
     model: EnergyModel | None = None,
-    leaf_bits: int = DEFAULT_LEAF_BITS,
+    leaf_bits: int | None = None,
     node_budget: int | None = None,
 ) -> GroundStateResult:
     """Exact ground state(s) of an SiDB layout via pruned search.
@@ -217,12 +233,17 @@ def quickexact_ground_state(
     same ``valid_count`` (the witness cuts never skip a stable
     configuration).
 
+    ``leaf_bits`` (``None``: the whole system when it has at most
+    :data:`SINGLE_LEAF_SITES` sites, else :data:`DEFAULT_LEAF_BITS`) is
+    the number of undecided sites at which a subtree is enumerated.
     ``node_budget`` (``None``: unlimited) caps the nodes the search may
     visit; a search that needs more raises :class:`BudgetExhausted`.
     The result's ``stats`` field carries a :class:`QuickExactStatistics`
     record with node/cut attribution.
     """
     n = len(layout)
+    if leaf_bits is None:
+        leaf_bits = n if 0 < n <= SINGLE_LEAF_SITES else DEFAULT_LEAF_BITS
     if not 1 <= leaf_bits <= 16:
         raise ValueError(f"leaf_bits must be in [1, 16], got {leaf_bits}")
     stats = QuickExactStatistics(num_sites=n, search_space=1 << n)
@@ -255,6 +276,50 @@ def quickexact_ground_state(
                 "enumerated_fraction", round(stats.enumerated_fraction, 6)
             )
     return search.ground.result(layout, search.valid_count, stats)
+
+
+def _hop_pairs(
+    matrix: np.ndarray, depth: int, partners: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hop witness's (source, target) pairs among the first sites.
+
+    Each visited site ``b < depth`` is paired with its ``partners``
+    strongest earlier-visited sites ``a < b`` (largest ``V_ab``, the
+    earlier site first on a tie), in both hop directions.  Pairs are
+    sorted by ``b``, so ``prefix[d]`` pairs lie among the first ``d``
+    sites, for every ``d`` in ``0..depth``.
+    """
+    sources: list[int] = []
+    targets: list[int] = []
+    prefix = [0, 0]
+    for b in range(1, depth):
+        for a in np.argsort(-matrix[b, :b], kind="stable")[:partners]:
+            sources += [a, b]
+            targets += [b, a]
+        prefix.append(len(sources))
+    return (
+        np.asarray(sources, dtype=np.intp),
+        np.asarray(targets, dtype=np.intp),
+        np.asarray(prefix[: depth + 1], dtype=np.intp),
+    )
+
+
+def _hop_bounds(
+    matrix: np.ndarray, sources: np.ndarray, targets: np.ndarray, depth: int
+) -> np.ndarray:
+    """``bounds[d, p] = sum_{k >= d} max(0, V_jk - V_ik) - V_ij``.
+
+    For pair ``p`` = (``i``, ``j``) = (``sources[p]``, ``targets[p]``)
+    and ``d`` in ``0..depth``.  Plus ``w_j - w_i``, it bounds the energy
+    of the hop i -> j from above over every completion of a depth-``d``
+    assignment.
+    """
+    gains = np.maximum(0.0, matrix[targets] - matrix[sources])
+    suffix_gains = np.cumsum(gains[:, ::-1], axis=1)[:, ::-1]
+    return (
+        np.ascontiguousarray(suffix_gains[:, : depth + 1].T)
+        - matrix[sources, targets]
+    )
 
 
 @dataclass
@@ -342,21 +407,17 @@ class _QuickExactSearch:
         self.rem = np.subtract.accumulate(
             np.vstack([self.matrix.sum(axis=1), self.matrix[:depth]])
         )
-        # hop_bounds[d][i, j] = sum_{k >= d} max(0, V_jk - V_ik) - V_ij
-        # over the d decided sites i, j; plus w_j - w_i it bounds the
-        # energy of the hop i -> j from above over every completion of a
-        # depth-d assignment.  A search that is one leaf (depth 0) never
-        # tests it.
+        # The hop witness's pairs and bounds (see _hop_pairs and
+        # _hop_bounds).  A search that is one leaf (depth 0) never tests
+        # them.
         self.hop_bounds = None
         if require_configuration_stability and depth:
-            gains = np.maximum(
-                0.0, self.matrix[None, :, :] - self.matrix[:, None, :]
+            self.hop_sources, self.hop_targets, self.hop_prefix = _hop_pairs(
+                self.matrix, depth, HOP_PARTNERS
             )
-            suffix_gains = np.cumsum(gains[:, :, ::-1], axis=2)[:, :, ::-1]
-            self.hop_bounds = [
-                suffix_gains[:d, :d, d] - self.matrix[:d, :d]
-                for d in range(depth + 1)
-            ]
+            self.hop_bounds = _hop_bounds(
+                self.matrix, self.hop_sources, self.hop_targets, depth
+            )
 
         self.valid_count = 0
         self.ground = GroundStateCollector()
@@ -433,19 +494,21 @@ class _QuickExactSearch:
         stats.cut_witness_empty += int(cut_empty.sum())
         keep = np.flatnonzero(~(cut_occupied | cut_empty))
         # Hop witness.  Every decided site's w moves and every pair
-        # loses an undecided site from its sum, so the whole decided
-        # block is rechecked; +inf masks leave only negative -> neutral
-        # pairs finite.
-        if self.hop_bounds is not None and keep.size:
+        # loses an undecided site from its sum, so every listed pair
+        # among the decided sites is rechecked; +inf masks leave only
+        # negative -> neutral hops finite.
+        pairs = self.hop_prefix[decided] if self.hop_bounds is not None else 0
+        if pairs and keep.size:
             w = w[keep]
             occupied = occupied[keep]
             sources = np.where(occupied, 0.0, np.inf)
             targets = np.where(occupied, np.inf, 0.0)
-            hops = self.hop_bounds[decided] + (w + targets)[:, None, :]
-            hops += (sources - w)[:, :, None]
+            hops = self.hop_bounds[decided, :pairs] + (w + targets)[
+                :, self.hop_targets[:pairs]
+            ]
+            hops += (sources - w)[:, self.hop_sources[:pairs]]
             cut_hop = (
-                hops.min(axis=(1, 2))
-                < -POPULATION_TOLERANCE - _DECOMPOSITION_SLACK
+                hops.min(axis=1) < -POPULATION_TOLERANCE - _DECOMPOSITION_SLACK
             )
             stats.cut_witness_hop += int(cut_hop.sum())
             keep = keep[~cut_hop]

@@ -103,6 +103,18 @@ class TestDesigns:
             expected.add(f"{kind}_SE")
         assert expected <= set(designs)
 
+    def test_libraries_share_the_frozen_designs(self):
+        """Designs are built once per process; each dict is the caller's."""
+        first, second = builtin_designs(), builtin_designs()
+        assert first is not second
+        assert all(first[name] is second[name] for name in first)
+        first.pop("or_SE")
+        assert "or_SE" in builtin_designs()
+        assert (
+            BestagonLibrary().design("xor_SE")
+            is BestagonLibrary().design("xor_SE")
+        )
+
     def test_designs_fit_inside_tile(self):
         for name, design in builtin_designs().items():
             for site in design.sites:

@@ -7,8 +7,10 @@ plumbing that makes it the default exact simulator.
 
 The search itself (node, leaf and cut counts, ``valid_count`` and the
 ordered ground states) is pinned on a fixed corpus by a golden file
-(``tests/golden/quickexact_searches.json``); regenerate it only after an
-intentional change to the search with::
+(``tests/golden/quickexact_searches.json``), and so is the same corpus
+searched with the hop witness over all pairs and 10-site leaves
+(``tests/golden/quickexact_searches_all_pairs.json``); regenerate both
+only after an intentional change to the search with::
 
     PYTHONPATH=src python tests/test_quickexact.py --regenerate
 """
@@ -36,6 +38,7 @@ from repro.sidb.operational import (
     ENGINES,
     _ground_state,
     check_operational,
+    simulate_pattern,
 )
 from repro.sidb.quickexact import (
     BudgetExhausted,
@@ -76,10 +79,12 @@ def assert_bit_exact(layout, model=None, **kwargs):
     return exgs, quick
 
 
-def random_layout(rng, num_sites):
+def random_layout(rng, num_sites, columns=16, rows=30):
     coords = set()
     while len(coords) < num_sites:
-        coords.add((int(rng.integers(0, 16)), int(rng.integers(0, 30))))
+        coords.add(
+            (int(rng.integers(0, columns)), int(rng.integers(0, rows)))
+        )
     return SidbLayout(S(column, row) for column, row in coords)
 
 
@@ -343,6 +348,51 @@ class TestScalingAndStatistics:
             quickexact_ground_state(layout, P32, node_budget=nodes - 1)
         assert 0 < spent.value.stats.nodes_visited <= nodes - 1
 
+    def test_small_systems_are_one_leaf(self):
+        """Up to ``SINGLE_LEAF_SITES`` sites no interior search runs."""
+        assert quickexact.SINGLE_LEAF_SITES == 10
+        assert quickexact.DEFAULT_LEAF_BITS == 6
+        rng = np.random.default_rng(3)
+        small = random_layout(rng, 10)
+        stats = quickexact_ground_state(small, P32).stats
+        assert (stats.nodes_visited, stats.leaves_evaluated) == (0, 1)
+        assert stats.configurations_enumerated == 1 << 10
+        larger = quickexact_ground_state(random_layout(rng, 11), P32).stats
+        assert larger.nodes_visited > 0
+        assert larger.configurations_enumerated == larger.leaves_evaluated << 6
+        explicit = quickexact_ground_state(small, P32, leaf_bits=4).stats
+        assert explicit.nodes_visited > 0
+        assert explicit.configurations_enumerated == (
+            explicit.leaves_evaluated << 4
+        )
+
+    def test_budget_table_systems_finish_exactly(self):
+        """The systems the node budget was chosen on all fit it.
+
+        ``half_adder``'s patterns, random layouts of 40, 44 and 48 sites
+        on a 40-column, 46-row canvas (seeds 0-2) and BDL wires of 64
+        and 96 sites, at the Bestagon parameters.
+        """
+        parameters = SiDBSimulationParameters.bestagon()
+        gate = BestagonLibrary().design("half_adder").under_test
+        systems = [gate.layout(pattern) for pattern in range(4)]
+        systems += [
+            random_layout(np.random.default_rng(seed), num_sites, 40, 46)
+            for num_sites in (40, 44, 48)
+            for seed in range(3)
+        ]
+        systems += [scaling_layout(64), scaling_layout(96)]
+        budget = operational.QUICKEXACT_NODE_BUDGET
+        nodes = [
+            quickexact_ground_state(
+                layout, parameters, node_budget=budget
+            ).stats.nodes_visited
+            for layout in systems
+        ]
+        # The largest, 48 random sites at seed 0, outgrew 2^18 nodes
+        # when the hop witness went to the pair list.
+        assert max(nodes) > 1 << 18
+
     def test_frontier_cap_keeps_the_search(self, monkeypatch):
         """Frontiers finished two rows at a time give the same search."""
         library = BestagonLibrary()
@@ -375,7 +425,11 @@ class TestEngineSelection:
             assert isinstance(result.stats, QuickExactStatistics)
 
     def test_auto_anneals_when_the_budget_is_spent(self, monkeypatch):
-        """SimAnneal decides, the verdict is not exact, nothing is memoised."""
+        """SimAnneal decides, the verdict is not exact, the spend is memoised.
+
+        The memo keeps one entry per spent search, under its budget: a
+        larger budget searches again and stores the exact result.
+        """
         gate = BestagonLibrary().design("inv_NW_SW").under_test
         monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 1)
         clear_geometry_cache()
@@ -384,17 +438,59 @@ class TestEngineSelection:
             ("simanneal", False),
             ("simanneal", False),
         ]
-        assert len(GROUND_STATE_MEMO) == 0
-        with pytest.raises(BudgetExhausted):
+        assert len(GROUND_STATE_MEMO) == 2
+        with pytest.raises(BudgetExhausted, match="budget of 1 nodes"):
             check_operational(gate, P32, engine="quickexact")
-        assert len(GROUND_STATE_MEMO) == 0
+        assert len(GROUND_STATE_MEMO) == 2
         monkeypatch.undo()
         exact = check_operational(gate, P32)
         assert [(p.engine, p.exact) for p in exact.patterns] == [
             ("quickexact", True),
             ("quickexact", True),
         ]
-        assert len(GROUND_STATE_MEMO) == 2
+        assert len(GROUND_STATE_MEMO) == 4
+        clear_geometry_cache()
+        assert len(GROUND_STATE_MEMO) == 0
+
+    def test_spent_search_runs_once_per_class(self, monkeypatch):
+        """A spent search is not paid for again by a repeat of its class.
+
+        The 10 patterns of these tiles fall into 4 isometry classes.
+        With a budget of one node every search spends it; QuickExact
+        then runs once per class, and every verdict (SimAnneal's, on
+        the layout as given) equals that of a run whose memo is cleared
+        before each pattern.
+        """
+        library = BestagonLibrary()
+        gates = [
+            library.design(name).under_test
+            for name in (
+                "inv_NW_SW", "inv_NE_SE", "wire_NW_SW", "wire_NE_SE", "pi_SW"
+            )
+        ]
+        searched = []
+
+        def counting(layout, *args, **kwargs):
+            searched.append(len(layout))
+            return quickexact_ground_state(layout, *args, **kwargs)
+
+        monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 1)
+        monkeypatch.setattr(operational, "quickexact_ground_state", counting)
+        clear_geometry_cache()
+        memoised = [check_operational(gate, P32).patterns for gate in gates]
+        assert len(searched) == 4
+        unmemoised = []
+        for gate in gates:
+            patterns = []
+            for pattern in range(1 << gate.num_inputs):
+                clear_geometry_cache()
+                patterns.append(simulate_pattern(gate, pattern, P32))
+            unmemoised.append(patterns)
+        assert len(searched) == 14
+        assert memoised == unmemoised
+        assert all(
+            p.engine == "simanneal" for patterns in memoised for p in patterns
+        )
 
     def test_explicit_engine_values(self):
         layout = scaling_layout(12)
@@ -425,8 +521,104 @@ class TestEngineSelection:
             check_operational(**kwargs, engine="exact")
 
 
+class TestHopWitness:
+    """The pair list and its bound table against the all-pairs witness."""
+
+    @staticmethod
+    def layouts():
+        """Tile patterns, BDL wires and random layouts next to defects."""
+        library = BestagonLibrary()
+        for name in library.names():
+            for pattern, layout in pattern_layouts(library.design(name)):
+                yield f"{name}/p{pattern}", EnergyModel(layout, P32)
+        for num_sites in (24, 64):
+            yield f"wire/{num_sites}", EnergyModel(
+                scaling_layout(num_sites), P32
+            )
+        for num_sites in (14, 18):
+            layout = random_layout(
+                np.random.default_rng(100 + num_sites), num_sites
+            )
+            yield f"defects/{num_sites}", EnergyModel(
+                layout, P32, defects=CHARGED_DEFECTS
+            )
+
+    @staticmethod
+    def search(model):
+        """The tables of a search over every depth but the last site."""
+        return quickexact._QuickExactSearch(
+            model=model,
+            order=quickexact._site_order(model.layout),
+            require_configuration_stability=True,
+            leaf_bits=1,
+            node_budget=None,
+            stats=QuickExactStatistics(),
+        )
+
+    def test_pair_table_equals_the_cube_formula(self):
+        """Every entry, bit for bit, as the all-pairs witness tabulated it.
+
+        That witness built ``suffix_gains[i, j, d] = sum_{k >= d} max(0,
+        V_jk - V_ik)`` as one n x n x n cube per search and tested
+        ``suffix_gains[:d, :d, d] - V[:d, :d]`` at depth d.
+        """
+        checked = 0
+        for instance, model in self.layouts():
+            search = self.search(model)
+            matrix = search.matrix
+            gains = np.maximum(0.0, matrix[None, :, :] - matrix[:, None, :])
+            suffix_gains = np.cumsum(gains[:, :, ::-1], axis=2)[:, :, ::-1]
+            sources, targets = search.hop_sources, search.hop_targets
+            expected = np.stack([
+                (suffix_gains[:, :, d] - matrix)[sources, targets]
+                for d in range(search.leaf_depth + 1)
+            ])
+            assert search.hop_bounds.shape == expected.shape, instance
+            assert search.hop_bounds.tobytes() == expected.tobytes(), instance
+            checked += 1
+        assert checked == 88 + 4
+
+    def test_pairs_are_the_strongest_earlier_partners(self):
+        for instance, model in self.layouts():
+            search = self.search(model)
+            matrix = search.matrix
+            sources, targets = search.hop_sources, search.hop_targets
+            later = np.maximum(sources, targets)
+            assert (np.diff(later) >= 0).all(), instance
+            assert list(search.hop_prefix) == [
+                int((later < d).sum()) for d in range(search.leaf_depth + 1)
+            ], instance
+            assert set(zip(sources, targets)) == set(zip(targets, sources))
+            for b in range(1, search.leaf_depth):
+                partners = sorted(sources[(targets == b) & (sources < b)])
+                strongest = np.argsort(-matrix[b, :b], kind="stable")
+                assert partners == sorted(
+                    strongest[: quickexact.HOP_PARTNERS]
+                ), instance
+
+    def test_all_pairs_reproduce_the_reference_searches(self):
+        """With every pair listed and 10-site leaves, the search is the
+        all-pairs witness's, record for record."""
+        expected = json.loads(ALL_PAIRS_SEARCHES.read_text())
+        assert all_pairs_searches() == expected
+
+    def test_pair_list_keeps_every_result(self):
+        """Only the search counts differ from the all-pairs reference."""
+        default = json.loads(GOLDEN_SEARCHES.read_text())
+        reference = json.loads(ALL_PAIRS_SEARCHES.read_text())
+        results = ("instance", "valid_count", "ground_energy", "ground_states")
+        assert [{key: r[key] for key in results} for r in default] == [
+            {key: r[key] for key in results} for r in reference
+        ]
+        assert sum(r["nodes_visited"] for r in reference) == 35386
+        assert sum(r["nodes_visited"] for r in default) == 49340
+
+
 # --- pinned searches ---------------------------------------------------------
 GOLDEN_SEARCHES = Path(__file__).parent / "golden" / "quickexact_searches.json"
+ALL_PAIRS_SEARCHES = GOLDEN_SEARCHES.with_name(
+    "quickexact_searches_all_pairs.json"
+)
 
 
 def _search(instance, layout, **kwargs) -> dict:
@@ -491,6 +683,18 @@ def quickexact_searches() -> list[dict]:
     return records
 
 
+def all_pairs_searches() -> list[dict]:
+    """The corpus searched with every pair in the hop witness.
+
+    Each site's partners are all the sites visited before it, and a
+    system of more than 10 sites is enumerated in 10-site leaves.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quickexact, "HOP_PARTNERS", 1 << 16)
+        patch.setattr(quickexact, "DEFAULT_LEAF_BITS", 10)
+        return quickexact_searches()
+
+
 class TestSearchGolden:
     """The pruned search is pinned, not just its ground states.
 
@@ -511,10 +715,12 @@ class TestSearchGolden:
 
 def _regenerate() -> None:
     GOLDEN_SEARCHES.parent.mkdir(exist_ok=True)
-    GOLDEN_SEARCHES.write_text(
-        json.dumps(quickexact_searches(), indent=1) + "\n"
-    )
-    print(f"regenerated {GOLDEN_SEARCHES}")
+    for path, records in (
+        (GOLDEN_SEARCHES, quickexact_searches()),
+        (ALL_PAIRS_SEARCHES, all_pairs_searches()),
+    ):
+        path.write_text(json.dumps(records, indent=1) + "\n")
+        print(f"regenerated {path}")
 
 
 if __name__ == "__main__":
