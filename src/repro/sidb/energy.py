@@ -21,8 +21,9 @@ site set and shared through a process-wide LRU cache
 ``exp(-d/lambda_TF)/d * 1/eps_r`` rescale -- which is what makes
 operational-domain sweeps over (eps_r, lambda_TF, mu_minus) grids
 affordable.  The exact ground states solved from that geometry are
-memoised beside it (:data:`GROUND_STATE_MEMO`), and
-:func:`clear_geometry_cache` empties both.
+memoised beside it (:data:`GROUND_STATE_MEMO`, and the searches that
+spent their node budget in :data:`SPENT_SEARCHES`), and
+:func:`clear_geometry_cache` empties them all.
 """
 
 from __future__ import annotations
@@ -132,9 +133,15 @@ class GeometryCache(LruCache):
 GEOMETRY_CACHE = GeometryCache()
 
 #: Exact ground states solved from that geometry, one per isometry
-#: class of system and parameter point, and the QuickExact searches
-#: that spent their node budget; filled by :mod:`repro.sidb.operational`.
+#: class of system and parameter point; filled by
+#: :mod:`repro.sidb.operational`.
 GROUND_STATE_MEMO = LruCache()
+
+#: The counts of each QuickExact search that spent its node budget,
+#: under its :data:`GROUND_STATE_MEMO` key extended by the budget; filled
+#: by :mod:`repro.sidb.operational`, so that a repeat of its class does
+#: not search again.
+SPENT_SEARCHES = LruCache()
 
 
 def geometry_cache_stats() -> dict[str, int]:
@@ -150,6 +157,7 @@ def clear_geometry_cache() -> None:
     """Drop all cached distance matrices and memoised ground states."""
     GEOMETRY_CACHE.clear()
     GROUND_STATE_MEMO.clear()
+    SPENT_SEARCHES.clear()
 
 
 def external_potential_vector(

@@ -35,7 +35,7 @@ from repro.coords.lattice import LatticeSite, canonical_form
 from repro.networks.truth_table import TruthTable
 from repro.sidb.bdl import BdlPair, read_bdl_pair
 from repro.sidb.charge import SidbLayout
-from repro.sidb.energy import GROUND_STATE_MEMO, EnergyModel
+from repro.sidb.energy import GROUND_STATE_MEMO, SPENT_SEARCHES, EnergyModel
 from repro.sidb.exhaustive import GroundStateResult, exhaustive_ground_state
 from repro.sidb.quickexact import BudgetExhausted, quickexact_ground_state
 from repro.sidb.simanneal import SimAnneal, SimAnnealParameters
@@ -301,22 +301,23 @@ def _exact_ground_state(
     ``stats=None``.  A QuickExact search that spends
     :data:`QUICKEXACT_NODE_BUDGET` raises
     :class:`~repro.sidb.quickexact.BudgetExhausted`, and so does every
-    later call for its class under the same budget: the memo keeps the
-    error, so the search is not paid for again.
+    later call for its class under the same budget, without searching
+    again (:data:`~repro.sidb.energy.SPENT_SEARCHES`).
     """
     charged = [defect for defect in defects if defect.charge]
     form = canonical_form(
         layout.sites(),
         [(defect.site, _defect_label(defect, parameters)) for defect in charged],
     )
-    budget = QUICKEXACT_NODE_BUDGET if engine == "quickexact" else None
-    key = (form.sites, form.marks, parameters, engine, budget)
+    key = (form.sites, form.marks, parameters, engine)
     canonical = GROUND_STATE_MEMO.lookup(key)
-    if isinstance(canonical, BudgetExhausted):
-        obs.add("sidb.ground_state_memo_hits")
-        raise BudgetExhausted(budget, canonical.stats)
     stats = None
     if canonical is None:
+        spent_key = key + (QUICKEXACT_NODE_BUDGET,)
+        spent = SPENT_SEARCHES.lookup(spent_key)
+        if spent is not None:
+            obs.add("sidb.ground_state_memo_hits")
+            raise BudgetExhausted(QUICKEXACT_NODE_BUDGET, spent)
         canonical_layout = SidbLayout(form.sites)
         canonical_defects = [
             replace(charged[index], site=site)
@@ -335,12 +336,10 @@ def _exact_ground_state(
             try:
                 canonical = quickexact_ground_state(
                     canonical_layout, parameters, model=model,
-                    node_budget=budget,
+                    node_budget=QUICKEXACT_NODE_BUDGET,
                 )
-            except BudgetExhausted as spent:
-                GROUND_STATE_MEMO.store(
-                    key, BudgetExhausted(budget, spent.stats)
-                )
+            except BudgetExhausted as error:
+                SPENT_SEARCHES.store(spent_key, error.stats)
                 raise
         for state in canonical.ground_states:
             state.setflags(write=False)

@@ -48,15 +48,16 @@ repo's :class:`~repro.sidb.energy.EnergyModel`:
   ``valid_count`` equals the exhaustive count.
 
 * **Vectorized leaf enumeration.**  Once only ``leaf_bits`` sites
-  remain undecided (:data:`DEFAULT_LEAF_BITS`; a system of at most
-  :data:`SINGLE_LEAF_SITES` sites is one leaf), the whole 2^leaf_bits
-  subtree of every surviving assignment is evaluated in numpy batches
-  -- the same formulation as the exhaustive engine.  Every leaf sits at the same depth, so the
-  suffix patterns' potentials, occupancy masks and pair energies are
-  computed once per search; the leaves screen their rows on the suffix
-  columns first and test the decided prefix only on the rows that
-  survive.  When one leaf holds the whole system there is no interior
-  search, and its hop table is not built.
+  remain undecided (:data:`DEFAULT_LEAF_BITS`, or
+  :data:`SMALL_SYSTEM_LEAF_BITS` in a system of at most
+  :data:`SMALL_SYSTEM_SITES` sites), the whole 2^leaf_bits subtree of
+  every surviving assignment is evaluated in numpy batches -- the same
+  formulation as the exhaustive engine.  Every leaf sits at the same
+  depth, so the suffix patterns' potentials, occupancy masks and pair
+  energies are computed once per search; the leaves screen their rows
+  on the suffix columns first and test the decided prefix only on the
+  rows that survive.  When one leaf holds the whole system there is no
+  interior search, and its hop table is not built.
 
 * **Node budget.**  ``node_budget`` caps the partial assignments a
   search may visit.  A level is expanded only if its children fit, so
@@ -92,15 +93,22 @@ from repro.sidb.stability import POPULATION_TOLERANCE, configuration_stable
 from repro.tech.parameters import SiDBSimulationParameters
 
 #: Remaining-site count at which the search hands a subtree to the
-#: vectorized leaf enumeration.  Small enough that the witness cuts get
-#: a deep prefix to prune, large enough that the numpy batches stay
-#: efficient.
+#: vectorized leaf enumeration, in a system of more than
+#: :data:`SMALL_SYSTEM_SITES` sites.  Small enough that the witness
+#: cuts get a deep prefix to prune, large enough that the numpy batches
+#: stay efficient.
 DEFAULT_LEAF_BITS = 6
 
-#: Systems of at most this many sites are searched as a single leaf
-#: when no ``leaf_bits`` is given: below it an interior level costs more
-#: than the leaf configurations it saves.
-SINGLE_LEAF_SITES = 10
+#: Leaf size in a system of at most :data:`SMALL_SYSTEM_SITES` sites (the
+#: whole system when it has at most this many).  Its frontiers are
+#: narrow, so an interior level costs more NumPy dispatch than the leaf
+#: configurations it saves: on the design scans' 11-15-site systems,
+#: 6-site leaves took 5-72% more CPU than 10-site ones.
+SMALL_SYSTEM_LEAF_BITS = 10
+
+#: Largest system searched with :data:`SMALL_SYSTEM_LEAF_BITS`; on the
+#: library's 16-site tiles, 6-site leaves are already 9% faster.
+SMALL_SYSTEM_SITES = 15
 
 #: Earlier-visited partners (largest ``V``) each site's hops are tested
 #: against by the hop witness, in both directions.
@@ -233,9 +241,10 @@ def quickexact_ground_state(
     same ``valid_count`` (the witness cuts never skip a stable
     configuration).
 
-    ``leaf_bits`` (``None``: the whole system when it has at most
-    :data:`SINGLE_LEAF_SITES` sites, else :data:`DEFAULT_LEAF_BITS`) is
-    the number of undecided sites at which a subtree is enumerated.
+    ``leaf_bits`` (``None``: :data:`SMALL_SYSTEM_LEAF_BITS` in a system
+    of at most :data:`SMALL_SYSTEM_SITES` sites, else
+    :data:`DEFAULT_LEAF_BITS`) is the number of undecided sites at which
+    a subtree is enumerated.
     ``node_budget`` (``None``: unlimited) caps the nodes the search may
     visit; a search that needs more raises :class:`BudgetExhausted`.
     The result's ``stats`` field carries a :class:`QuickExactStatistics`
@@ -243,7 +252,10 @@ def quickexact_ground_state(
     """
     n = len(layout)
     if leaf_bits is None:
-        leaf_bits = n if 0 < n <= SINGLE_LEAF_SITES else DEFAULT_LEAF_BITS
+        leaf_bits = (
+            SMALL_SYSTEM_LEAF_BITS if n <= SMALL_SYSTEM_SITES
+            else DEFAULT_LEAF_BITS
+        )
     if not 1 <= leaf_bits <= 16:
         raise ValueError(f"leaf_bits must be in [1, 16], got {leaf_bits}")
     stats = QuickExactStatistics(num_sites=n, search_space=1 << n)

@@ -30,6 +30,7 @@ from repro.sidb.bdl import scaling_layout
 from repro.sidb.charge import SidbLayout
 from repro.sidb.energy import (
     GROUND_STATE_MEMO,
+    SPENT_SEARCHES,
     EnergyModel,
     clear_geometry_cache,
 )
@@ -38,7 +39,6 @@ from repro.sidb.operational import (
     ENGINES,
     _ground_state,
     check_operational,
-    simulate_pattern,
 )
 from repro.sidb.quickexact import (
     BudgetExhausted,
@@ -348,18 +348,25 @@ class TestScalingAndStatistics:
             quickexact_ground_state(layout, P32, node_budget=nodes - 1)
         assert 0 < spent.value.stats.nodes_visited <= nodes - 1
 
-    def test_small_systems_are_one_leaf(self):
-        """Up to ``SINGLE_LEAF_SITES`` sites no interior search runs."""
-        assert quickexact.SINGLE_LEAF_SITES == 10
+    def test_small_systems_use_10_site_leaves(self):
+        """Up to ``SMALL_SYSTEM_SITES`` sites a leaf holds 10 sites (a
+        10-site system is one leaf), above it 6; ``leaf_bits`` overrides."""
+        assert quickexact.SMALL_SYSTEM_SITES == 15
+        assert quickexact.SMALL_SYSTEM_LEAF_BITS == 10
         assert quickexact.DEFAULT_LEAF_BITS == 6
         rng = np.random.default_rng(3)
         small = random_layout(rng, 10)
         stats = quickexact_ground_state(small, P32).stats
         assert (stats.nodes_visited, stats.leaves_evaluated) == (0, 1)
         assert stats.configurations_enumerated == 1 << 10
-        larger = quickexact_ground_state(random_layout(rng, 11), P32).stats
-        assert larger.nodes_visited > 0
-        assert larger.configurations_enumerated == larger.leaves_evaluated << 6
+        for num_sites, leaf_bits in ((15, 10), (16, 6)):
+            larger = quickexact_ground_state(
+                random_layout(rng, num_sites), P32
+            ).stats
+            assert larger.nodes_visited > 0
+            assert larger.configurations_enumerated == (
+                larger.leaves_evaluated << leaf_bits
+            )
         explicit = quickexact_ground_state(small, P32, leaf_bits=4).stats
         assert explicit.nodes_visited > 0
         assert explicit.configurations_enumerated == (
@@ -382,16 +389,15 @@ class TestScalingAndStatistics:
             for seed in range(3)
         ]
         systems += [scaling_layout(64), scaling_layout(96)]
-        budget = operational.QUICKEXACT_NODE_BUDGET
-        nodes = [
+        # The budget is 2^19 because the largest, 48 random sites at
+        # seed 0, outgrew 2^18 nodes when the hop witness went to the
+        # pair list.  A system that does not fit raises BudgetExhausted.
+        for layout in systems:
             quickexact_ground_state(
-                layout, parameters, node_budget=budget
-            ).stats.nodes_visited
-            for layout in systems
-        ]
-        # The largest, 48 random sites at seed 0, outgrew 2^18 nodes
-        # when the hop witness went to the pair list.
-        assert max(nodes) > 1 << 18
+                layout,
+                parameters,
+                node_budget=operational.QUICKEXACT_NODE_BUDGET,
+            )
 
     def test_frontier_cap_keeps_the_search(self, monkeypatch):
         """Frontiers finished two rows at a time give the same search."""
@@ -425,11 +431,8 @@ class TestEngineSelection:
             assert isinstance(result.stats, QuickExactStatistics)
 
     def test_auto_anneals_when_the_budget_is_spent(self, monkeypatch):
-        """SimAnneal decides, the verdict is not exact, the spend is memoised.
-
-        The memo keeps one entry per spent search, under its budget: a
-        larger budget searches again and stores the exact result.
-        """
+        """SimAnneal decides, the verdict is not exact, only the spend is
+        memoised: a larger budget searches again."""
         gate = BestagonLibrary().design("inv_NW_SW").under_test
         monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 1)
         clear_geometry_cache()
@@ -438,36 +441,31 @@ class TestEngineSelection:
             ("simanneal", False),
             ("simanneal", False),
         ]
-        assert len(GROUND_STATE_MEMO) == 2
+        assert (len(GROUND_STATE_MEMO), len(SPENT_SEARCHES)) == (0, 2)
         with pytest.raises(BudgetExhausted, match="budget of 1 nodes"):
             check_operational(gate, P32, engine="quickexact")
-        assert len(GROUND_STATE_MEMO) == 2
+        assert (len(GROUND_STATE_MEMO), len(SPENT_SEARCHES)) == (0, 2)
         monkeypatch.undo()
         exact = check_operational(gate, P32)
         assert [(p.engine, p.exact) for p in exact.patterns] == [
             ("quickexact", True),
             ("quickexact", True),
         ]
-        assert len(GROUND_STATE_MEMO) == 4
+        assert (len(GROUND_STATE_MEMO), len(SPENT_SEARCHES)) == (2, 2)
         clear_geometry_cache()
-        assert len(GROUND_STATE_MEMO) == 0
+        assert len(SPENT_SEARCHES) == 0
 
     def test_spent_search_runs_once_per_class(self, monkeypatch):
-        """A spent search is not paid for again by a repeat of its class.
+        """A mirrored tile repeats the spent classes and anneals at once.
 
-        The 10 patterns of these tiles fall into 4 isometry classes.
-        With a budget of one node every search spends it; QuickExact
-        then runs once per class, and every verdict (SimAnneal's, on
-        the layout as given) equals that of a run whose memo is cleared
-        before each pattern.
+        The verdicts are SimAnneal's on the layouts as given, the same
+        as with the memo cleared.
         """
         library = BestagonLibrary()
-        gates = [
+        tile, mirrored = (
             library.design(name).under_test
-            for name in (
-                "inv_NW_SW", "inv_NE_SE", "wire_NW_SW", "wire_NE_SE", "pi_SW"
-            )
-        ]
+            for name in ("inv_NW_SW", "inv_NE_SE")
+        )
         searched = []
 
         def counting(layout, *args, **kwargs):
@@ -477,20 +475,12 @@ class TestEngineSelection:
         monkeypatch.setattr(operational, "QUICKEXACT_NODE_BUDGET", 1)
         monkeypatch.setattr(operational, "quickexact_ground_state", counting)
         clear_geometry_cache()
-        memoised = [check_operational(gate, P32).patterns for gate in gates]
+        check_operational(tile, P32)
+        memoised = check_operational(mirrored, P32)
+        assert len(searched) == 2
+        clear_geometry_cache()
+        assert check_operational(mirrored, P32) == memoised
         assert len(searched) == 4
-        unmemoised = []
-        for gate in gates:
-            patterns = []
-            for pattern in range(1 << gate.num_inputs):
-                clear_geometry_cache()
-                patterns.append(simulate_pattern(gate, pattern, P32))
-            unmemoised.append(patterns)
-        assert len(searched) == 14
-        assert memoised == unmemoised
-        assert all(
-            p.engine == "simanneal" for patterns in memoised for p in patterns
-        )
 
     def test_explicit_engine_values(self):
         layout = scaling_layout(12)
@@ -610,8 +600,6 @@ class TestHopWitness:
         assert [{key: r[key] for key in results} for r in default] == [
             {key: r[key] for key in results} for r in reference
         ]
-        assert sum(r["nodes_visited"] for r in reference) == 35386
-        assert sum(r["nodes_visited"] for r in default) == 49340
 
 
 # --- pinned searches ---------------------------------------------------------
